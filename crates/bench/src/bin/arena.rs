@@ -14,9 +14,9 @@
 //!
 //! `--quick` (equivalently `CUTS_QUICK=1`) keeps only the first cases so
 //! the CI smoke step stays fast. The JSON also carries
-//! `warm_sched_alloc_delta`: device-allocator calls made by a warmed-up
-//! scheduler stream, asserted to be exactly zero — the CI zero-alloc
-//! gate reads this field.
+//! `warm_serve_alloc_delta`: device-allocator calls a serving stream
+//! makes after its arena carve, asserted to be exactly zero — the CI
+//! zero-alloc gate reads this field.
 
 use std::time::Instant;
 
@@ -168,9 +168,10 @@ fn best_of(reps: usize, mut f: impl FnMut() -> (u64, f64)) -> (u64, f64) {
     best
 }
 
-/// Warmed-up scheduler stream: after a full warmup pass drains, a second
-/// pass over the same job mix must make zero device-allocator calls.
-fn warm_sched_alloc_delta() -> u64 {
+/// Warm serving stream: `ServeTier::run` carves the arena before the
+/// submit closure starts; every job after that — four passes over the
+/// mix — must make zero device-allocator calls.
+fn warm_serve_alloc_delta() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -185,29 +186,22 @@ fn warm_sched_alloc_delta() -> u64 {
         Job::new(mesh, chain4),
     ];
 
-    let scheduler = Scheduler::builder().lanes(2).build().unwrap();
+    let tier = ServeTier::new(ServeConfig::builder().lanes(2).build().unwrap());
     let carved = AtomicU64::new(0);
-    scheduler
-        .run(|h| {
+    tier.run(|h| {
+        carved.store(
+            tier.devices().map(|d| d.alloc_calls()).sum(),
+            Ordering::SeqCst,
+        );
+        for _ in 0..4 {
             for job in jobs.iter().cloned() {
                 h.submit_wait(job);
             }
-            while h.pending() > 0 || h.inflight() > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            carved.store(
-                scheduler.devices().iter().map(|d| d.alloc_calls()).sum(),
-                Ordering::SeqCst,
-            );
-            for _ in 0..3 {
-                for job in jobs.iter().cloned() {
-                    h.submit_wait(job);
-                }
-            }
-            Ok(())
-        })
-        .unwrap();
-    let after: u64 = scheduler.devices().iter().map(|d| d.alloc_calls()).sum();
+        }
+        Ok(())
+    })
+    .unwrap();
+    let after: u64 = tier.devices().map(|d| d.alloc_calls()).sum();
     after - carved.load(Ordering::SeqCst)
 }
 
@@ -247,8 +241,8 @@ fn main() {
         ]));
     }
 
-    let delta = warm_sched_alloc_delta();
-    println!("  warm scheduler stream device-alloc delta: {delta}");
+    let delta = warm_serve_alloc_delta();
+    println!("  warm serve stream device-alloc delta: {delta}");
 
     let g = geomean(&ratios).unwrap_or(0.0);
     let out = Json::obj([
@@ -256,13 +250,10 @@ fn main() {
         ("quick", Json::U64(quick as u64)),
         ("cases", Json::arr(entries)),
         ("geomean_copy_over_chain", Json::F64(g)),
-        ("warm_sched_alloc_delta", Json::U64(delta)),
+        ("warm_serve_alloc_delta", Json::U64(delta)),
     ]);
     std::fs::write("BENCH_arena.json", out.render()).expect("write BENCH_arena.json");
     println!("  wrote BENCH_arena.json (geomean copy/chain {g:.2}x, gate >= 1.15x)");
-    assert_eq!(
-        delta, 0,
-        "warm scheduler stream touched the device allocator"
-    );
+    assert_eq!(delta, 0, "warm serve stream touched the device allocator");
     assert!(g >= 1.15, "copy/chain ratio {g:.2}x below the 1.15x gate");
 }

@@ -31,17 +31,19 @@ fn manifest_jobs(quick: bool) -> Vec<Job> {
     jobs
 }
 
-fn scheduler_for(telemetry: bool) -> Scheduler {
-    Scheduler::builder()
-        .telemetry(telemetry)
-        .build()
-        .expect("valid scheduler config")
+fn tier_for(telemetry: bool) -> ServeTier {
+    ServeTier::new(
+        ServeConfig::builder()
+            .telemetry(telemetry)
+            .build()
+            .expect("valid serve config"),
+    )
 }
 
 /// One serial replay; returns (wall ms, per-job canonical bytes).
 fn replay(jobs: &[Job], telemetry: bool) -> (f64, Vec<Option<Vec<u8>>>) {
     flight::set_enabled(telemetry);
-    let report = scheduler_for(telemetry)
+    let report = tier_for(telemetry)
         .run_serial(jobs)
         .expect("serial run succeeds");
     flight::set_enabled(true);

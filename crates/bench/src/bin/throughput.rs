@@ -1,7 +1,8 @@
 //! Multi-query serving throughput: the bundled job manifest replayed
-//! through a serial loop and through [`cuts_core::sched::Scheduler`] at
-//! 1, 2, and 4 lanes on one simulated device, with per-job results
-//! verified byte-identical across all runs. Emits `BENCH_throughput.json`.
+//! through a serial loop and through a one-rank
+//! [`cuts_core::serve::ServeTier`] at 1, 2, and 4 lanes on one simulated
+//! device, with per-job results verified byte-identical across all runs.
+//! Emits `BENCH_throughput.json`.
 //! Absolute jobs/s is the headline number; the lane-speedup *ratio* is
 //! advisory only — arena chaining made serial execution so cheap that
 //! wall time is dominated by job-arrival pacing, which lanes can only
@@ -49,12 +50,30 @@ fn manifest_jobs(quick: bool) -> Vec<Job> {
     jobs
 }
 
-fn scheduler_for(lanes: usize) -> Scheduler {
-    Scheduler::builder()
-        .lanes(lanes)
-        .pacing(PACING)
-        .build()
-        .expect("valid scheduler config")
+fn single_rank(lanes: usize) -> ServeTier {
+    ServeTier::new(
+        ServeConfig::builder()
+            .lanes(lanes)
+            .pacing(PACING)
+            .build()
+            .expect("valid serve config"),
+    )
+}
+
+/// The `p`-th percentile (0–100) of total job latency (queue +
+/// execution) over completed jobs; 0 when nothing completed.
+fn latency_percentile(outcomes: &[JobOutcome], p: f64) -> f64 {
+    let mut lat: Vec<f64> = outcomes
+        .iter()
+        .filter(|o| o.result.is_ok())
+        .map(|o| o.queue_millis + o.exec_millis)
+        .collect();
+    if lat.is_empty() {
+        return 0.0;
+    }
+    lat.sort_by(f64::total_cmp);
+    let idx = ((p / 100.0) * (lat.len() - 1) as f64).round() as usize;
+    lat[idx.min(lat.len() - 1)]
 }
 
 fn verify_identical(serial: &[JobOutcome], sched: &[JobOutcome], lanes: usize) {
@@ -82,7 +101,7 @@ fn main() {
         jobs.len()
     );
 
-    let serial = scheduler_for(1)
+    let serial = single_rank(1)
         .run_serial(&jobs)
         .expect("serial run succeeds");
     println!(
@@ -94,28 +113,26 @@ fn main() {
     let mut runs: Vec<Json> = Vec::new();
     let mut speedup_4 = 0.0;
     for lanes in [1usize, 2, 4] {
-        let scheduler = scheduler_for(lanes);
-        let report = scheduler
-            .run(|h| {
-                for job in jobs.iter().cloned() {
-                    h.submit_wait(job);
-                }
-                Ok(())
-            })
-            .expect("scheduled run succeeds");
+        let report = single_rank(lanes)
+            .run_stream(&jobs)
+            .expect("served run succeeds");
         verify_identical(&serial.outcomes, &report.outcomes, lanes);
         let speedup = report.jobs_per_sec() / serial.jobs_per_sec();
         if lanes == 4 {
             speedup_4 = speedup;
         }
+        let (p50, p99) = (
+            latency_percentile(&report.outcomes, 50.0),
+            latency_percentile(&report.outcomes, 99.0),
+        );
         println!(
-            "  {lanes} lane(s)  {:>8.2} jobs/s  ({:.1} ms wall)  speedup {speedup:.2}x  p50 {:.1} ms  p99 {:.1} ms",
+            "  {lanes} lane(s)  {:>8.2} jobs/s  ({:.1} ms wall)  speedup {speedup:.2}x  p50 {p50:.1} ms  p99 {p99:.1} ms",
             report.jobs_per_sec(),
             report.wall_millis,
-            report.latency_percentile(50.0).unwrap_or(0.0),
-            report.latency_percentile(99.0).unwrap_or(0.0),
         );
         let mut entry = report.to_json();
+        entry.set("p50_millis", Json::F64(p50));
+        entry.set("p99_millis", Json::F64(p99));
         entry.set("lanes", Json::U64(lanes as u64));
         entry.set("speedup_vs_serial", Json::F64(speedup));
         runs.push(entry);

@@ -251,7 +251,7 @@ pub enum Command {
     Match(Box<MatchOpts>),
     /// `match` with tracing forced on and a profile report at the end.
     Profile(Box<MatchOpts>),
-    /// Drain a job manifest through the multi-query scheduler.
+    /// Drain a job manifest through the serving tier.
     Serve(ServeOpts),
     /// Stream edge batches at standing queries, matching incrementally.
     Watch(WatchOpts),

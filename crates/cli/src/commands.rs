@@ -890,8 +890,8 @@ fn run_top(path: &str) -> Result<(), CmdError> {
     let text = std::fs::read_to_string(path).map_err(|e| CutsError::io(path, e))?;
     let mut rows = 0usize;
     println!(
-        "{:>8} {:>10} {:>6} {:>7} {:>7}  per-class ok/fail, queue/exec p99 us",
-        "finished", "wall ms", "defer", "denied", "steals"
+        "{:>8} {:>10} {:>7}  per-class ok/fail, queue/exec p99 us",
+        "finished", "wall ms", "denied"
     );
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -925,12 +925,10 @@ fn run_top(path: &str) -> Result<(), CmdError> {
             }
         }
         println!(
-            "{:>8} {:>10.3} {:>6} {:>7} {:>7}{classes}",
+            "{:>8} {:>10.3} {:>7}{classes}",
             u("finished"),
             wall,
-            u("deferrals"),
-            u("growth_denials"),
-            u("steals")
+            u("growth_denials")
         );
         rows += 1;
     }
@@ -1041,7 +1039,6 @@ fn metrics_snapshot(events: &[Event], matches: u64) -> MetricsSnapshot {
     let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
     // name -> (count, micros, instructions, dram reads)
     let mut kernels: BTreeMap<String, (u64, u64, u64, u64)> = BTreeMap::new();
-    let (mut pool_hits, mut pool_misses) = (0u64, 0u64);
     let (mut arena_carves, mut arena_acquires, mut arena_releases) = (0u64, 0u64, 0u64);
     let (mut arena_grows, mut arena_high_water) = (0u64, 0u64);
     for e in events {
@@ -1055,8 +1052,6 @@ fn metrics_snapshot(events: &[Event], matches: u64) -> MetricsSnapshot {
                 k.2 += c.instructions;
                 k.3 += c.dram_reads;
             }
-            EventKind::Pool if e.name == "hit" => pool_hits += 1,
-            EventKind::Pool if e.name == "miss" => pool_misses += 1,
             EventKind::Arena => match e.name.as_str() {
                 "carve" => arena_carves += 1,
                 "acquire" => arena_acquires += 1,
@@ -1087,16 +1082,6 @@ fn metrics_snapshot(events: &[Event], matches: u64) -> MetricsSnapshot {
             *dram_reads as f64,
         );
     }
-    snap.push_help(
-        "cuts_pool_hits_total",
-        pool_hits as f64,
-        "buffer-pool acquires served by recycling",
-    );
-    snap.push_help(
-        "cuts_pool_misses_total",
-        pool_misses as f64,
-        "buffer-pool acquires that hit the device allocator",
-    );
     snap.push_help(
         "cuts_arena_carves_total",
         arena_carves as f64,
@@ -1151,7 +1136,7 @@ fn profile_report(events: &[Event]) -> String {
     let mut levels: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
     let mut census: BTreeMap<&str, u64> = BTreeMap::new();
     let mut ranks = std::collections::BTreeSet::new();
-    // scheduler lifecycle: event name -> count, plus queue/exec time sums
+    // job lifecycle: event name -> count, plus queue/exec time sums
     let mut job_counts: BTreeMap<String, u64> = BTreeMap::new();
     let (mut queue_ms, mut exec_ms) = (0.0f64, 0.0f64);
     // plan-time kernel policy: level pos -> (method, chi, est first, times)

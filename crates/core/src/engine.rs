@@ -96,32 +96,6 @@ impl<'d> CutsEngine<'d> {
         self.session.run_seeded(data, query, seed)
     }
 
-    /// Former name of [`CutsEngine::run_seeded`].
-    ///
-    /// Callers that deny deprecations fail to compile against it:
-    ///
-    /// ```compile_fail
-    /// #![deny(deprecated)]
-    /// use cuts_core::CutsEngine;
-    /// use cuts_gpu_sim::{Device, DeviceConfig};
-    /// use cuts_graph::generators::clique;
-    /// use cuts_trie::HostTrie;
-    ///
-    /// let device = Device::new(DeviceConfig::test_small());
-    /// let engine = CutsEngine::new(&device);
-    /// let seed = HostTrie::from_flat_paths(&[vec![0]]);
-    /// let _ = engine.run_from_trie(&clique(4), &clique(3), &seed);
-    /// ```
-    #[deprecated(since = "0.5.0", note = "renamed to `run_seeded`")]
-    pub fn run_from_trie(
-        &self,
-        data: &Graph,
-        query: &Graph,
-        seed: &cuts_trie::HostTrie,
-    ) -> Result<MatchResult, EngineError> {
-        self.session.run_seeded(data, query, seed)
-    }
-
     /// §4 composition for disconnected query graphs. See
     /// [`ExecSession::run_disconnected`] for the aggregate's shape.
     pub fn run_disconnected(

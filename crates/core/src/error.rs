@@ -4,7 +4,7 @@
 //! caller can see across the workspace converges on [`CutsError`], the
 //! single `#[non_exhaustive]` top-level error with `From` conversions
 //! from every layer (device, engine, wire, distributed runtime,
-//! configuration, scheduler, graph parsing). No public API in the
+//! configuration, serving, graph parsing). No public API in the
 //! workspace returns `String` or `Box<dyn Error>`.
 
 use cuts_gpu_sim::DeviceError;
@@ -96,7 +96,7 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Failures surfaced by the multi-query scheduler ([`crate::sched`]).
+/// Job-submission failures surfaced by the serving tier ([`crate::serve`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchedError {
     /// The bounded submission queue is full — backpressure. Retry after
@@ -105,10 +105,10 @@ pub enum SchedError {
         /// Configured submission-queue capacity.
         capacity: usize,
     },
-    /// The scheduler has stopped accepting jobs (its run scope ended).
+    /// The tier has stopped accepting jobs (its run scope ended).
     Closed,
     /// A deadline-bounded submission waited its whole budget without the
-    /// queue draining (see `SubmitHandle::submit_wait_timeout`). Distinct
+    /// queue draining (see [`crate::serve::ServeHandle::submit_wait_timeout`]). Distinct
     /// from [`SchedError::Busy`] — the caller *did* wait — so load-shed
     /// policies and CLI exit codes can react differently.
     Timeout {
@@ -123,7 +123,7 @@ impl std::fmt::Display for SchedError {
             SchedError::Busy { capacity } => {
                 write!(f, "submission queue full (capacity {capacity})")
             }
-            SchedError::Closed => write!(f, "scheduler is closed to new jobs"),
+            SchedError::Closed => write!(f, "serving tier is closed to new jobs"),
             SchedError::Timeout { waited_millis } => {
                 write!(
                     f,
@@ -315,7 +315,7 @@ pub enum CutsError {
     Dist(DistError),
     /// A configuration was rejected at build time.
     Config(ConfigError),
-    /// The scheduler rejected or abandoned a job.
+    /// The serving tier rejected or abandoned a job.
     Sched(SchedError),
     /// An edge-list input failed to parse.
     Parse(ParseError),

@@ -56,10 +56,7 @@ pub use order::{BackEdge, Dir, MatchOrder, OrderPolicy};
 pub use plan::{BudgetCheck, DeviceClass, LevelSchedule, PlanKey, QueryPlan};
 pub use policy::{KernelPolicy, LevelDecision, LevelMethod};
 pub use result::MatchResult;
-pub use sched::{
-    ClassSlo, Job, JobId, JobOutcome, SchedReport, SchedStats, Scheduler, SchedulerBuilder,
-    SloReport, StatsSink,
-};
+pub use sched::{ClassSlo, Job, JobId, JobOutcome, SloReport, StatsSink};
 pub use serve::{ServeConfig, ServeConfigBuilder, ServeReport, ServeStats, ServeTier};
 pub use session::{ExecSession, MatchSink, SessionStats};
 pub use snapshot::{Snapshot, SnapshotInfo, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

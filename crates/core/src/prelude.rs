@@ -1,8 +1,9 @@
 //! The one-line import for typical users of the engine:
 //! `use cuts_core::prelude::*;` brings in the engine facade, the
-//! plan/session split, the scheduler, the unified error type, and the
-//! validating config builders — everything the README quick-starts use,
-//! and nothing obscure enough to collide with caller names.
+//! plan/session split, the serving tier and its job types, the unified
+//! error type, and the validating config builders — everything the
+//! README quick-starts use, and nothing obscure enough to collide with
+//! caller names.
 
 #![deny(missing_docs)]
 
@@ -12,9 +13,7 @@ pub use crate::error::{ConfigError, CutsError, EngineError, SchedError};
 pub use crate::fault::FaultPlan;
 pub use crate::plan::QueryPlan;
 pub use crate::result::MatchResult;
-pub use crate::sched::{
-    ClassSlo, Job, JobId, JobOutcome, SchedReport, Scheduler, SchedulerBuilder, SloReport,
-};
+pub use crate::sched::{ClassSlo, Job, JobId, JobOutcome, SloReport};
 pub use crate::serve::{ServeConfig, ServeConfigBuilder, ServeReport, ServeStats, ServeTier};
 pub use crate::session::ExecSession;
 pub use crate::snapshot::Snapshot;

@@ -47,7 +47,7 @@ impl MatchResult {
     /// match count, per-level path counts, and matching order. Timing
     /// fields, hardware counters, and the chunking flag are excluded —
     /// they legitimately differ between executions that are semantically
-    /// identical (e.g. a serial loop vs. the scheduler, which sizes trie
+    /// identical (e.g. a serial loop vs. the serving tier, which sizes trie
     /// capacity per job). Two runs are equivalent iff these bytes match.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 * (2 + self.level_counts.len()) + 4 * self.order.len());

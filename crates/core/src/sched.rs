@@ -1,65 +1,44 @@
-//! Multi-query throughput scheduler with memory-aware admission.
+//! The job vocabulary of the serving stack.
 //!
-//! Every earlier layer of this workspace executes *one* query at a time;
-//! a serving system has to multiplex a stream of (data graph, query)
-//! jobs over the simulated devices. [`Scheduler`] is that layer:
+//! [`crate::serve::ServeTier`] drives job streams and
+//! [`crate::watch::WatchSession`] drives continuous queries; both speak
+//! the types defined here:
 //!
-//! * **Worker lanes with stealing.** Each device runs `lanes` worker
-//!   threads over one shared [`ExecSession`] (plan cache and trie arena
-//!   amortise across the whole stream). Each lane owns a deque; an
-//!   idle lane steals from the back of its longest sibling deque.
-//! * **Memory-aware admission.** A job is dispatched to a device only
-//!   when its §5 space estimate ([`QueryPlan::space_estimate`], the
-//!   paper's `budget_check`) fits the device's remaining trie-memory
-//!   budget under a reservation ledger. Reservations are accounted in
-//!   the session arena's **slab-class units** (whole PA/CA segments), so
-//!   the ledger's arithmetic matches exactly what the arena can grant: a
-//!   no-fit is deterministic, never a surprise device OOM. Oversized
-//!   jobs are *deferred* with exponential backoff — they wait for the
-//!   device to drain and then run alone against the full budget; they
-//!   never fail admission.
-//! * **Priorities, deadlines, aging.** Dispatch order is by score:
-//!   static priority, plus waited-time over the aging constant (so
-//!   starvation is bounded — any job's score eventually dominates), plus
-//!   an urgency boost as a deadline approaches. A job that has waited
-//!   more than four aging periods blocks lower-scored jobs from
-//!   bypassing it.
-//! * **Backpressure.** The submission queue is bounded;
-//!   [`SubmitHandle::submit`] returns the typed
-//!   [`SchedError::Busy`] when it is full (use
-//!   [`SubmitHandle::submit_wait`] to block instead).
-//!
-//! Determinism: each job's trie capacity is derived from its *own* space
-//! estimate clamped to the device-level budget — never from lane count
-//! or arena history — so per-job [`MatchResult`]s are identical whether
-//! the stream runs on 1, 2, or 4 lanes, or through
-//! [`Scheduler::run_serial`].
+//! * [`Job`], [`JobId`] and [`JobOutcome`]: one unit of work, its
+//!   handle, and what happened to it.
+//! * **Per-job trie sizing.** A job's trie capacity is its §5 space
+//!   estimate ([`QueryPlan::space_estimate`], the paper's
+//!   `budget_check`) rounded to a power of two and clamped to the
+//!   device-level budget. It depends only on the job and the device
+//!   model, never on rank count, lane count or arena history, so per-job
+//!   [`MatchResult`]s are identical at any ranks × lanes and through
+//!   `ServeTier::run_serial`.
+//! * **Dispatch score.** Static priority, plus waited time over the
+//!   aging constant (so starvation is bounded: any job's score
+//!   eventually dominates), plus an urgency boost as a deadline
+//!   approaches.
+//! * **SLO accounting.** [`SloReport`] and [`ClassSlo`] read per-class
+//!   queue/exec quantiles and deadline rates out of the run's telemetry
+//!   [`Registry`]; the crate-internal `Telemetry` records into it.
+//! * **Job manifests.** [`parse_manifest`] and [`parse_graph_spec`] read
+//!   the text format `cuts serve --jobs` takes.
 
 #![deny(missing_docs)]
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cuts_gpu_sim::{Device, DeviceConfig};
 use cuts_graph::{generators, Graph};
 use cuts_obs::flight::{self, FlightCode};
-use cuts_obs::{Arg, Counter, EventKind, Json, Registry, ToJson, Trace};
+use cuts_obs::{Counter, Json, Registry, ToJson};
 
-use crate::config::EngineConfig;
-use crate::error::{ConfigError, CutsError, SchedError};
+use crate::error::CutsError;
 use crate::plan::QueryPlan;
 use crate::result::MatchResult;
-use crate::session::{BudgetedRunError, ExecSession, GrantAll, GrowthLedger};
 
 /// Smallest trie capacity (entries) a job is ever given.
-pub(crate) const MIN_TRIE_ENTRIES: usize = 256;
-/// Defer backoff bounds.
-const BACKOFF_FIRST: Duration = Duration::from_micros(500);
-const BACKOFF_MAX: Duration = Duration::from_millis(8);
-/// A job that has waited this many aging periods blocks bypass.
-const AGED_HEAD_FACTOR: u32 = 4;
+const MIN_TRIE_ENTRIES: usize = 256;
 
 /// Checked f64 → entries conversion for the §5 admission estimate.
 ///
@@ -96,7 +75,7 @@ fn saturating_entries(est: f64, budget: usize) -> usize {
 /// pinning every quantile of the class at the top bucket for the rest
 /// of the run. Non-finite and negative inputs record as zero; genuinely
 /// huge finite values still saturate at the cast.
-pub(crate) fn saturating_micros(millis: f64) -> u64 {
+fn saturating_micros(millis: f64) -> u64 {
     let us = millis * 1e3;
     if !us.is_finite() || us < 0.0 {
         return 0;
@@ -108,8 +87,8 @@ pub(crate) fn saturating_micros(millis: f64) -> u64 {
 /// space estimate, rounded up to a power of two so repeat jobs share
 /// chain shapes, clamped into `[MIN, budget]`. Depends only on the job
 /// and the device model — never on lane count, rank count, or what ran
-/// before — which is what makes scheduler *and* serving-tier results
-/// bit-identical to a serial loop. Shared with [`crate::serve`].
+/// before — which is what makes serving-tier results bit-identical to a
+/// serial loop.
 pub(crate) fn job_entries_for(plan: &QueryPlan, data: &Graph, sigma: f64) -> usize {
     let est = plan.space_estimate(data, sigma).ceil();
     let budget = plan.trie_entries_budget.max(1);
@@ -182,13 +161,15 @@ pub struct JobId(pub u64);
 /// What happened to one job.
 #[derive(Debug)]
 pub struct JobOutcome {
-    /// The job's id (also its index in [`SchedReport::outcomes`]).
+    /// The job's id (also its index in
+    /// [`ServeReport::outcomes`](crate::serve::ServeReport::outcomes)).
     pub id: JobId,
     /// Display name, if the job had one.
     pub name: Option<String>,
-    /// Device the job ran on.
+    /// Global device index the job ran on
+    /// (`rank * devices_per_rank + device`).
     pub device: usize,
-    /// Lane that executed it (0 when the job failed at planning).
+    /// Lane that executed it.
     pub lane: usize,
     /// Milliseconds between submission and execution start.
     pub queue_millis: f64,
@@ -196,58 +177,8 @@ pub struct JobOutcome {
     pub exec_millis: f64,
     /// Trie entry capacity the job was sized to.
     pub trie_entries: usize,
-    /// Whether the job was stolen from another lane's deque.
-    pub stolen: bool,
     /// The run result, or the typed failure.
     pub result: Result<MatchResult, CutsError>,
-}
-
-/// Aggregate counters for one [`Scheduler::run`].
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Jobs accepted into the submission queue.
-    pub submitted: u64,
-    /// Jobs that finished with `Ok`.
-    pub completed: u64,
-    /// Jobs that finished with `Err`.
-    pub failed: u64,
-    /// Jobs executed from a stolen deque entry.
-    pub stolen: u64,
-    /// Dispatch passes that deferred a job for lack of memory.
-    pub deferred: u64,
-    /// `submit` calls rejected with [`SchedError::Busy`].
-    pub busy_rejections: u64,
-    /// Plan-cache hits summed over the device sessions.
-    pub plan_hits: u64,
-    /// Plan-cache misses summed over the device sessions.
-    pub plan_misses: u64,
-    /// Peak reserved trie words per device (admission watermark).
-    pub peak_reserved_words: Vec<usize>,
-    /// Per-device trie-memory budget the admission check enforced.
-    pub budget_words: Vec<usize>,
-}
-
-impl ToJson for SchedStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("submitted", Json::U64(self.submitted)),
-            ("completed", Json::U64(self.completed)),
-            ("failed", Json::U64(self.failed)),
-            ("stolen", Json::U64(self.stolen)),
-            ("deferred", Json::U64(self.deferred)),
-            ("busy_rejections", Json::U64(self.busy_rejections)),
-            ("plan_hits", Json::U64(self.plan_hits)),
-            ("plan_misses", Json::U64(self.plan_misses)),
-            (
-                "peak_reserved_words",
-                Json::arr(self.peak_reserved_words.iter().map(|&w| w as u64)),
-            ),
-            (
-                "budget_words",
-                Json::arr(self.budget_words.iter().map(|&w| w as u64)),
-            ),
-        ])
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -368,7 +299,7 @@ impl ToJson for SloReport {
 }
 
 /// Rolling-snapshot callback handed one JSON line per emission (see
-/// [`SchedulerBuilder::stats_every`]).
+/// [`ServeConfigBuilder::stats_every`](crate::serve::ServeConfigBuilder::stats_every)).
 #[derive(Clone)]
 pub struct StatsSink(pub Arc<dyn Fn(&str) + Send + Sync>);
 
@@ -380,15 +311,13 @@ impl std::fmt::Debug for StatsSink {
 
 /// Always-on telemetry state for one run: the registry, pre-resolved
 /// hot-path counter handles, SLO class tracking, rolling-snapshot
-/// emission, and the once-per-run post-mortem latch. Shared between the
-/// scheduler and the serving tier ([`crate::serve`]) so both account
-/// SLOs into the same histogram families.
+/// emission, and the once-per-run post-mortem latch. Shared by the
+/// serving tier ([`crate::serve`]) and watch sessions ([`crate::watch`])
+/// so both account SLOs into the same histogram families.
 pub(crate) struct Telemetry {
     pub(crate) reg: Registry,
     classes: Mutex<Vec<String>>,
-    pub(crate) deferrals: Counter,
     pub(crate) growth_denials: Counter,
-    pub(crate) steals: Counter,
     stats_every: u64,
     sink: Option<StatsSink>,
     start: Instant,
@@ -397,29 +326,14 @@ pub(crate) struct Telemetry {
 }
 
 impl Telemetry {
-    fn new(sched: &Scheduler) -> Self {
-        Telemetry::with(sched.telemetry, sched.stats_every, sched.stats_sink.clone())
-    }
-
-    /// Builds the run-scoped telemetry state directly from its knobs
-    /// (the serving tier has no `Scheduler` to read them from).
+    /// Builds the run-scoped telemetry state from its knobs.
     pub(crate) fn with(enabled: bool, stats_every: u64, sink: Option<StatsSink>) -> Self {
         let reg = Registry::with_enabled(enabled);
         Telemetry {
-            deferrals: reg.counter(
-                "cuts_sched_deferrals_total",
-                &[],
-                "Dispatch passes that deferred a job for lack of memory",
-            ),
             growth_denials: reg.counter(
                 "cuts_sched_growth_denials_total",
                 &[],
                 "In-place trie growths denied by the admission ledger (job rerun larger)",
-            ),
-            steals: reg.counter(
-                "cuts_sched_steals_total",
-                &[],
-                "Jobs executed from a stolen deque entry",
             ),
             reg,
             classes: Mutex::new(Vec::new()),
@@ -492,16 +406,14 @@ impl Telemetry {
     }
 
     /// One rolling-snapshot JSON line (`finished` = jobs done so far).
-    pub(crate) fn snapshot_line(&self, finished: u64) -> String {
+    fn snapshot_line(&self, finished: u64) -> String {
         Json::obj([
             ("finished", Json::U64(finished)),
             (
                 "wall_millis",
                 Json::F64(self.start.elapsed().as_secs_f64() * 1e3),
             ),
-            ("deferrals", Json::U64(self.deferrals.get())),
             ("growth_denials", Json::U64(self.growth_denials.get())),
-            ("steals", Json::U64(self.steals.get())),
             ("slo", self.slo().to_json()),
         ])
         .render()
@@ -518,852 +430,12 @@ impl Telemetry {
     }
 }
 
-/// The result of draining one job stream.
-#[derive(Debug)]
-pub struct SchedReport {
-    /// One outcome per submitted job, in submission order.
-    pub outcomes: Vec<JobOutcome>,
-    /// Wall-clock duration of the whole run, milliseconds.
-    pub wall_millis: f64,
-    /// Aggregate counters.
-    pub stats: SchedStats,
-    /// Per-class SLO accounting (queue/exec quantiles, deadline rates).
-    pub slo: SloReport,
-    /// The run's always-on metrics registry; feed its snapshot to the
-    /// Prometheus exporter. Disabled (empty) when the scheduler was
-    /// built with `.telemetry(false)`.
-    pub telemetry: Registry,
-    /// Path of the flight-recorder post-mortem written when the first
-    /// job of this run failed, if any did.
-    pub postmortem: Option<String>,
-}
-
-impl SchedReport {
-    /// Completed jobs per wall-clock second.
-    pub fn jobs_per_sec(&self) -> f64 {
-        if self.wall_millis <= 0.0 {
-            return 0.0;
-        }
-        self.stats.completed as f64 / (self.wall_millis / 1e3)
-    }
-
-    /// The `p`-th percentile (0–100) of total job latency
-    /// (queue + execution), over completed jobs. `None` when nothing
-    /// completed.
-    pub fn latency_percentile(&self, p: f64) -> Option<f64> {
-        let mut lat: Vec<f64> = self
-            .outcomes
-            .iter()
-            .filter(|o| o.result.is_ok())
-            .map(|o| o.queue_millis + o.exec_millis)
-            .collect();
-        if lat.is_empty() {
-            return None;
-        }
-        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let idx = ((p / 100.0) * (lat.len() - 1) as f64).round() as usize;
-        Some(lat[idx.min(lat.len() - 1)])
-    }
-}
-
-impl ToJson for SchedReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("wall_millis", Json::F64(self.wall_millis)),
-            ("jobs_per_sec", Json::F64(self.jobs_per_sec())),
-            (
-                "p50_millis",
-                self.latency_percentile(50.0).map_or(Json::Null, Json::F64),
-            ),
-            (
-                "p99_millis",
-                self.latency_percentile(99.0).map_or(Json::Null, Json::F64),
-            ),
-            ("stats", self.stats.to_json()),
-            ("slo", self.slo.to_json()),
-            (
-                "postmortem",
-                self.postmortem.clone().map_or(Json::Null, Json::Str),
-            ),
-        ])
-    }
-}
-
-/// Builder for [`Scheduler`]; validated at [`SchedulerBuilder::build`].
-#[derive(Debug, Clone)]
-pub struct SchedulerBuilder {
-    device_config: DeviceConfig,
-    engine: EngineConfig,
-    devices: usize,
-    lanes: usize,
-    queue_capacity: usize,
-    aging: Duration,
-    sigma: f64,
-    pacing: f64,
-    admit_window: usize,
-    plan_cache: usize,
-    warm_plans: Vec<Arc<QueryPlan>>,
-    trace: Option<Trace>,
-    telemetry: bool,
-    stats_every: u64,
-    stats_sink: Option<StatsSink>,
-}
-
-impl SchedulerBuilder {
-    /// The simulated device model every device instance uses.
-    pub fn device_config(mut self, c: DeviceConfig) -> Self {
-        self.device_config = c;
-        self
-    }
-
-    /// The engine configuration shared by every session.
-    pub fn engine_config(mut self, c: EngineConfig) -> Self {
-        self.engine = c;
-        self
-    }
-
-    /// Number of simulated devices (≥ 1).
-    pub fn devices(mut self, n: usize) -> Self {
-        self.devices = n;
-        self
-    }
-
-    /// Worker lanes per device (≥ 1).
-    pub fn lanes(mut self, n: usize) -> Self {
-        self.lanes = n;
-        self
-    }
-
-    /// Bounded submission-queue capacity (≥ 1); a full queue makes
-    /// [`SubmitHandle::submit`] return [`SchedError::Busy`].
-    pub fn queue_capacity(mut self, n: usize) -> Self {
-        self.queue_capacity = n;
-        self
-    }
-
-    /// Aging constant: one unit of dispatch score per `aging` waited.
-    pub fn aging(mut self, d: Duration) -> Self {
-        self.aging = d;
-        self
-    }
-
-    /// §5 candidate-survival prior σ for space estimates (must be in
-    /// `(0, 1]`; the paper uses 0.25 for unlabelled graphs).
-    pub fn sigma(mut self, s: f64) -> Self {
-        self.sigma = s;
-        self
-    }
-
-    /// Host pacing factor: after each job, the executing lane sleeps
-    /// `sim_millis × pacing` so the host timeline tracks the simulated
-    /// device timeline (same convention as the distributed runtime).
-    pub fn pacing(mut self, p: f64) -> Self {
-        self.pacing = p;
-        self
-    }
-
-    /// Maximum admitted-but-unfinished jobs per device, as a multiple of
-    /// the lane count (default 2: one running + one queued per lane).
-    pub fn admit_window(mut self, w: usize) -> Self {
-        self.admit_window = w;
-        self
-    }
-
-    /// Plan-cache capacity per device session.
-    pub fn plan_cache(mut self, n: usize) -> Self {
-        self.plan_cache = n;
-        self
-    }
-
-    /// Pre-built plans (typically from a decoded [`crate::Snapshot`])
-    /// seeded into every device session's cache before the first job, so
-    /// snapshot-covered queries dispatch with zero plan builds. Plans
-    /// whose config or device-class fingerprints don't match this
-    /// scheduler are skipped. The per-session cache capacity is raised to
-    /// hold all of them if needed.
-    pub fn warm_plans(mut self, plans: Vec<Arc<QueryPlan>>) -> Self {
-        self.warm_plans = plans;
-        self
-    }
-
-    /// Attaches a trace: devices emit kernel/run spans and the scheduler
-    /// emits [`EventKind::Job`] lifecycle events into it.
-    pub fn trace(mut self, t: Trace) -> Self {
-        self.trace = Some(t);
-        self
-    }
-
-    /// Always-on serving telemetry switch (default **on**). When off,
-    /// every registry handle degenerates to a no-op — the zero-cost
-    /// disabled path the `obs` overhead bench pins down — and
-    /// [`SchedReport::telemetry`] / [`SchedReport::slo`] come back
-    /// empty. The flight recorder is independent of this switch.
-    pub fn telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
-        self
-    }
-
-    /// Emits a rolling stats-snapshot JSON line to the
-    /// [`StatsSink`](SchedulerBuilder::stats_sink) every `n` finished
-    /// jobs (0, the default, disables emission). This is what
-    /// `cuts serve --stats-every <n>` wires to its `metrics.jsonl`.
-    pub fn stats_every(mut self, n: u64) -> Self {
-        self.stats_every = n;
-        self
-    }
-
-    /// The callback receiving rolling-snapshot lines (one JSON object
-    /// per call, no trailing newline).
-    pub fn stats_sink(mut self, sink: impl Fn(&str) + Send + Sync + 'static) -> Self {
-        self.stats_sink = Some(StatsSink(Arc::new(sink)));
-        self
-    }
-
-    /// Validates and builds the scheduler (devices are created here).
-    pub fn build(self) -> Result<Scheduler, ConfigError> {
-        if self.devices == 0 {
-            return Err(ConfigError::Invalid {
-                field: "devices",
-                reason: "must be at least 1",
-            });
-        }
-        if self.lanes == 0 {
-            return Err(ConfigError::Invalid {
-                field: "lanes",
-                reason: "must be at least 1",
-            });
-        }
-        if self.queue_capacity == 0 {
-            return Err(ConfigError::Invalid {
-                field: "queue_capacity",
-                reason: "must be at least 1",
-            });
-        }
-        if !(self.sigma > 0.0 && self.sigma <= 1.0) {
-            return Err(ConfigError::Invalid {
-                field: "sigma",
-                reason: "must be in (0, 1]",
-            });
-        }
-        if self.aging.is_zero() {
-            return Err(ConfigError::Invalid {
-                field: "aging",
-                reason: "must be positive",
-            });
-        }
-        if self.admit_window == 0 {
-            return Err(ConfigError::Invalid {
-                field: "admit_window",
-                reason: "must be at least 1",
-            });
-        }
-        // The engine config must survive its own validation, including
-        // the trie budget against this device model.
-        let engine = {
-            let mut b = EngineConfig::builder()
-                .chunk_size(self.engine.chunk_size)
-                .trie_fraction(self.engine.trie_fraction)
-                .intersect(self.engine.intersect)
-                .randomize_placement(self.engine.randomize_placement)
-                .order_policy(self.engine.order_policy)
-                .virtual_warp(self.engine.virtual_warp)
-                .max_blocks(self.engine.max_blocks)
-                .seed(self.engine.seed);
-            b = b.for_device_words(self.device_config.global_mem_words);
-            b.build()?
-        };
-        // Kernel wall-time histograms live for the scheduler's lifetime
-        // (devices are shared immutably across runs), while job/SLO
-        // accounting gets a fresh registry per run.
-        let kernel_reg = Registry::with_enabled(self.telemetry);
-        let devices = (0..self.devices)
-            .map(|_| {
-                let mut d = Device::new(self.device_config.clone());
-                if let Some(t) = &self.trace {
-                    d.set_trace(t.clone());
-                }
-                d.set_registry(kernel_reg.clone());
-                d
-            })
-            .collect();
-        Ok(Scheduler {
-            devices,
-            engine,
-            lanes: self.lanes,
-            queue_capacity: self.queue_capacity,
-            aging: self.aging,
-            sigma: self.sigma,
-            pacing: self.pacing,
-            admit_window: self.admit_window,
-            plan_cache: self.plan_cache.max(self.warm_plans.len()),
-            warm_plans: self.warm_plans,
-            trace: self.trace.unwrap_or_else(Trace::disabled),
-            telemetry: self.telemetry,
-            stats_every: self.stats_every,
-            stats_sink: self.stats_sink,
-            kernel_reg,
-        })
-    }
-}
-
-/// Throughput-oriented multi-query scheduler over simulated devices.
-///
-/// ```
-/// use std::sync::Arc;
-/// use cuts_core::sched::{Job, Scheduler};
-/// use cuts_graph::generators::{clique, mesh2d};
-///
-/// let sched = Scheduler::builder().lanes(2).build().unwrap();
-/// let data = Arc::new(mesh2d(4, 4));
-/// let query = Arc::new(clique(2));
-/// let report = sched
-///     .run(|h| {
-///         for _ in 0..4 {
-///             h.submit_wait(Job::new(data.clone(), query.clone()));
-///         }
-///         Ok(())
-///     })
-///     .unwrap();
-/// assert_eq!(report.stats.completed, 4);
-/// assert!(report.outcomes.iter().all(|o| o.result.is_ok()));
-/// ```
-pub struct Scheduler {
-    devices: Vec<Device>,
-    engine: EngineConfig,
-    lanes: usize,
-    queue_capacity: usize,
-    aging: Duration,
-    sigma: f64,
-    pacing: f64,
-    admit_window: usize,
-    plan_cache: usize,
-    warm_plans: Vec<Arc<QueryPlan>>,
-    trace: Trace,
-    telemetry: bool,
-    stats_every: u64,
-    stats_sink: Option<StatsSink>,
-    kernel_reg: Registry,
-}
-
-impl Scheduler {
-    /// The scheduler-lifetime registry devices record per-kernel wall
-    /// histograms into (`cuts_kernel_wall_us{kernel=...}`). Separate from
-    /// the per-run [`SchedReport::telemetry`] so successive runs on one
-    /// scheduler don't cross-pollute their job SLOs, while kernel timing
-    /// accumulates for the device's whole life — merge both snapshots
-    /// into one Prometheus exposition.
-    pub fn kernel_telemetry(&self) -> &Registry {
-        &self.kernel_reg
-    }
-    /// A builder with serving-oriented defaults: one `v100_like` device,
-    /// two lanes, queue capacity 64, 5 ms aging, σ = 0.25, no pacing.
-    pub fn builder() -> SchedulerBuilder {
-        SchedulerBuilder {
-            device_config: DeviceConfig::v100_like(),
-            engine: EngineConfig::default(),
-            devices: 1,
-            lanes: 2,
-            queue_capacity: 64,
-            aging: Duration::from_millis(5),
-            sigma: 0.25,
-            pacing: 0.0,
-            admit_window: 2,
-            plan_cache: crate::session::DEFAULT_PLAN_CACHE_CAPACITY,
-            warm_plans: Vec::new(),
-            trace: None,
-            telemetry: true,
-            stats_every: 0,
-            stats_sink: None,
-        }
-    }
-
-    /// The simulated devices jobs execute on.
-    pub fn devices(&self) -> &[Device] {
-        &self.devices
-    }
-
-    /// Worker lanes per device.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The per-job trie capacity (entries) for `plan` over `data`: the
-    /// §5 space estimate, rounded up to a power of two so repeat jobs
-    /// share chain shapes, clamped into `[MIN, budget]`. Depends only on
-    /// the job and
-    /// the device model — never on lane count or what ran before — which
-    /// is what makes scheduler results bit-identical to a serial loop.
-    fn job_entries(&self, plan: &QueryPlan, data: &Graph) -> usize {
-        job_entries_for(plan, data, self.sigma)
-    }
-
-    /// Runs one stream: `submit` receives a handle, submits jobs (and
-    /// may interleave its own logic); when it returns, the stream is
-    /// closed and `run` blocks until every accepted job completes.
-    pub fn run<F>(&self, submit: F) -> Result<SchedReport, CutsError>
-    where
-        F: FnOnce(&SubmitHandle<'_>) -> Result<(), CutsError>,
-    {
-        let mut sessions: Vec<ExecSession<'_>> = Vec::with_capacity(self.devices.len());
-        for d in &self.devices {
-            let s = ExecSession::with_cache_capacity(d, self.engine.clone(), self.plan_cache);
-            s.seed_plans(&self.warm_plans);
-            // Carve the trie arena up front: admission accounts in its
-            // slab units, so the budget must exist before any dispatch.
-            s.prepare_trie_arena().map_err(CutsError::from)?;
-            sessions.push(s);
-        }
-        let devs: Vec<DevState<'_>> = sessions
-            .iter()
-            .map(|session| DevState {
-                session,
-                budget_words: session.trie_budget_words(),
-                reserved: AtomicUsize::new(0),
-                peak_reserved: AtomicUsize::new(0),
-                inflight: AtomicUsize::new(0),
-                queues: Mutex::new((0..self.lanes).map(|_| VecDeque::new()).collect()),
-                work: Condvar::new(),
-                done: AtomicBool::new(false),
-            })
-            .collect();
-        let shared = Shared {
-            sched: self,
-            devs,
-            pending: Mutex::new(Pending {
-                queue: Vec::new(),
-                closed: false,
-            }),
-            space: Condvar::new(),
-            tick: Condvar::new(),
-            results: Mutex::new(Vec::new()),
-            submitted: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
-            deferred: AtomicU64::new(0),
-            busy_rejections: AtomicU64::new(0),
-            telem: Telemetry::new(self),
-        };
-        flight::record(
-            FlightCode::RunStart,
-            self.devices.len() as u64,
-            self.lanes as u64,
-        );
-
-        let start = Instant::now();
-        let submit_result = std::thread::scope(|scope| {
-            for dev in &shared.devs {
-                for lane in 0..self.lanes {
-                    let shared = &shared;
-                    scope.spawn(move || lane_loop(shared, dev, lane));
-                }
-            }
-            {
-                let shared = &shared;
-                scope.spawn(move || dispatcher_loop(shared));
-            }
-            let handle = SubmitHandle { shared: &shared };
-            let r = submit(&handle);
-            let mut p = shared.pending.lock().unwrap();
-            p.closed = true;
-            drop(p);
-            shared.tick.notify_all();
-            shared.space.notify_all();
-            r
-            // Scope exit joins the dispatcher and every lane.
-        });
-        submit_result?;
-        let wall_millis = start.elapsed().as_secs_f64() * 1e3;
-        flight::record(FlightCode::RunEnd, wall_millis as u64, 0);
-
-        // Final admission-watermark gauges: cheap, and they surface the
-        // memory headroom story next to the latency one in Prometheus.
-        for (di, d) in shared.devs.iter().enumerate() {
-            let ds = di.to_string();
-            let l = [("device", ds.as_str())];
-            shared
-                .telem
-                .reg
-                .gauge(
-                    "cuts_sched_peak_reserved_words",
-                    &l,
-                    "Peak reserved trie words per device (admission watermark)",
-                )
-                .set(d.peak_reserved.load(Ordering::Relaxed) as f64);
-            shared
-                .telem
-                .reg
-                .gauge(
-                    "cuts_sched_budget_words",
-                    &l,
-                    "Per-device trie-memory budget the admission check enforced",
-                )
-                .set(d.budget_words as f64);
-        }
-
-        let mut slots = shared.results.into_inner().unwrap();
-        slots.sort_by_key(|o: &JobOutcome| o.id);
-        let completed = slots.iter().filter(|o| o.result.is_ok()).count() as u64;
-        let failed = slots.len() as u64 - completed;
-        let (mut plan_hits, mut plan_misses) = (0u64, 0u64);
-        for s in &sessions {
-            let st = s.stats();
-            plan_hits += st.plans.hits;
-            plan_misses += st.plans.misses;
-        }
-        let stats = SchedStats {
-            submitted: shared.submitted.load(Ordering::Relaxed),
-            completed,
-            failed,
-            stolen: shared.stolen.load(Ordering::Relaxed),
-            deferred: shared.deferred.load(Ordering::Relaxed),
-            busy_rejections: shared.busy_rejections.load(Ordering::Relaxed),
-            plan_hits,
-            plan_misses,
-            peak_reserved_words: shared
-                .devs
-                .iter()
-                .map(|d| d.peak_reserved.load(Ordering::Relaxed))
-                .collect(),
-            budget_words: shared.devs.iter().map(|d| d.budget_words).collect(),
-        };
-        let slo = shared.telem.slo();
-        let postmortem = shared.telem.postmortem.lock().unwrap().take();
-        Ok(SchedReport {
-            outcomes: slots,
-            wall_millis,
-            stats,
-            slo,
-            postmortem,
-            telemetry: shared.telem.reg.clone(),
-        })
-    }
-
-    /// The scheduler's semantic baseline: the same jobs, one at a time,
-    /// in submission order, on device 0, with identical per-job trie
-    /// sizing and pacing. [`Scheduler::run`] must produce byte-identical
-    /// [`MatchResult::canonical_bytes`] per job; the throughput ratio
-    /// between the two is what the lanes buy.
-    pub fn run_serial(&self, jobs: &[Job]) -> Result<SchedReport, CutsError> {
-        let session = ExecSession::with_cache_capacity(
-            &self.devices[0],
-            self.engine.clone(),
-            self.plan_cache,
-        );
-        session.seed_plans(&self.warm_plans);
-        session.prepare_trie_arena().map_err(CutsError::from)?;
-        let telem = Telemetry::new(self);
-        flight::record(FlightCode::RunStart, 1, 1);
-        let start = Instant::now();
-        let mut outcomes = Vec::with_capacity(jobs.len());
-        let (mut completed, mut failed) = (0u64, 0u64);
-        for (i, job) in jobs.iter().enumerate() {
-            let queued = start.elapsed().as_secs_f64() * 1e3;
-            let exec_start = Instant::now();
-            let result = session
-                .plan_for(&job.query)
-                .map_err(CutsError::from)
-                .and_then(|plan| {
-                    let entries = self.job_entries(&plan, &job.data);
-                    let budget = plan.trie_entries_budget.max(1);
-                    // The same growth-on-undershoot sequence the lanes
-                    // take (in-place chain appends doubling toward the
-                    // budget), so trie sizes and results match exactly.
-                    match session
-                        .run_with_plan_budgeted(&plan, &job.data, entries, budget, &GrantAll)
-                    {
-                        Ok(ok) => Ok(ok),
-                        Err(BudgetedRunError::Engine(e)) => Err(CutsError::from(e)),
-                        Err(BudgetedRunError::GrowthDenied { .. }) => {
-                            unreachable!("GrantAll never denies growth")
-                        }
-                    }
-                });
-            let (result, entries) = match result {
-                Ok((r, e)) => {
-                    if self.pacing > 0.0 {
-                        std::thread::sleep(Duration::from_secs_f64(
-                            r.sim_millis * self.pacing / 1e3,
-                        ));
-                    }
-                    completed += 1;
-                    (Ok(r), e)
-                }
-                Err(e) => {
-                    failed += 1;
-                    (Err(e), 0)
-                }
-            };
-            let outcome = JobOutcome {
-                id: JobId(i as u64),
-                name: job.name.clone(),
-                device: 0,
-                lane: 0,
-                queue_millis: queued,
-                exec_millis: exec_start.elapsed().as_secs_f64() * 1e3,
-                trie_entries: entries,
-                stolen: false,
-                result,
-            };
-            telem.on_finish(Telemetry::class_of(job), job.deadline, &outcome);
-            telem.maybe_emit(i as u64 + 1);
-            outcomes.push(outcome);
-        }
-        let wall_millis = start.elapsed().as_secs_f64() * 1e3;
-        flight::record(FlightCode::RunEnd, wall_millis as u64, 0);
-        let st = session.stats();
-        let slo = telem.slo();
-        let postmortem = telem.postmortem.lock().unwrap().take();
-        Ok(SchedReport {
-            outcomes,
-            wall_millis,
-            stats: SchedStats {
-                submitted: jobs.len() as u64,
-                completed,
-                failed,
-                plan_hits: st.plans.hits,
-                plan_misses: st.plans.misses,
-                peak_reserved_words: vec![0],
-                budget_words: vec![session.trie_budget_words()],
-                ..Default::default()
-            },
-            slo,
-            postmortem,
-            telemetry: telem.reg,
-        })
-    }
-}
-
-impl std::fmt::Debug for Scheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scheduler")
-            .field("devices", &self.devices.len())
-            .field("lanes", &self.lanes)
-            .field("queue_capacity", &self.queue_capacity)
-            .finish()
-    }
-}
-
-/// Submission side of a running scheduler, passed to the closure given
-/// to [`Scheduler::run`].
-pub struct SubmitHandle<'s> {
-    shared: &'s Shared<'s>,
-}
-
-impl SubmitHandle<'_> {
-    /// Submits a job. Returns [`SchedError::Busy`] when the bounded
-    /// queue is full — the caller decides whether to retry, drop, or
-    /// shed load.
-    pub fn submit(&self, job: Job) -> Result<JobId, SchedError> {
-        let mut p = self.shared.pending.lock().unwrap();
-        if p.closed {
-            return Err(SchedError::Closed);
-        }
-        if p.queue.len() >= self.shared.sched.queue_capacity {
-            self.shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-            return Err(SchedError::Busy {
-                capacity: self.shared.sched.queue_capacity,
-            });
-        }
-        Ok(self.shared.enqueue(&mut p, job))
-    }
-
-    /// Submits a job, blocking while the queue is full.
-    pub fn submit_wait(&self, job: Job) -> JobId {
-        let mut p = self.shared.pending.lock().unwrap();
-        while p.queue.len() >= self.shared.sched.queue_capacity && !p.closed {
-            p = self.shared.space.wait(p).unwrap();
-        }
-        self.shared.enqueue(&mut p, job)
-    }
-
-    /// Submits a job, blocking at most `timeout` for queue space.
-    ///
-    /// [`SubmitHandle::submit_wait`] can hang its caller forever when
-    /// the stream never drains (every lane wedged behind a dead rank, a
-    /// pathological job, …); this is the deadline-aware variant. The
-    /// typed [`SchedError::Timeout`] is distinct from
-    /// [`SchedError::Busy`] so callers — and the CLI's exit codes — can
-    /// tell instant backpressure from a submission that waited its full
-    /// budget.
-    pub fn submit_wait_timeout(&self, job: Job, timeout: Duration) -> Result<JobId, SchedError> {
-        let deadline = Instant::now() + timeout;
-        let mut p = self.shared.pending.lock().unwrap();
-        while p.queue.len() >= self.shared.sched.queue_capacity && !p.closed {
-            let now = Instant::now();
-            if now >= deadline {
-                self.shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                return Err(SchedError::Timeout {
-                    waited_millis: timeout.as_millis() as u64,
-                });
-            }
-            p = self.shared.space.wait_timeout(p, deadline - now).unwrap().0;
-        }
-        if p.closed {
-            return Err(SchedError::Closed);
-        }
-        Ok(self.shared.enqueue(&mut p, job))
-    }
-
-    /// Jobs currently waiting for dispatch.
-    pub fn pending(&self) -> usize {
-        self.shared.pending.lock().unwrap().queue.len()
-    }
-
-    /// Jobs admitted to devices and not yet finished.
-    pub fn inflight(&self) -> usize {
-        self.shared
-            .devs
-            .iter()
-            .map(|d| d.inflight.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Internal run-time state.
-
-struct PendingJob {
-    id: JobId,
-    job: Job,
-    submitted_at: Instant,
-    not_before: Instant,
-    defers: u32,
-}
-
-struct Pending {
-    queue: Vec<PendingJob>,
-    closed: bool,
-}
-
-struct Task {
-    id: JobId,
-    job: Job,
-    plan: Arc<QueryPlan>,
-    entries: usize,
-    reserve_words: usize,
-    device: usize,
-    submitted_at: Instant,
-}
-
-struct DevState<'d> {
-    session: &'d ExecSession<'d>,
-    budget_words: usize,
-    reserved: AtomicUsize,
-    peak_reserved: AtomicUsize,
-    inflight: AtomicUsize,
-    queues: Mutex<Vec<VecDeque<Task>>>,
-    work: Condvar,
-    done: AtomicBool,
-}
-
-impl DevState<'_> {
-    /// Atomically reserves `words` in the ledger iff the budget still has
-    /// room; the peak watermark moves with every success. This is the only
-    /// way reservations grow, so `peak_reserved <= budget_words` holds for
-    /// the whole run.
-    fn try_reserve(&self, words: usize) -> bool {
-        let mut cur = self.reserved.load(Ordering::Relaxed);
-        loop {
-            if cur + words > self.budget_words {
-                return false;
-            }
-            match self.reserved.compare_exchange_weak(
-                cur,
-                cur + words,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.peak_reserved.fetch_max(cur + words, Ordering::Relaxed);
-                    return true;
-                }
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-}
-
-/// Why a job cannot be placed right now (see [`pick_device`]).
-#[derive(Clone, Copy)]
-enum NoFit {
-    /// Every device's admission window is full: transient backpressure,
-    /// resolved by the next completion — no backoff.
-    WindowFull,
-    /// A window slot exists but the job's reservation exceeds every
-    /// device's remaining memory budget: defer with backoff.
-    OverBudget,
-}
-
-struct Shared<'s> {
-    sched: &'s Scheduler,
-    devs: Vec<DevState<'s>>,
-    pending: Mutex<Pending>,
-    /// Signals submitters waiting for queue space.
-    space: Condvar,
-    /// Signals the dispatcher: new work, closure, or released memory.
-    tick: Condvar,
-    results: Mutex<Vec<JobOutcome>>,
-    submitted: AtomicU64,
-    stolen: AtomicU64,
-    deferred: AtomicU64,
-    busy_rejections: AtomicU64,
-    telem: Telemetry,
-}
-
-impl<'s> Shared<'s> {
-    fn enqueue(&self, p: &mut Pending, job: Job) -> JobId {
-        let id = JobId(self.submitted.fetch_add(1, Ordering::Relaxed));
-        let now = Instant::now();
-        self.sched.trace.instant_with(
-            EventKind::Job,
-            "submit",
-            &[
-                ("job", Arg::U64(id.0)),
-                ("pending", Arg::U64(p.queue.len() as u64)),
-            ],
-        );
-        flight::record(FlightCode::JobSubmit, id.0, p.queue.len() as u64);
-        p.queue.push(PendingJob {
-            id,
-            job,
-            submitted_at: now,
-            not_before: now,
-            defers: 0,
-        });
-        self.tick.notify_all();
-        id
-    }
-
-    fn finish(&self, class: &str, deadline: Option<Duration>, outcome: JobOutcome) {
-        self.sched.trace.instant_with(
-            EventKind::Job,
-            "complete",
-            &[
-                ("job", Arg::U64(outcome.id.0)),
-                ("queue_ms", Arg::F64(outcome.queue_millis)),
-                ("exec_ms", Arg::F64(outcome.exec_millis)),
-                ("ok", Arg::U64(outcome.result.is_ok() as u64)),
-            ],
-        );
-        self.telem.on_finish(class, deadline, &outcome);
-        let finished = {
-            let mut r = self.results.lock().unwrap();
-            r.push(outcome);
-            r.len() as u64
-        };
-        self.telem.maybe_emit(finished);
-        // Memory or an admission slot may have been released: wake the
-        // dispatcher for another pass.
-        let _p = self.pending.lock().unwrap();
-        self.tick.notify_all();
-    }
-}
-
 /// Dispatch score: static priority, plus waited time in units of the
 /// aging constant, plus a deadline-urgency boost. Any job's aging term
 /// grows without bound, so no job starves behind a stream of
-/// higher-priority arrivals. Shared with [`crate::serve`], whose ranks
-/// pick work by the same score so priorities and deadlines keep their
-/// meaning after a job migrates.
+/// higher-priority arrivals. [`crate::serve`]'s ranks pick work by this
+/// score, and the original submission instant travels with a migrated
+/// job, so priorities and deadlines keep their meaning across ranks.
 pub(crate) fn dispatch_score(
     priority: i32,
     deadline: Option<Duration>,
@@ -1382,366 +454,6 @@ pub(crate) fn dispatch_score(
         };
     }
     s
-}
-
-fn score(p: &PendingJob, now: Instant, aging: Duration) -> f64 {
-    dispatch_score(p.job.priority, p.job.deadline, p.submitted_at, now, aging)
-}
-
-fn backoff(defers: u32) -> Duration {
-    let d = BACKOFF_FIRST * 2u32.saturating_pow(defers.min(8));
-    d.min(BACKOFF_MAX)
-}
-
-fn dispatcher_loop(shared: &Shared<'_>) {
-    let sched = shared.sched;
-    loop {
-        let mut p = shared.pending.lock().unwrap();
-        if p.queue.is_empty() {
-            if p.closed {
-                break;
-            }
-            p = shared
-                .tick
-                .wait_timeout(p, Duration::from_millis(1))
-                .unwrap()
-                .0;
-            if p.queue.is_empty() {
-                continue;
-            }
-        }
-        let now = Instant::now();
-        // Best-scored ready candidate overall, and best that fits a
-        // device right now.
-        let mut best: Option<(usize, f64)> = None;
-        let mut best_nofit = NoFit::WindowFull;
-        let mut best_fit: Option<(usize, f64, usize)> = None;
-        for (i, cand) in p.queue.iter().enumerate() {
-            if cand.not_before > now {
-                continue;
-            }
-            let s = score(cand, now, sched.aging);
-            let placement = pick_device(shared, &cand.job);
-            if best.is_none_or(|(_, bs)| s > bs) {
-                best = Some((i, s));
-                // Unused when the best candidate fits somewhere.
-                best_nofit = placement.err().unwrap_or(NoFit::WindowFull);
-            }
-            if let Ok(di) = placement {
-                if best_fit.is_none_or(|(_, bs, _)| s > bs) {
-                    best_fit = Some((i, s, di));
-                }
-            }
-        }
-        let Some((best_i, best_s)) = best else {
-            // Everything ready is backing off.
-            let _ = shared
-                .tick
-                .wait_timeout(p, Duration::from_micros(200))
-                .unwrap();
-            continue;
-        };
-        let mut head_held = false;
-        let choice = match best_fit {
-            Some((i, s, di)) => {
-                let head = &p.queue[best_i];
-                let head_aged = now.saturating_duration_since(head.submitted_at)
-                    >= sched.aging * AGED_HEAD_FACTOR;
-                if i == best_i || s >= best_s || !head_aged {
-                    Some((i, di))
-                } else {
-                    // The aged head must not be bypassed by a
-                    // lower-scored job; hold dispatch until it fits.
-                    head_held = true;
-                    None
-                }
-            }
-            None => None,
-        };
-        let Some((idx, di)) = choice else {
-            // Memory-aware deferral with backoff applies only to a job
-            // whose reservation genuinely exceeds the remaining budget
-            // (and that has not aged into head-of-line protection).
-            // Window-full backpressure is transient: the completion that
-            // frees the slot wakes `tick`, so no penalty is recorded.
-            if !head_held && matches!(best_nofit, NoFit::OverBudget) {
-                let cand = &mut p.queue[best_i];
-                cand.not_before = now + backoff(cand.defers);
-                cand.defers += 1;
-                shared.deferred.fetch_add(1, Ordering::Relaxed);
-                shared.telem.deferrals.inc();
-                flight::record(FlightCode::JobDefer, cand.id.0, cand.defers as u64);
-                sched.trace.instant_with(
-                    EventKind::Job,
-                    "defer",
-                    &[
-                        ("job", Arg::U64(cand.id.0)),
-                        ("defers", Arg::U64(cand.defers as u64)),
-                    ],
-                );
-            }
-            let _ = shared
-                .tick
-                .wait_timeout(p, Duration::from_micros(200))
-                .unwrap();
-            continue;
-        };
-        let cand = p.queue.swap_remove(idx);
-        drop(p);
-        shared.space.notify_all();
-        admit(shared, cand, di);
-    }
-    // Close the lanes: no more admissions will arrive.
-    for dev in &shared.devs {
-        dev.done.store(true, Ordering::Release);
-        let _q = dev.queues.lock().unwrap();
-        dev.work.notify_all();
-    }
-}
-
-/// The device this job fits right now: reservation ledger has room for
-/// its trie words and the admission window has a slot. Ties break to
-/// the least-reserved device. `Err` distinguishes transient window
-/// backpressure from a genuine memory-budget miss.
-fn pick_device(shared: &Shared<'_>, job: &Job) -> Result<usize, NoFit> {
-    let sched = shared.sched;
-    let mut choice: Option<(usize, usize)> = None;
-    let mut window_open = false;
-    for (di, dev) in shared.devs.iter().enumerate() {
-        if dev.inflight.load(Ordering::Relaxed) >= sched.lanes * sched.admit_window {
-            continue;
-        }
-        window_open = true;
-        // Sizing needs the plan; resolve it on this device's session
-        // (cached thereafter). A plan failure is surfaced at admission.
-        let Ok(plan) = dev.session.plan_for(&job.query) else {
-            return Ok(di); // fail fast on any device
-        };
-        let entries = sched.job_entries(&plan, &job.data);
-        let words = dev.session.chain_words(entries);
-        let reserved = dev.reserved.load(Ordering::Relaxed);
-        if reserved + words > dev.budget_words {
-            continue;
-        }
-        if choice.is_none_or(|(_, r)| reserved < r) {
-            choice = Some((di, reserved));
-        }
-    }
-    match choice {
-        Some((di, _)) => Ok(di),
-        None if window_open => Err(NoFit::OverBudget),
-        None => Err(NoFit::WindowFull),
-    }
-}
-
-fn admit(shared: &Shared<'_>, cand: PendingJob, di: usize) {
-    let sched = shared.sched;
-    let dev = &shared.devs[di];
-    let plan = match dev.session.plan_for(&cand.job.query) {
-        Ok(p) => p,
-        Err(e) => {
-            // Unplannable (empty / disconnected query): an immediate
-            // per-job failure, not a scheduler failure.
-            shared.finish(
-                Telemetry::class_of(&cand.job),
-                cand.job.deadline,
-                JobOutcome {
-                    id: cand.id,
-                    name: cand.job.name.clone(),
-                    device: di,
-                    lane: 0,
-                    queue_millis: cand.submitted_at.elapsed().as_secs_f64() * 1e3,
-                    exec_millis: 0.0,
-                    trie_entries: 0,
-                    stolen: false,
-                    result: Err(e.into()),
-                },
-            );
-            return;
-        }
-    };
-    let entries = sched.job_entries(&plan, &cand.job.data);
-    let words = dev.session.chain_words(entries);
-    // `pick_device` said this fits, but a lane growing its trie may have
-    // raced in; wait rather than overshoot the ledger.
-    while !dev.try_reserve(words) {
-        std::thread::sleep(Duration::from_micros(100));
-    }
-    let reserved = dev.reserved.load(Ordering::Relaxed);
-    dev.inflight.fetch_add(1, Ordering::AcqRel);
-    flight::record(FlightCode::JobAdmit, cand.id.0, di as u64);
-    sched.trace.instant_with(
-        EventKind::Job,
-        "admit",
-        &[
-            ("job", Arg::U64(cand.id.0)),
-            ("device", Arg::U64(di as u64)),
-            ("entries", Arg::U64(entries as u64)),
-            ("reserved", Arg::U64(reserved as u64)),
-        ],
-    );
-    let task = Task {
-        id: cand.id,
-        job: cand.job,
-        plan,
-        entries,
-        reserve_words: words,
-        device: di,
-        submitted_at: cand.submitted_at,
-    };
-    let mut queues = dev.queues.lock().unwrap();
-    // Shortest deque gets the task (ties to the lowest lane index).
-    let lane = (0..queues.len())
-        .min_by_key(|&l| queues[l].len())
-        .unwrap_or(0);
-    queues[lane].push_back(task);
-    dev.work.notify_all();
-}
-
-fn lane_loop(shared: &Shared<'_>, dev: &DevState<'_>, lane: usize) {
-    let sched = shared.sched;
-    loop {
-        let (task, stolen) = {
-            let mut queues = dev.queues.lock().unwrap();
-            loop {
-                if let Some(t) = queues[lane].pop_front() {
-                    break (t, false);
-                }
-                // Steal from the back of the longest sibling deque.
-                let victim = (0..queues.len())
-                    .filter(|&l| l != lane && !queues[l].is_empty())
-                    .max_by_key(|&l| queues[l].len());
-                if let Some(v) = victim {
-                    let t = queues[v].pop_back().unwrap();
-                    shared.stolen.fetch_add(1, Ordering::Relaxed);
-                    shared.telem.steals.inc();
-                    flight::record(FlightCode::JobSteal, t.id.0, lane as u64);
-                    sched.trace.instant_with(
-                        EventKind::Job,
-                        "steal",
-                        &[
-                            ("job", Arg::U64(t.id.0)),
-                            ("from_lane", Arg::U64(v as u64)),
-                            ("lane", Arg::U64(lane as u64)),
-                        ],
-                    );
-                    break (t, true);
-                }
-                if dev.done.load(Ordering::Acquire) {
-                    return;
-                }
-                queues = dev
-                    .work
-                    .wait_timeout(queues, Duration::from_millis(1))
-                    .unwrap()
-                    .0;
-            }
-        };
-        let queue_millis = task.submitted_at.elapsed().as_secs_f64() * 1e3;
-        let exec_start = Instant::now();
-        let mut entries = task.entries;
-        let mut reserve_words = task.reserve_words;
-        let budget_entries = task.plan.trie_entries_budget.max(1);
-        // The §5 estimate can undershoot: the chain then grows in place,
-        // each appended segment charged to this lane's ledger. Only when
-        // the ledger has no room does the job release everything and
-        // rerun at the denied target — the same doubling sequence a
-        // serial loop takes, so results stay identical.
-        let result = loop {
-            let ledger = LaneLedger {
-                dev,
-                granted: AtomicUsize::new(0),
-            };
-            let r = dev.session.run_with_plan_budgeted(
-                &task.plan,
-                &task.job.data,
-                entries,
-                budget_entries,
-                &ledger,
-            );
-            let granted = ledger.granted.load(Ordering::Relaxed);
-            match r {
-                Ok((r, achieved)) => {
-                    entries = achieved;
-                    reserve_words += granted;
-                    break Ok(r);
-                }
-                Err(BudgetedRunError::GrowthDenied { target_entries }) => {
-                    entries = target_entries;
-                    shared.telem.growth_denials.inc();
-                    flight::record(FlightCode::GrowthDenied, task.id.0, target_entries as u64);
-                    sched.trace.instant_with(
-                        EventKind::Job,
-                        "grow",
-                        &[
-                            ("job", Arg::U64(task.id.0)),
-                            ("entries", Arg::U64(entries as u64)),
-                        ],
-                    );
-                    // Trade the old reservation (and any in-place growth
-                    // grants) for the larger one; holding nothing while
-                    // waiting keeps growers from deadlocking each other.
-                    dev.reserved
-                        .fetch_sub(reserve_words + granted, Ordering::AcqRel);
-                    let grown_words = dev.session.chain_words(entries);
-                    while !dev.try_reserve(grown_words) {
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
-                    reserve_words = grown_words;
-                }
-                Err(BudgetedRunError::Engine(e)) => {
-                    reserve_words += granted;
-                    break Err(CutsError::from(e));
-                }
-            }
-        };
-        if let Ok(r) = &result {
-            if sched.pacing > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(r.sim_millis * sched.pacing / 1e3));
-            }
-        }
-        let exec_millis = exec_start.elapsed().as_secs_f64() * 1e3;
-        dev.reserved.fetch_sub(reserve_words, Ordering::AcqRel);
-        dev.inflight.fetch_sub(1, Ordering::AcqRel);
-        shared.finish(
-            Telemetry::class_of(&task.job),
-            task.job.deadline,
-            JobOutcome {
-                id: task.id,
-                name: task.job.name.clone(),
-                device: task.device,
-                lane,
-                queue_millis,
-                exec_millis,
-                // Failed jobs report no capacity, matching the serial path.
-                trie_entries: if result.is_ok() { entries } else { 0 },
-                stolen,
-                result,
-            },
-        );
-    }
-}
-
-/// Charges in-place chain growth to the device's admission ledger.
-struct LaneLedger<'a, 'd> {
-    dev: &'a DevState<'d>,
-    granted: AtomicUsize,
-}
-
-impl GrowthLedger for LaneLedger<'_, '_> {
-    fn try_grant(&self, words: usize) -> bool {
-        if self.dev.try_reserve(words) {
-            self.granted.fetch_add(words, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn refund(&self, words: usize) {
-        self.dev.reserved.fetch_sub(words, Ordering::AcqRel);
-        self.granted.fetch_sub(words, Ordering::Relaxed);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1854,173 +566,31 @@ pub fn parse_manifest(text: &str) -> Result<Vec<Job>, CutsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuts_graph::generators::{chain, clique, erdos_renyi, mesh2d, star};
-
-    fn small_sched(lanes: usize) -> Scheduler {
-        Scheduler::builder()
-            .device_config(DeviceConfig::test_small())
-            .lanes(lanes)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn builder_rejects_bad_values() {
-        assert!(matches!(
-            Scheduler::builder().devices(0).build(),
-            Err(ConfigError::Invalid {
-                field: "devices",
-                ..
-            })
-        ));
-        assert!(matches!(
-            Scheduler::builder().lanes(0).build(),
-            Err(ConfigError::Invalid { field: "lanes", .. })
-        ));
-        assert!(matches!(
-            Scheduler::builder().queue_capacity(0).build(),
-            Err(ConfigError::Invalid {
-                field: "queue_capacity",
-                ..
-            })
-        ));
-        assert!(matches!(
-            Scheduler::builder().sigma(0.0).build(),
-            Err(ConfigError::Invalid { field: "sigma", .. })
-        ));
-    }
-
-    #[test]
-    fn drains_a_stream_and_reports_outcomes() {
-        let sched = small_sched(2);
-        let data = Arc::new(erdos_renyi(30, 90, 7));
-        let q3 = Arc::new(clique(3));
-        let q2 = Arc::new(clique(2));
-        let report = sched
-            .run(|h| {
-                for i in 0..6 {
-                    let q = if i % 2 == 0 { q3.clone() } else { q2.clone() };
-                    h.submit_wait(Job::new(data.clone(), q));
-                }
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(report.stats.submitted, 6);
-        assert_eq!(report.stats.completed, 6);
-        assert_eq!(report.outcomes.len(), 6);
-        // Outcomes come back in submission order.
-        for (i, o) in report.outcomes.iter().enumerate() {
-            assert_eq!(o.id, JobId(i as u64));
-            assert!(o.result.is_ok());
-        }
-        // Two distinct queries -> exactly two plan builds; admission and
-        // execution passes all hit the cache thereafter.
-        assert_eq!(report.stats.plan_misses, 2);
-        assert!(report.stats.plan_hits >= 4);
-        assert!(report.jobs_per_sec() > 0.0);
-        assert!(report.latency_percentile(50.0).is_some());
-    }
-
-    #[test]
-    fn unplannable_jobs_fail_individually() {
-        let sched = small_sched(1);
-        let data = Arc::new(clique(4));
-        let disconnected = Arc::new(Graph::undirected(4, &[(0, 1), (2, 3)]));
-        let fine = Arc::new(clique(3));
-        let report = sched
-            .run(|h| {
-                h.submit_wait(Job::new(data.clone(), disconnected.clone()));
-                h.submit_wait(Job::new(data.clone(), fine.clone()));
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(report.stats.completed, 1);
-        assert_eq!(report.stats.failed, 1);
-        assert!(matches!(
-            report.outcomes[0].result,
-            Err(CutsError::Engine(crate::EngineError::DisconnectedQuery))
-        ));
-        assert!(report.outcomes[1].result.is_ok());
-    }
+    use crate::config::EngineConfig;
+    use crate::session::ExecSession;
+    use cuts_gpu_sim::{Device, DeviceConfig};
+    use cuts_graph::generators::{clique, erdos_renyi};
 
     #[test]
     fn score_monotonicity_and_deadline_boost() {
         let aging = Duration::from_millis(5);
         let now = Instant::now();
-        let mk = |age: Duration, priority: i32, deadline: Option<Duration>| PendingJob {
-            id: JobId(0),
-            job: Job {
-                name: None,
-                class: None,
-                data: Arc::new(clique(2)),
-                query: Arc::new(clique(2)),
-                priority,
-                deadline,
-            },
-            submitted_at: now - age,
-            not_before: now,
-            defers: 0,
+        let score = |age: Duration, priority: i32, deadline: Option<Duration>| {
+            dispatch_score(priority, deadline, now - age, now, aging)
         };
         // Older jobs outscore newer ones at equal priority.
-        let old = score(&mk(Duration::from_millis(50), 0, None), now, aging);
-        let new = score(&mk(Duration::from_millis(1), 0, None), now, aging);
-        assert!(old > new);
+        assert!(
+            score(Duration::from_millis(50), 0, None) > score(Duration::from_millis(1), 0, None)
+        );
         // Ten aging periods equal ten priority levels: bounded starvation.
-        let aged = score(&mk(aging * 10, 0, None), now, aging);
-        let fresh = score(&mk(Duration::ZERO, 9, None), now, aging);
-        assert!(aged > fresh);
+        assert!(score(aging * 10, 0, None) > score(Duration::ZERO, 9, None));
         // An overdue deadline dominates everything.
         let overdue = score(
-            &mk(
-                Duration::from_millis(20),
-                -5,
-                Some(Duration::from_millis(1)),
-            ),
-            now,
-            aging,
+            Duration::from_millis(20),
+            -5,
+            Some(Duration::from_millis(1)),
         );
         assert!(overdue > 1e5);
-    }
-
-    #[test]
-    fn backoff_grows_and_caps() {
-        assert!(backoff(0) < backoff(2));
-        assert_eq!(backoff(20), BACKOFF_MAX);
-    }
-
-    #[test]
-    fn busy_backpressure_is_typed() {
-        let sched = Scheduler::builder()
-            .device_config(DeviceConfig::test_small())
-            .lanes(1)
-            .queue_capacity(1)
-            .admit_window(1)
-            .pacing(50.0)
-            .build()
-            .unwrap();
-        let data = Arc::new(mesh2d(4, 4));
-        let query = Arc::new(clique(2));
-        let report = sched
-            .run(|h| {
-                let a = Job::new(data.clone(), query.clone());
-                h.submit(a).unwrap();
-                // Wait until the first job is admitted (pending drains).
-                while h.pending() > 0 {
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                // One lane, window 1: the next job stays pending while
-                // the first paces, so a third submission must bounce.
-                h.submit(Job::new(data.clone(), query.clone())).unwrap();
-                match h.submit(Job::new(data.clone(), query.clone())) {
-                    Err(SchedError::Busy { capacity: 1 }) => {}
-                    other => panic!("expected Busy, got {other:?}"),
-                }
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(report.stats.submitted, 2);
-        assert_eq!(report.stats.completed, 2);
-        assert_eq!(report.stats.busy_rejections, 1);
     }
 
     #[test]
@@ -2051,10 +621,10 @@ mod tests {
 
     #[test]
     fn job_entries_is_clamped_and_pow2() {
-        let sched = small_sched(1);
-        let session = ExecSession::new(&sched.devices()[0], EngineConfig::default());
+        let device = Device::new(DeviceConfig::test_small());
+        let session = ExecSession::new(&device, EngineConfig::default());
         let plan = session.plan_for(&clique(3)).unwrap();
-        let e = sched.job_entries(&plan, &erdos_renyi(30, 90, 7));
+        let e = job_entries_for(&plan, &erdos_renyi(30, 90, 7), 0.25);
         assert!(e >= MIN_TRIE_ENTRIES.min(plan.trie_entries_budget));
         assert!(e <= plan.trie_entries_budget);
         assert!(e == plan.trie_entries_budget || e.is_power_of_two());
@@ -2098,233 +668,5 @@ mod tests {
         );
         // Degenerate budget still yields a usable capacity.
         assert_eq!(saturating_entries(f64::INFINITY, 0), 1);
-    }
-
-    /// Oracle check against the outcome list: the histogram must report
-    /// the class quantile within one log2 sub-bucket (≤ 25% relative
-    /// error) above the exact value — the acceptance bound.
-    fn assert_slo_brackets_outcomes(report: &SchedReport, class: &str) {
-        let slo = report.slo.class(class).expect("class accounted");
-        let mut queue: Vec<u64> = Vec::new();
-        let mut exec: Vec<u64> = Vec::new();
-        for o in &report.outcomes {
-            queue.push((o.queue_millis * 1e3) as u64);
-            exec.push((o.exec_millis * 1e3) as u64);
-        }
-        queue.sort_unstable();
-        exec.sort_unstable();
-        let oracle = |sorted: &[u64], q: f64| {
-            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-            sorted[rank - 1]
-        };
-        for (i, q) in [(0usize, 0.50), (1, 0.95), (2, 0.99)] {
-            for (reported, sorted) in [(slo.queue_us[i], &queue), (slo.exec_us[i], &exec)] {
-                let exact = oracle(sorted, q);
-                assert!(reported >= exact, "q={q}: {reported} < exact {exact}");
-                assert!(
-                    (reported - exact) as f64 <= (exact as f64 * 0.25).max(3.0),
-                    "q={q}: {reported} vs exact {exact} exceeds bucket width"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn slo_accounting_per_class() {
-        let sched = small_sched(2);
-        let data = Arc::new(erdos_renyi(30, 90, 7));
-        let gold = Arc::new(clique(3));
-        let steel = Arc::new(clique(2));
-        let report = sched
-            .run(|h| {
-                for _ in 0..8 {
-                    h.submit_wait(Job::new(data.clone(), gold.clone()).with_class("gold"));
-                    h.submit_wait(
-                        Job::new(data.clone(), steel.clone())
-                            .with_class("steel")
-                            .with_deadline(Duration::from_secs(60)),
-                    );
-                }
-                Ok(())
-            })
-            .unwrap();
-        assert!(report.telemetry.is_enabled());
-        assert_eq!(report.slo.classes.len(), 2);
-        let gold_slo = report.slo.class("gold").unwrap();
-        assert_eq!(gold_slo.completed, 8);
-        assert_eq!(gold_slo.failed, 0);
-        assert_eq!((gold_slo.deadline_hits, gold_slo.deadline_misses), (0, 0));
-        // Quantiles are monotone and populated for completed work.
-        assert!(gold_slo.exec_us[0] <= gold_slo.exec_us[1]);
-        assert!(gold_slo.exec_us[1] <= gold_slo.exec_us[2]);
-        let steel_slo = report.slo.class("steel").unwrap();
-        assert_eq!(steel_slo.completed, 8);
-        // A 60 s deadline on sub-second jobs: every one is a hit.
-        assert_eq!((steel_slo.deadline_hits, steel_slo.deadline_misses), (8, 0));
-        // The report JSON carries the SLO block.
-        let json = report.to_json().render();
-        assert!(
-            json.contains("\"queue_p99_us\""),
-            "slo absent from json: {json}"
-        );
-        // And the Prometheus snapshot exports the same families.
-        let prom = report.telemetry.snapshot().render();
-        assert!(prom.contains("cuts_job_queue_us"));
-        assert!(prom.contains("class=\"gold\""));
-        cuts_obs::validate_exposition(&prom).expect("scrapeable exposition");
-    }
-
-    #[test]
-    fn slo_quantiles_bracket_outcome_oracle() {
-        let sched = small_sched(1);
-        let data = Arc::new(erdos_renyi(40, 120, 3));
-        let q = Arc::new(clique(3));
-        let report = sched
-            .run(|h| {
-                for _ in 0..20 {
-                    h.submit_wait(Job::new(data.clone(), q.clone()).with_class("only"));
-                }
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(report.stats.completed, 20);
-        assert_slo_brackets_outcomes(&report, "only");
-    }
-
-    #[test]
-    fn deadline_misses_are_counted() {
-        // Pacing stretches exec time well past a 1 ms deadline.
-        let sched = Scheduler::builder()
-            .device_config(DeviceConfig::test_small())
-            .lanes(1)
-            .pacing(100.0)
-            .build()
-            .unwrap();
-        let data = Arc::new(mesh2d(4, 4));
-        let q = Arc::new(clique(2));
-        let report = sched
-            .run(|h| {
-                h.submit_wait(
-                    Job::new(data.clone(), q.clone())
-                        .with_class("tight")
-                        .with_deadline(Duration::from_micros(1)),
-                );
-                Ok(())
-            })
-            .unwrap();
-        let slo = report.slo.class("tight").unwrap();
-        assert_eq!((slo.deadline_hits, slo.deadline_misses), (0, 1));
-    }
-
-    #[test]
-    fn telemetry_off_keeps_results_and_empties_slo() {
-        let sched = Scheduler::builder()
-            .device_config(DeviceConfig::test_small())
-            .lanes(2)
-            .telemetry(false)
-            .build()
-            .unwrap();
-        let data = Arc::new(erdos_renyi(30, 90, 7));
-        let q = Arc::new(clique(3));
-        let report = sched
-            .run(|h| {
-                h.submit_wait(Job::new(data.clone(), q.clone()));
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(report.stats.completed, 1);
-        assert!(!report.telemetry.is_enabled());
-        let slo = report.slo.class("default").unwrap();
-        assert_eq!(slo.completed, 0, "disabled registry records nothing");
-        assert_eq!(slo.queue_us, [0, 0, 0]);
-    }
-
-    #[test]
-    fn failed_job_writes_parseable_postmortem() {
-        let sched = small_sched(1);
-        let data = Arc::new(clique(4));
-        let disconnected = Arc::new(Graph::undirected(4, &[(0, 1), (2, 3)]));
-        let report = sched
-            .run(|h| {
-                h.submit_wait(Job::new(data.clone(), disconnected.clone()).with_name("bad"));
-                h.submit_wait(Job::new(data.clone(), disconnected.clone()).with_name("bad2"));
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(report.stats.failed, 2);
-        // One dump per run, not per failure.
-        let path = report.postmortem.as_ref().expect("postmortem written");
-        let text = std::fs::read_to_string(path).expect("dump readable");
-        let (reason, events) = flight::parse_dump(&text).expect("dump parses");
-        assert_eq!(reason, "job_failure");
-        // The dump holds the failing job's typed lifecycle: at least its
-        // submission and the failure itself.
-        assert!(events.iter().any(|e| e.code == FlightCode::JobSubmit));
-        assert!(events.iter().any(|e| e.code == FlightCode::JobFail));
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn stats_every_emits_rolling_snapshots() {
-        let lines = Arc::new(Mutex::new(Vec::<String>::new()));
-        let sink_lines = lines.clone();
-        let sched = Scheduler::builder()
-            .device_config(DeviceConfig::test_small())
-            .lanes(2)
-            .stats_every(2)
-            .stats_sink(move |line| sink_lines.lock().unwrap().push(line.to_string()))
-            .build()
-            .unwrap();
-        let data = Arc::new(erdos_renyi(30, 90, 7));
-        let q = Arc::new(clique(3));
-        let report = sched
-            .run(|h| {
-                for _ in 0..6 {
-                    h.submit_wait(Job::new(data.clone(), q.clone()));
-                }
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(report.stats.completed, 6);
-        let lines = lines.lock().unwrap();
-        assert_eq!(lines.len(), 3, "every 2 of 6 completions: {lines:?}");
-        for line in lines.iter() {
-            let v = Json::parse(line).expect("snapshot line parses");
-            let Json::Obj(fields) = &v else {
-                panic!("not an object")
-            };
-            assert!(fields.iter().any(|(k, _)| k == "finished"));
-            assert!(fields.iter().any(|(k, _)| k == "slo"));
-        }
-    }
-
-    #[test]
-    fn admission_survives_huge_growth_factor() {
-        // A deep chain query on a star data graph: δ = 4000, so the §5
-        // estimate is p1 · (δσ)^(l-1) ≈ 1000^102 — infinite in f64. The
-        // old `as usize` + next_power_of_two path could wrap before the
-        // clamp; admission must instead size at the budget and finish.
-        let sched = small_sched(1);
-        let data = Arc::new(star(4001));
-        let query = Arc::new(chain(103));
-        let session = ExecSession::new(&sched.devices()[0], EngineConfig::default());
-        let plan = session.plan_for(&query).unwrap();
-        assert!(
-            !plan.space_estimate(&data, 0.25).is_finite(),
-            "test premise: the estimate must overflow f64"
-        );
-        let e = sched.job_entries(&plan, &data);
-        assert_eq!(e, plan.trie_entries_budget);
-        // End-to-end: the job admits and completes (zero matches — the
-        // star has no 103-vertex path).
-        let report = sched
-            .run(|h| {
-                h.submit_wait(Job::new(data.clone(), query.clone()));
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(report.outcomes.len(), 1);
-        let r = report.outcomes[0].result.as_ref().unwrap();
-        assert_eq!(r.num_matches, 0);
     }
 }

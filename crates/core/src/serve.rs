@@ -1,16 +1,16 @@
 //! The multi-tenant distributed serving tier: one entry point that
 //! routes a stream of [`Job`]s across N simulated multi-GPU ranks.
 //!
-//! Everything below `serve` handles one scale axis at a time: the
-//! [`crate::sched`] scheduler multiplexes many queries over the lanes of
-//! one node, and `cuts-dist` scales one query across ranks with
-//! Algorithm-3 chunk donation. [`ServeTier`] fuses them. Each rank hosts
-//! its own [`ExecSession`]s, trie arena, and lane pool; a shared router
-//! places every submitted job on the rank whose slab-unit memory ledger
-//! has the most headroom; and the paper's donation protocol is
-//! generalised from intra-query chunks to **whole-job migration**: an
-//! idle rank claims the back half of the most-loaded peer's queue, with
-//! every hand-off recorded as a [`WorkLedger`] transfer.
+//! `cuts-dist` scales one query across ranks with Algorithm-3 chunk
+//! donation; [`ServeTier`] multiplexes a stream of many queries over the
+//! lanes of one or more ranks (`ranks(1)` is the single-node case). Each
+//! rank hosts its own [`ExecSession`]s, trie arena, and lane pool; a
+//! shared router places every submitted job on the rank whose slab-unit
+//! memory ledger has the most headroom; and the paper's donation
+//! protocol is generalised from intra-query chunks to **whole-job
+//! migration**: an idle rank claims the back half of the most-loaded
+//! peer's queue, with every hand-off recorded as a [`WorkLedger`]
+//! transfer.
 //!
 //! Fault tolerance reuses the distributed runtime's machinery, now
 //! hosted in this crate: jobs are registered in a [`WorkLedger`] before
@@ -26,12 +26,10 @@
 //! dispatch score and its queue-latency histogram entry measures the
 //! caller-visible wait.
 //!
-//! This module is the **only** public serving entry point:
+//! This module is the **only** job-stream driver:
 //! [`ServeConfig::builder`] configures ranks × devices × lanes, the
 //! fault plan, and trace/metrics sinks in one place, and
-//! `cuts serve --ranks N` drives it from the CLI. The historical
-//! `run_distributed{,_traced,_observed}` triplet in `cuts-dist` remains
-//! only as deprecated shims.
+//! `cuts serve --ranks N` drives it from the CLI.
 
 #![deny(missing_docs)]
 
@@ -265,8 +263,11 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Always-on serving telemetry switch (default **on**); see
-    /// [`crate::sched::SchedulerBuilder::telemetry`].
+    /// Always-on serving telemetry switch (default **on**). When off,
+    /// every registry handle degenerates to a no-op — the zero-cost
+    /// disabled path the `obs` overhead bench pins down — and
+    /// [`ServeReport::telemetry`] / [`ServeReport::slo`] come back
+    /// empty. The flight recorder is independent of this switch.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
         self
@@ -496,8 +497,10 @@ struct ServeDev<'e> {
 }
 
 impl ServeDev<'_> {
-    /// Atomically reserves `words` iff the budget still has room (same
-    /// CAS ledger as the scheduler's `DevState`).
+    /// Atomically reserves `words` iff the budget still has room; the
+    /// peak watermark moves with every success. This is the only way
+    /// reservations grow, so `peak_reserved <= budget_words` holds for
+    /// the whole run.
     fn try_reserve(&self, words: usize) -> bool {
         let mut cur = self.reserved.load(Ordering::Relaxed);
         loop {
@@ -521,12 +524,12 @@ impl ServeDev<'_> {
 }
 
 /// Charges in-place trie growth to the owning device's ledger.
-struct ServeLaneLedger<'a, 'e> {
+struct LaneLedger<'a, 'e> {
     dev: &'a ServeDev<'e>,
     granted: AtomicUsize,
 }
 
-impl GrowthLedger for ServeLaneLedger<'_, '_> {
+impl GrowthLedger for LaneLedger<'_, '_> {
     fn try_grant(&self, words: usize) -> bool {
         if self.dev.try_reserve(words) {
             self.granted.fetch_add(words, Ordering::Relaxed);
@@ -1018,6 +1021,12 @@ impl ServeTier {
         self.config.ranks
     }
 
+    /// Every simulated device, in global device order
+    /// (`rank * devices_per_rank + device`).
+    pub fn devices(&self) -> impl Iterator<Item = &Device> {
+        self.rank_devices.iter().flatten()
+    }
+
     /// The tier's configuration (watch-session plumbing).
     pub(crate) fn config(&self) -> &ServeConfig {
         &self.config
@@ -1321,7 +1330,6 @@ impl ServeTier {
                 queue_millis: queued,
                 exec_millis: exec_start.elapsed().as_secs_f64() * 1e3,
                 trie_entries: entries,
-                stolen: false,
                 result,
             };
             telem.on_finish(Telemetry::class_of(job), job.deadline, &outcome);
@@ -1462,11 +1470,15 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
                     std::thread::sleep(Duration::from_micros(100));
                 }
                 flight::record(FlightCode::JobAdmit, q.id, global_device as u64);
-                // The same growth-on-undershoot sequence the scheduler's
-                // lanes take, so per-job results stay byte-identical at
-                // any ranks × lanes (see `crate::sched::lane_loop`).
+                // The §5 estimate can undershoot: the chain then grows in
+                // place, each appended segment charged to this device's
+                // ledger. Only when the ledger has no room does the job
+                // release everything and rerun at the denied target —
+                // the same doubling sequence `run_serial` takes with
+                // `GrantAll`, so per-job results stay byte-identical at
+                // any ranks × lanes.
                 let result = loop {
-                    let ledger = ServeLaneLedger {
+                    let ledger = LaneLedger {
                         dev,
                         granted: AtomicUsize::new(0),
                     };
@@ -1522,7 +1534,6 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
             queue_millis,
             exec_millis: exec_start.elapsed().as_secs_f64() * 1e3,
             trie_entries,
-            stolen: false,
             result: outcome_result,
         };
         shared.finish(r, &q, outcome);
@@ -1532,7 +1543,8 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuts_graph::generators::{clique, erdos_renyi, mesh2d};
+    use cuts_graph::generators::{chain, clique, erdos_renyi, mesh2d, star};
+    use cuts_graph::Graph;
 
     fn small_tier(ranks: usize, lanes: usize) -> ServeTier {
         ServeTier::new(
@@ -1589,18 +1601,68 @@ mod tests {
             .is_err());
     }
 
+    /// Per-job results match the serial loop at 2 ranks × 2 lanes, with
+    /// telemetry on and off; turning telemetry off empties the SLO report
+    /// and nothing else.
     #[test]
     fn multi_rank_matches_serial_per_job() {
         let jobs = demo_jobs();
         let tier = small_tier(2, 2);
+        let quiet = ServeTier::new(
+            ServeConfig::builder()
+                .ranks(2)
+                .lanes(2)
+                .device_config(DeviceConfig::test_small())
+                .telemetry(false)
+                .build()
+                .unwrap(),
+        );
         let serial = tier.run_serial(&jobs).unwrap();
         let served = tier.run_stream(&jobs).unwrap();
-        assert_eq!(served.stats.completed, jobs.len() as u64);
-        assert_eq!(served.outcomes.len(), serial.outcomes.len());
-        for (s, p) in serial.outcomes.iter().zip(served.outcomes.iter()) {
-            assert_eq!(s.id, p.id);
-            let (a, b) = (s.result.as_ref().unwrap(), p.result.as_ref().unwrap());
-            assert_eq!(a.canonical_bytes(), b.canonical_bytes());
+        let silent = quiet.run_stream(&jobs).unwrap();
+        for report in [&served, &silent] {
+            assert_eq!(report.stats.completed, jobs.len() as u64);
+            assert_eq!(report.outcomes.len(), serial.outcomes.len());
+            for (s, p) in serial.outcomes.iter().zip(report.outcomes.iter()) {
+                assert_eq!(s.id, p.id);
+                let (a, b) = (s.result.as_ref().unwrap(), p.result.as_ref().unwrap());
+                assert_eq!(a.canonical_bytes(), b.canonical_bytes());
+            }
+        }
+        assert!(!silent.telemetry.is_enabled());
+        let gold = silent.slo.class("gold").unwrap();
+        assert_eq!(gold.completed, 0, "disabled registry records nothing");
+        assert_eq!(gold.queue_us, [0, 0, 0]);
+    }
+
+    /// Oracle check against the outcome list: for every job of `class`,
+    /// the histogram must report the class quantile within one log2
+    /// sub-bucket (≤ 25% relative error) above the exact value.
+    fn assert_slo_brackets_outcomes(report: &ServeReport, jobs: &[Job], class: &str) {
+        let slo = report.slo.class(class).expect("class accounted");
+        let mut queue: Vec<u64> = Vec::new();
+        let mut exec: Vec<u64> = Vec::new();
+        for o in &report.outcomes {
+            if Telemetry::class_of(&jobs[o.id.0 as usize]) == class {
+                queue.push((o.queue_millis * 1e3) as u64);
+                exec.push((o.exec_millis * 1e3) as u64);
+            }
+        }
+        queue.sort_unstable();
+        exec.sort_unstable();
+        let oracle = |sorted: &[u64], q: f64| {
+            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            sorted[rank - 1]
+        };
+        for (i, q) in [(0usize, 0.50), (1, 0.95), (2, 0.99)] {
+            for (reported, sorted) in [(slo.queue_us[i], &queue), (slo.exec_us[i], &exec)] {
+                let exact = oracle(sorted, q);
+                assert!(reported >= exact, "q={q}: {reported} < exact {exact}");
+                assert!(
+                    (reported - exact) as f64 <= (exact as f64 * 0.25).max(3.0),
+                    "q={q}: {reported} vs exact {exact} exceeds bucket width"
+                );
+            }
         }
     }
 
@@ -1608,12 +1670,36 @@ mod tests {
     /// `.telemetry(false)`, so `serve_ranks` SLO classes reported
     /// `completed: 0` and all-zero quantiles despite 16 completed jobs.
     /// A default-configured multi-rank tier must account every job into
-    /// its class with real quantiles.
+    /// its class with real quantiles, count deadline hits and misses,
+    /// export the same families to Prometheus, and emit rolling
+    /// snapshots at the configured cadence.
     #[test]
     fn multi_rank_slo_reports_completed_and_quantiles() {
-        let jobs = demo_jobs();
-        let report = small_tier(2, 2).run_stream(&jobs).unwrap();
+        // Best-effort jobs alternate a generous and an impossible deadline.
+        let jobs: Vec<Job> = demo_jobs()
+            .into_iter()
+            .enumerate()
+            .map(|(i, job)| match i % 4 {
+                1 => job.with_deadline(Duration::from_secs(60)),
+                3 => job.with_deadline(Duration::from_micros(1)),
+                _ => job,
+            })
+            .collect();
+        let lines = Arc::new(Mutex::new(Vec::<String>::new()));
+        let sink_lines = lines.clone();
+        let tier = ServeTier::new(
+            ServeConfig::builder()
+                .ranks(2)
+                .lanes(2)
+                .device_config(DeviceConfig::test_small())
+                .stats_every(2)
+                .stats_sink(move |line| sink_lines.lock().unwrap().push(line.to_string()))
+                .build()
+                .unwrap(),
+        );
+        let report = tier.run_stream(&jobs).unwrap();
         assert_eq!(report.stats.completed, jobs.len() as u64);
+        assert!(report.telemetry.is_enabled());
         let accounted: u64 = report.slo.classes.iter().map(|c| c.completed).sum();
         assert_eq!(accounted, jobs.len() as u64, "every job lands in a class");
         assert!(report.slo.classes.len() >= 2, "demo jobs span two classes");
@@ -1625,6 +1711,35 @@ mod tests {
                 c.class
             );
             assert!(c.queue_us[0] <= c.queue_us[2]);
+            assert!(c.exec_us[0] <= c.exec_us[1] && c.exec_us[1] <= c.exec_us[2]);
+            assert_slo_brackets_outcomes(&report, &jobs, &c.class);
+        }
+        let gold = report.slo.class("gold").unwrap();
+        assert_eq!((gold.deadline_hits, gold.deadline_misses), (0, 0));
+        let best_effort = report.slo.class("best_effort").unwrap();
+        assert_eq!(
+            (best_effort.deadline_hits, best_effort.deadline_misses),
+            (2, 2)
+        );
+        // The report JSON carries the SLO block, and the Prometheus
+        // snapshot exports the same families.
+        let json = report.to_json().render();
+        assert!(
+            json.contains("\"queue_p99_us\""),
+            "slo absent from json: {json}"
+        );
+        let prom = report.telemetry.snapshot().render();
+        assert!(prom.contains("cuts_job_queue_us"));
+        assert!(prom.contains("class=\"gold\""));
+        cuts_obs::validate_exposition(&prom).expect("scrapeable exposition");
+        // Every 2 of 8 completions: four rolling snapshot lines.
+        let lines = lines.lock().unwrap();
+        assert_eq!(lines.len(), 4, "every 2 of 8 completions: {lines:?}");
+        for line in lines.iter() {
+            let v = Json::parse(line).expect("snapshot line parses");
+            for key in ["finished", "wall_millis", "growth_denials", "slo"] {
+                assert!(v.get(key).is_some(), "{key} missing from {line}");
+            }
         }
     }
 
@@ -1676,7 +1791,12 @@ mod tests {
                 h.submit_wait(Job::new(data.clone(), query.clone()));
                 h.submit_wait(Job::new(data.clone(), query.clone()));
                 // Lane busy with job 1 (paced), job 2 queued: the gate
-                // is full, so a bounded wait must time out, typed.
+                // is full, so a plain submit bounces at once and a
+                // bounded wait times out, each with its own typed error.
+                match h.submit(Job::new(data.clone(), query.clone())) {
+                    Err(SchedError::Busy { capacity: 1 }) => {}
+                    other => panic!("expected Busy, got {other:?}"),
+                }
                 match h.submit_wait_timeout(
                     Job::new(data.clone(), query.clone()),
                     Duration::from_millis(1),
@@ -1688,5 +1808,61 @@ mod tests {
             })
             .unwrap();
         assert_eq!(report.stats.completed, 2);
+    }
+
+    /// Unplannable jobs fail one by one without failing the stream, and
+    /// the first failure writes the run's single flight-recorder dump.
+    #[test]
+    fn unplannable_jobs_fail_individually_with_one_postmortem() {
+        let data = Arc::new(clique(4));
+        let disconnected = Arc::new(Graph::undirected(4, &[(0, 1), (2, 3)]));
+        let jobs = [
+            Job::new(data.clone(), disconnected.clone()).with_name("bad"),
+            Job::new(data.clone(), Arc::new(clique(3))),
+            Job::new(data, disconnected).with_name("bad2"),
+        ];
+        let report = small_tier(1, 1).run_stream(&jobs).unwrap();
+        assert_eq!((report.stats.completed, report.stats.failed), (1, 2));
+        assert!(matches!(
+            report.outcomes[0].result,
+            Err(CutsError::Engine(crate::EngineError::DisconnectedQuery))
+        ));
+        assert!(report.outcomes[1].result.is_ok());
+        let path = report.postmortem.as_ref().expect("postmortem written");
+        let text = std::fs::read_to_string(path).expect("dump readable");
+        let (reason, events) = flight::parse_dump(&text).expect("dump parses");
+        assert_eq!(reason, "job_failure");
+        // The dump holds the failing job's typed lifecycle: at least its
+        // submission and the failure itself.
+        assert!(events.iter().any(|e| e.code == FlightCode::JobSubmit));
+        assert!(events.iter().any(|e| e.code == FlightCode::JobFail));
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn admission_survives_huge_growth_factor() {
+        // A deep chain query on a star data graph: δ = 4000, so the §5
+        // estimate is p1 · (δσ)^(l-1) ≈ 1000^102 — infinite in f64.
+        // Sizing must land on the budget instead of wrapping, and the job
+        // must admit and finish.
+        let tier = small_tier(1, 1);
+        let data = Arc::new(star(4001));
+        let query = Arc::new(chain(103));
+        let device = tier.devices().next().unwrap();
+        let plan = ExecSession::new(device, EngineConfig::default())
+            .plan_for(&query)
+            .unwrap();
+        assert!(
+            !plan.space_estimate(&data, 0.25).is_finite(),
+            "test premise: the estimate must overflow f64"
+        );
+        assert_eq!(
+            job_entries_for(&plan, &data, 0.25),
+            plan.trie_entries_budget
+        );
+        let report = tier.run_stream(&[Job::new(data, query)]).unwrap();
+        assert_eq!(report.outcomes.len(), 1);
+        // Zero matches: the star has no 103-vertex path.
+        assert_eq!(report.outcomes[0].result.as_ref().unwrap().num_matches, 0);
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! Counter accounting uses per-thread sinks
 //! ([`cuts_gpu_sim::CounterSink`]): each run sees exactly the launches it
-//! issued, even when other sessions — or other scheduler lanes — drive
+//! issued, even when other sessions — or other serving lanes — drive
 //! the same device concurrently.
 
 use std::ops::Range;
@@ -99,7 +99,7 @@ impl ToJson for SessionStats {
 
 /// Grants or denies trie-chain growth, in device words. The serial path
 /// always grants (the whole device budget is the one job's to take); the
-/// scheduler's lane ledger charges the device's admission reservation so
+/// serving tier's lane ledger charges the device's admission reservation so
 /// concurrent jobs can never oversubscribe the arena.
 pub(crate) trait GrowthLedger: Sync {
     /// Reserve `words` more for the running job; `false` = no room now.
@@ -118,7 +118,7 @@ impl GrowthLedger for GrantAll {
     fn refund(&self, _words: usize) {}
 }
 
-/// Failure of a budgeted run (the scheduler path).
+/// Failure of a budgeted run (the serving-tier path).
 #[derive(Debug)]
 pub(crate) enum BudgetedRunError {
     /// The run itself failed.
@@ -348,7 +348,7 @@ impl<'d> ExecSession<'d> {
 
     /// [`ExecSession::run_with_plan`] with an explicit trie capacity of
     /// `entries` PA/CA pairs for this run only, acquired exactly (no
-    /// best-fit over-serving). The scheduler sizes each job from its own
+    /// best-fit over-serving). The serving tier sizes each job from its own
     /// §5 space estimate instead of this session's device-wide default,
     /// which keeps results independent of lane count and arena history.
     pub fn run_with_plan_sized(
@@ -448,32 +448,6 @@ impl<'d> ExecSession<'d> {
             ],
         );
         Ok(entries)
-    }
-
-    /// Former name of [`ExecSession::run_seeded`].
-    ///
-    /// Callers that deny deprecations fail to compile against it:
-    ///
-    /// ```compile_fail
-    /// #![deny(deprecated)]
-    /// use cuts_core::{EngineConfig, ExecSession};
-    /// use cuts_gpu_sim::{Device, DeviceConfig};
-    /// use cuts_graph::generators::clique;
-    /// use cuts_trie::HostTrie;
-    ///
-    /// let device = Device::new(DeviceConfig::test_small());
-    /// let session = ExecSession::new(&device, EngineConfig::default());
-    /// let seed = HostTrie::from_flat_paths(&[vec![0]]);
-    /// let _ = session.run_from_trie(&clique(4), &clique(3), &seed);
-    /// ```
-    #[deprecated(since = "0.5.0", note = "renamed to `run_seeded`")]
-    pub fn run_from_trie(
-        &self,
-        data: &Graph,
-        query: &Graph,
-        seed: &cuts_trie::HostTrie,
-    ) -> Result<MatchResult, EngineError> {
-        self.run_seeded(data, query, seed)
     }
 
     /// Runs one query over many data graphs, planning once. Results are in
@@ -630,13 +604,13 @@ impl<'d> ExecSession<'d> {
         Ok(self.arena.get().expect("arena initialised above"))
     }
 
-    /// Forces the arena carve now (the scheduler does this before
+    /// Forces the arena carve now (the serving tier does this before
     /// admission so its word budget matches the arena exactly).
     pub(crate) fn prepare_trie_arena(&self) -> Result<(), EngineError> {
         self.trie_arena().map(|_| ())
     }
 
-    /// Total arena words available to trie chains — the scheduler's
+    /// Total arena words available to trie chains — the serving tier's
     /// admission budget. Requires [`ExecSession::prepare_trie_arena`].
     pub(crate) fn trie_budget_words(&self) -> usize {
         let t = self.arena.get().expect("prepare_trie_arena first");
@@ -644,7 +618,7 @@ impl<'d> ExecSession<'d> {
     }
 
     /// Device words a chain sized for `entries` reserves (whole slabs,
-    /// saturating at the full arena). The scheduler's admission ledger
+    /// saturating at the full arena). The serving tier's admission ledger
     /// accounts in these units, so reservations sum to exactly what the
     /// arena can grant — a deterministic no-fit, never a surprise OOM.
     /// Requires [`ExecSession::prepare_trie_arena`].
@@ -666,7 +640,7 @@ impl<'d> ExecSession<'d> {
     }
 
     /// A trie chain covering `entries` with no room to grow, bypassing
-    /// the session-wide sizing (scheduler path; see
+    /// the session-wide sizing (serving-tier path; see
     /// [`ExecSession::run_with_plan_sized`]). Capacity is `entries`
     /// rounded up to whole slabs and clamped to the class — a
     /// deterministic function of `entries` and the device model alone,
@@ -679,7 +653,7 @@ impl<'d> ExecSession<'d> {
     }
 
     /// A trie chain starting at `entries` whose spine can grow to
-    /// `limit`. Used by the budgeted scheduler path.
+    /// `limit`. Used by the budgeted serving-tier path.
     fn acquire_trie_budgeted(&self, entries: usize, limit: usize) -> Result<Trie, EngineError> {
         let t = self.trie_arena()?;
         let table = PairTable::chained_on_arena(&t.arena, 0, entries, limit)?;
@@ -736,7 +710,7 @@ impl<'d> ExecSession<'d> {
         out
     }
 
-    /// The scheduler's entry point: run `plan` over `data` on a trie
+    /// The serving tier's entry point: run `plan` over `data` on a trie
     /// chain that starts at `entries` and may grow **in place** (a pure
     /// slab append — no copy, no retry-from-scratch) up to
     /// `limit_entries`, with every growth step charged to `ledger`.

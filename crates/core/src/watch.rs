@@ -219,7 +219,6 @@ impl WatchSession<'_> {
                 queue_millis,
                 exec_millis: d.sim_millis,
                 trie_entries: d.released_entries,
-                stolen: false,
                 result: Ok(MatchResult {
                     num_matches: d.len() as u64,
                     level_counts: Vec::new(),

@@ -3,11 +3,11 @@
 use std::time::Duration;
 
 use cuts_core::error::{ConfigError, CutsError};
+use cuts_core::fault::FaultPlan;
 use cuts_core::EngineConfig;
 use cuts_gpu_sim::DeviceConfig;
 use cuts_obs::{Registry, Trace};
 
-use crate::fault::FaultPlan;
 use crate::worker::Partition;
 
 /// Configuration for a distributed run.

@@ -19,14 +19,13 @@
 //! ([`cuts_trie::serial`]), which the receiver integrates and resumes via
 //! [`cuts_core::CutsEngine::run_seeded`].
 //!
-//! Beyond the paper, the runtime is fault-tolerant: [`fault`] injects
-//! deterministic rank crashes, message drops, and delays; [`ledger`]
+//! Beyond the paper, the runtime is fault-tolerant: [`cuts_core::fault`]
+//! injects deterministic rank crashes, message drops, and delays; [`ledger`]
 //! tracks chunk ownership so survivors reclaim a dead rank's pending
 //! work; and any schedule that leaves one rank alive completes with the
 //! exact fault-free match count (see `DESIGN.md` §7).
 
 pub mod config;
-pub mod fault;
 pub mod ledger;
 pub mod metrics;
 pub mod mpi;
@@ -36,12 +35,10 @@ pub mod sync_runner;
 pub mod worker;
 
 pub use config::DistConfig;
-pub use fault::{FaultInjector, FaultPlan};
+pub use cuts_core::fault::{FaultInjector, FaultPlan};
 pub use ledger::{AliveBoard, ChunkId, ChunkLedger};
 pub use metrics::{DistResult, RankMetrics, RecoveryStats};
 pub use mpi::{Comm, Message};
 pub use runner::run;
-#[allow(deprecated)]
-pub use runner::{run_distributed, run_distributed_observed, run_distributed_traced};
 pub use sync_runner::{run_synchronous, SyncResult};
 pub use worker::Partition;

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use crate::fault::{FaultInjector, SendFate};
+use cuts_core::fault::{FaultInjector, SendFate};
 
 /// Rank identifier.
 pub type Rank = usize;
@@ -197,7 +197,7 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
+    use cuts_core::fault::FaultPlan;
 
     #[test]
     fn point_to_point_fifo_per_sender() {

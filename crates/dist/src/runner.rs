@@ -13,12 +13,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use cuts_core::fault::FaultInjector;
 use cuts_graph::Graph;
 use cuts_obs::flight::{self, FlightCode};
-use cuts_obs::{Arg, EventKind, Registry, Trace};
+use cuts_obs::{Arg, EventKind};
 
 pub use crate::config::DistConfig;
-use crate::fault::FaultInjector;
 use crate::ledger::{AliveBoard, ChunkLedger};
 use crate::metrics::{DistResult, RankMetrics, RecoveryStats};
 use crate::mpi::Comm;
@@ -250,97 +250,11 @@ pub fn run(
     Ok(result)
 }
 
-/// Deprecated alias of [`run`].
-///
-/// Callers that deny deprecations fail to compile against it:
-///
-/// ```compile_fail
-/// #![deny(deprecated)]
-/// use cuts_dist::{run_distributed, DistConfig};
-/// use cuts_graph::generators::clique;
-///
-/// let _ = run_distributed(&clique(4), &clique(3), 2, &DistConfig::default());
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use `cuts_dist::run` (or `cuts_core::serve::ServeTier` for job streams)"
-)]
-pub fn run_distributed(
-    data: &Graph,
-    query: &Graph,
-    ranks: usize,
-    config: &DistConfig,
-) -> Result<DistResult, WorkerError> {
-    run(data, query, ranks, config)
-}
-
-/// Deprecated: set [`DistConfig::trace`] and call [`run`].
-///
-/// Callers that deny deprecations fail to compile against it:
-///
-/// ```compile_fail
-/// #![deny(deprecated)]
-/// use cuts_dist::{run_distributed_traced, DistConfig};
-/// use cuts_graph::generators::clique;
-/// use cuts_obs::Trace;
-///
-/// let t = Trace::disabled();
-/// let _ = run_distributed_traced(&clique(4), &clique(3), 2, &DistConfig::default(), &t);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "set `DistConfig::trace` (or `.builder().trace(..)`) and use `cuts_dist::run`"
-)]
-pub fn run_distributed_traced(
-    data: &Graph,
-    query: &Graph,
-    ranks: usize,
-    config: &DistConfig,
-    trace: &Trace,
-) -> Result<DistResult, WorkerError> {
-    let mut c = config.clone();
-    c.trace = trace.clone();
-    run(data, query, ranks, &c)
-}
-
-/// Deprecated: set [`DistConfig::trace`] / [`DistConfig::telemetry`] and
-/// call [`run`].
-///
-/// Callers that deny deprecations fail to compile against it:
-///
-/// ```compile_fail
-/// #![deny(deprecated)]
-/// use cuts_dist::{run_distributed_observed, DistConfig};
-/// use cuts_graph::generators::clique;
-/// use cuts_obs::{Registry, Trace};
-///
-/// let t = Trace::disabled();
-/// let r = Registry::new();
-/// let _ = run_distributed_observed(&clique(4), &clique(3), 2, &DistConfig::default(), &t, r);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "set `DistConfig::trace` / `DistConfig::telemetry` and use `cuts_dist::run`"
-)]
-pub fn run_distributed_observed(
-    data: &Graph,
-    query: &Graph,
-    ranks: usize,
-    config: &DistConfig,
-    trace: &Trace,
-    registry: Registry,
-) -> Result<DistResult, WorkerError> {
-    let mut c = config.clone();
-    c.trace = trace.clone();
-    c.telemetry = registry;
-    run(data, query, ranks, &c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
     use crate::worker::Partition;
+    use cuts_core::fault::FaultPlan;
     use cuts_core::CutsEngine;
     use cuts_gpu_sim::{Device, DeviceConfig};
     use cuts_graph::generators::{barabasi_albert, clique, erdos_renyi};

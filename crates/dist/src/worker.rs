@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
+use cuts_core::fault::{CrashKind, FaultInjector};
 use cuts_core::{ExecSession, MatchOrder};
 use cuts_gpu_sim::Device;
 use cuts_graph::Graph;
@@ -38,7 +39,6 @@ use cuts_trie::serial::WireError;
 use cuts_trie::HostTrie;
 
 use crate::config::DistConfig;
-use crate::fault::{CrashKind, FaultInjector};
 use crate::ledger::{AliveBoard, ChunkId, ChunkLedger};
 use crate::metrics::RankMetrics;
 use crate::mpi::{Comm, Rank};
@@ -795,7 +795,7 @@ mod tests {
 
     #[test]
     fn injected_crash_error_surfaces() {
-        use crate::fault::FaultPlan;
+        use cuts_core::fault::FaultPlan;
         let data = cuts_graph::generators::clique(4);
         let query = cuts_graph::generators::clique(3);
         let inj = Arc::new(FaultInjector::new(

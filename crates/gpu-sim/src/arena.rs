@@ -10,8 +10,8 @@
 //!
 //! Slab chains built on top (see `cuts-trie`'s chained `PairTable`) grow
 //! by appending a fresh slab instead of reallocating and copying, which
-//! is what makes mid-run trie growth cheap enough to prefer over the
-//! retry-from-scratch the buffer pool forced.
+//! is what makes mid-run trie growth cheap enough to prefer over
+//! retrying from scratch with a larger allocation.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -284,10 +284,16 @@ impl Slab {
 impl Drop for Slab {
     fn drop(&mut self) {
         let cs = &self.shared.classes[self.class];
+        // Occupancy moves before the bit frees: an `acquire` can only win
+        // this slab once the counter no longer includes it, so `in_use`
+        // never exceeds the slabs actually held and `high_water` never
+        // exceeds the class size.
+        let now = cs.in_use.fetch_sub(1, Ordering::AcqRel) - 1;
+        #[cfg(test)]
+        tests::mid_release();
         let freed = cuts_bitalloc::release(&cs.bitmap, self.index);
         debug_assert!(freed, "slab {} double-released", self.index);
         cs.releases.fetch_add(1, Ordering::Relaxed);
-        let now = cs.in_use.fetch_sub(1, Ordering::AcqRel) - 1;
         self.shared.trace.instant_with(
             EventKind::Arena,
             "release",
@@ -345,7 +351,8 @@ pub struct ArenaStats {
     /// Words in the backing carve.
     pub backing_words: usize,
     /// Device allocations the arena has made — always 1 (the carve), kept
-    /// as a field so session stats can report it alongside pool-era data.
+    /// as a field so session stats can report it next to the device's
+    /// own allocation count.
     pub device_allocs: u64,
     /// Per-class statistics.
     pub classes: Vec<ClassStats>,
@@ -389,6 +396,56 @@ impl ToJson for ArenaStats {
 mod tests {
     use super::*;
     use crate::config::DeviceConfig;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    thread_local! {
+        /// Runs once, on the dropping thread, between the two steps of a
+        /// slab release — the window a concurrent `acquire` can hit.
+        static MID_RELEASE: RefCell<Option<Box<dyn FnOnce()>>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn mid_release() {
+        if let Some(hook) = MID_RELEASE.with(|h| h.borrow_mut().take()) {
+            hook();
+        }
+    }
+
+    /// Regression: `Slab::drop` used to free the bitmap bit before
+    /// decrementing `in_use`, so an `acquire` landing in between won the
+    /// freed slab and published `in_use = slabs + 1` as the high water.
+    #[test]
+    fn acquire_inside_a_release_never_overcounts() {
+        let d = Device::new(DeviceConfig::test_small());
+        let arena = Arena::new(
+            &d,
+            &[ClassSpec {
+                slab_words: 8,
+                slabs: 1,
+            }],
+        )
+        .unwrap();
+        let held = arena.acquire(0).unwrap();
+        let racer = arena.clone();
+        let won = Rc::new(RefCell::new(None));
+        let slot = won.clone();
+        MID_RELEASE.with(|h| {
+            *h.borrow_mut() = Some(Box::new(move || {
+                *slot.borrow_mut() = racer.acquire(0).ok();
+            }))
+        });
+        drop(held);
+        let s = arena.stats();
+        assert!(
+            s.classes[0].high_water <= 1,
+            "high water {} exceeds the class's one slab",
+            s.classes[0].high_water
+        );
+        assert!(s.classes[0].in_use <= 1);
+        // The release completed: the slab is free for the next caller.
+        drop(won.borrow_mut().take());
+        assert!(arena.acquire(0).is_ok());
+    }
 
     #[test]
     fn one_carve_many_slabs() {

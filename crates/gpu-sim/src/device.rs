@@ -20,8 +20,8 @@ pub struct Device {
     /// when sizing the trie arrays).
     allocated: Arc<AtomicUsize>,
     /// Lifetime count of [`Device::alloc_buffer`] calls (`cudaMalloc`
-    /// invocations). Never reset: the buffer pool's reuse guarantee is
-    /// asserted as "this number did not move".
+    /// invocations). Never reset: the arena's zero-allocation guarantee
+    /// for warm sessions is asserted as "this number did not move".
     alloc_calls: AtomicU64,
     counters: AtomicCounters,
     trace: Trace,
@@ -67,8 +67,8 @@ impl Device {
     }
 
     /// The trace handle launches emit into (disabled by default). Shared
-    /// by collaborators that account work to this device, e.g. the buffer
-    /// pool.
+    /// by collaborators that account work to this device, e.g. the
+    /// arena.
     #[inline]
     pub fn trace(&self) -> &Trace {
         &self.trace
@@ -125,9 +125,9 @@ impl Device {
     }
 
     /// Launches a kernel: `num_blocks` thread blocks, each running `f` once
-    /// with its own [`BlockCtx`]. Blocks execute in parallel on the host
-    /// thread pool; per-block counters merge into the device aggregate when
-    /// each block retires. A block may fail (e.g. a buffer overflow); the
+    /// with its own [`BlockCtx`]. Blocks execute in order on the calling
+    /// thread (`vendor/rayon` is sequential); per-block counters merge into
+    /// the device aggregate when each block retires. A block may fail (e.g. a buffer overflow); the
     /// first failure is returned after all blocks finish, matching the
     /// "kernel completes, error checked after" CUDA model.
     pub fn launch<F>(&self, num_blocks: usize, f: F) -> Result<(), DeviceError>

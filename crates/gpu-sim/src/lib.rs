@@ -11,8 +11,10 @@
 //!   budgets scaled down proportionally (32 GB : 40 GB ratio preserved), so
 //!   out-of-memory behaviour reproduces in shape.
 //! * [`Device`] — owns capacity accounting and aggregated counters; its
-//!   [`Device::launch`] runs a grid of thread blocks in parallel on host
-//!   threads (rayon), one closure activation per block.
+//!   [`Device::launch`] runs a grid of thread blocks, one closure
+//!   activation per block. Blocks run one after another on the calling
+//!   thread: `vendor/rayon` is a sequential stand-in, so block order is
+//!   deterministic and host wall time does not scale with cores.
 //! * [`Counters`] — Nsight-Compute-style hardware metrics: DRAM reads and
 //!   writes, shared-memory traffic, atomics, executed instructions, warp
 //!   divergence. §6 of the paper argues its speedup *through* these
@@ -31,9 +33,6 @@
 //!   Slab acquire/release is an O(1) CAS; trie storage grows by chaining
 //!   another slab instead of reallocating, so a warm session performs
 //!   zero device-allocator calls — asserted in tests and gated in CI.
-//! * [`BufferPool`] — a free-list recycler over [`Device::alloc_buffer`]
-//!   with reuse counters; retained as a general-purpose utility for
-//!   callers with irregular buffer sizes the slab classes don't fit.
 
 pub mod arena;
 pub mod buffer;
@@ -43,7 +42,6 @@ pub mod counters;
 pub mod device;
 pub mod error;
 pub mod occupancy;
-pub mod pool;
 pub mod primitives;
 
 pub use arena::{Arena, ArenaStats, ClassSpec, ClassStats, Slab};
@@ -54,4 +52,3 @@ pub use counters::{BlockCounters, CounterScope, CounterSink, Counters};
 pub use device::{BlockCtx, Device};
 pub use error::DeviceError;
 pub use occupancy::occupancy;
-pub use pool::{BufferPool, PoolStats};

@@ -16,8 +16,6 @@ pub enum EventKind {
     Chunk,
     /// Work donation between ranks (send and receive sides).
     Donation,
-    /// Buffer-pool activity: hit / miss.
-    Pool,
     /// Plan-cache activity: hit / build.
     Plan,
     /// Trie lifecycle: budget sizing, spill into chunked BFS-DFS.
@@ -28,7 +26,7 @@ pub enum EventKind {
     Fault,
     /// A whole engine run (top-level span).
     Run,
-    /// Scheduler job lifecycle: submit / admit / defer / steal / complete.
+    /// Serving-tier job lifecycle: submit / complete / readmit.
     Job,
     /// Plan-time kernel-policy decisions: per-level micro-kernel choice
     /// and the signature-prefilter verdict.
@@ -45,12 +43,11 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, for exhaustive reporting.
-    pub const ALL: [EventKind; 15] = [
+    pub const ALL: [EventKind; 14] = [
         EventKind::Kernel,
         EventKind::Level,
         EventKind::Chunk,
         EventKind::Donation,
-        EventKind::Pool,
         EventKind::Plan,
         EventKind::Trie,
         EventKind::Heartbeat,
@@ -70,7 +67,6 @@ impl EventKind {
             EventKind::Level => "level",
             EventKind::Chunk => "chunk",
             EventKind::Donation => "donation",
-            EventKind::Pool => "pool",
             EventKind::Plan => "plan",
             EventKind::Trie => "trie",
             EventKind::Heartbeat => "heartbeat",

@@ -31,14 +31,10 @@ pub const FLIGHT_CAPACITY: usize = 512;
 /// coarse by design — the journal carries the full-fidelity story.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlightCode {
-    /// Scheduler accepted a job into the pending queue (`a` = job id).
+    /// Serving tier accepted a job (`a` = job id, `b` = placed rank).
     JobSubmit,
     /// Job admitted to a device lane (`a` = job id, `b` = device).
     JobAdmit,
-    /// Job deferred by the admission ledger (`a` = job id, `b` = backoff µs).
-    JobDefer,
-    /// Job stolen across lanes (`a` = job id, `b` = thief lane).
-    JobSteal,
     /// Job finished cleanly (`a` = job id, `b` = exec µs).
     JobComplete,
     /// Job finished with an error (`a` = job id).
@@ -83,11 +79,9 @@ pub enum FlightCode {
 
 impl FlightCode {
     /// Every code, for exhaustive reporting.
-    pub const ALL: [FlightCode; 22] = [
+    pub const ALL: [FlightCode; 20] = [
         FlightCode::JobSubmit,
         FlightCode::JobAdmit,
-        FlightCode::JobDefer,
-        FlightCode::JobSteal,
         FlightCode::JobComplete,
         FlightCode::JobFail,
         FlightCode::GrowthDenied,
@@ -113,8 +107,6 @@ impl FlightCode {
         match self {
             FlightCode::JobSubmit => "job_submit",
             FlightCode::JobAdmit => "job_admit",
-            FlightCode::JobDefer => "job_defer",
-            FlightCode::JobSteal => "job_steal",
             FlightCode::JobComplete => "job_complete",
             FlightCode::JobFail => "job_fail",
             FlightCode::GrowthDenied => "growth_denied",

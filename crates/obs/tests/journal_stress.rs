@@ -98,8 +98,8 @@ fn concurrent_drain_and_record_is_safe() {
                 s.spawn(move || {
                     for i in 0..500 {
                         trace.instant_with(
-                            EventKind::Pool,
-                            "hit",
+                            EventKind::Arena,
+                            "acquire",
                             &[("thread", Arg::U64(t)), ("i", Arg::U64(i))],
                         );
                     }
