@@ -25,6 +25,14 @@
 //! All kernels are instrumented: they charge DRAM/shared traffic and the
 //! masked-lane idle slots implied by the virtual-warp width, which is how
 //! the thread-idling claims of §4.1.2 become measurable.
+//!
+//! The host computes every arm the same way: one progressive sorted merge
+//! (`merge_passes`) that narrows the first list by each later one, by a
+//! linear merge when sizes are close and by galloping when one side is
+//! at least `GALLOP_RATIO` (8) times the other. What distinguishes the arms
+//! is their counters, and those are each arm's cost model, charged from
+//! the running-set sizes of each pass — the probes, buffers and bitmaps
+//! the device would use never exist on the host.
 
 use cuts_gpu_sim::BlockCounters;
 use cuts_graph::{Graph, VertexId};
@@ -75,6 +83,70 @@ fn charge_idle(ctr: &mut BlockCounters, len: usize, width: usize) {
     }
 }
 
+/// A running set at least this many times shorter than the list it meets
+/// gallops through that list; closer sizes take a linear merge.
+const GALLOP_RATIO: usize = 8;
+
+/// Index of the first element of sorted `s` that is `>= v`: exponential
+/// probes from the front, then a binary search inside the last step.
+#[inline]
+fn gallop(s: &[VertexId], v: VertexId) -> usize {
+    let mut end = 1;
+    while end < s.len() && s[end] < v {
+        end *= 2;
+    }
+    let start = end / 2;
+    start + s[start..(end + 1).min(s.len())].partition_point(|&x| x < v)
+}
+
+/// Narrows the sorted running set `run`, in place, to the values it
+/// shares with sorted `list`. Survivors are a subsequence of `run`, so
+/// each is written over a prefix slot the merge has already passed.
+fn retain_common(run: &mut Vec<VertexId>, list: &[VertexId]) {
+    let (n, m) = (run.len(), list.len());
+    let skewed = n.min(m) * GALLOP_RATIO <= n.max(m);
+    let (mut i, mut j, mut w) = (0, 0, 0);
+    while i < n && j < m {
+        let (a, b) = (run[i], list[j]);
+        run[w] = a;
+        w += (a == b) as usize;
+        if skewed && a < b {
+            i += gallop(&run[i..], b);
+        } else if skewed && b < a {
+            j += gallop(&list[j..], a);
+        } else {
+            i += (a <= b) as usize;
+            j += (b <= a) as usize;
+        }
+    }
+    run.truncate(w);
+}
+
+/// The host computation behind every arm: `out` starts as the first list
+/// and each later list narrows it, in order, until it runs empty (later
+/// lists are then never visited). `pass(list, before, after)` sees each
+/// visited list with the running-set sizes around it — all an arm's cost
+/// model charges from.
+fn merge_passes(
+    lists: &[&[VertexId]],
+    out: &mut Vec<VertexId>,
+    mut pass: impl FnMut(&[VertexId], usize, usize),
+) {
+    out.clear();
+    let Some((first, rest)) = lists.split_first() else {
+        return;
+    };
+    out.extend_from_slice(first);
+    for list in rest {
+        if out.is_empty() {
+            return;
+        }
+        let before = out.len();
+        retain_common(out, list);
+        pass(list, before, out.len());
+    }
+}
+
 /// c-intersection (Algorithm 2, lines 19-31). `lists` must be sorted;
 /// the result in `out` is sorted. Empty `lists` yields an empty result.
 pub fn c_intersection(
@@ -83,35 +155,21 @@ pub fn c_intersection(
     ctr: &mut BlockCounters,
     out: &mut Vec<VertexId>,
 ) {
-    out.clear();
-    let Some((first, rest)) = lists.split_first() else {
-        return;
-    };
-    // Warp loads children of a1 into the shared buffer, coalesced.
-    ctr.dram_read_coalesced(first.len());
-    ctr.shmem_write(first.len());
-    charge_idle(ctr, first.len(), vwarp);
-    out.extend_from_slice(first);
-    let mut tmp: Vec<VertexId> = Vec::with_capacity(out.len());
-    for list in rest {
-        if out.is_empty() {
-            return;
-        }
+    if let Some(first) = lists.first() {
+        // Warp loads children of a1 into the shared buffer, coalesced.
+        ctr.dram_read_coalesced(first.len());
+        ctr.shmem_write(first.len());
+        charge_idle(ctr, first.len(), vwarp);
+    }
+    merge_passes(lists, out, |list, before, after| {
         // Lanes load this constraint's children to registers, coalesced,
-        // then probe the shared buffer.
+        // then each binary-probes the shared buffer; interset2 replaces
+        // interset1 in shared memory.
         ctr.dram_read_coalesced(list.len());
         charge_idle(ctr, list.len(), vwarp);
-        tmp.clear();
-        for &v in *list {
-            ctr.shmem_read(probe_cost(out.len()));
-            if out.binary_search(&v).is_ok() {
-                tmp.push(v);
-            }
-        }
-        // interset2 replaces interset1 in shared memory.
-        ctr.shmem_write(tmp.len());
-        std::mem::swap(out, &mut tmp);
-    }
+        ctr.shmem_read(list.len() * probe_cost(before));
+        ctr.shmem_write(after);
+    });
 }
 
 /// p-intersection (Algorithm 2, lines 33-42). `lists` must be sorted; the
@@ -122,23 +180,17 @@ pub fn p_intersection(
     ctr: &mut BlockCounters,
     out: &mut Vec<VertexId>,
 ) {
-    out.clear();
-    let Some((first, rest)) = lists.split_first() else {
+    let Some(first) = lists.first() else {
+        out.clear();
         return;
     };
     ctr.dram_read_coalesced(first.len());
     charge_idle(ctr, first.len(), vwarp);
-    'cand: for &v in *first {
-        for list in rest {
-            // Binary probe into the constraint's adjacency in global
-            // memory: uncoalesced, log(len) words touched.
-            ctr.dram_read_random(probe_cost(list.len()));
-            if list.binary_search(&v).is_err() {
-                continue 'cand;
-            }
-        }
-        out.push(v);
-    }
+    merge_passes(lists, out, |list, before, _| {
+        // Every candidate still standing binary-probes the constraint's
+        // adjacency in global memory: uncoalesced, log(len) words each.
+        ctr.dram_read_random_n(before, probe_cost(list.len()));
+    });
     ctr.shmem_write(out.len());
 }
 
@@ -162,13 +214,12 @@ pub fn b_intersection(
     out: &mut Vec<VertexId>,
 ) {
     out.clear();
-    let Some((first, rest)) = lists.split_first() else {
+    let Some(first) = lists.first() else {
         return;
     };
-    if first.is_empty() {
+    let (Some(&lo), Some(&hi)) = (first.first(), first.last()) else {
         return;
-    }
-    let lo = first[0] as usize;
+    };
     let words = bitmap_words(list_span(first));
     if 2 * words > shared_words.max(1) {
         // Span too wide for the double-buffered bitmap: fall back.
@@ -179,51 +230,23 @@ pub fn b_intersection(
     ctr.dram_read_coalesced(first.len());
     ctr.shmem_write(words + first.len());
     charge_idle(ctr, first.len(), vwarp);
-    let mut cur = vec![0u32; words];
-    for &v in *first {
-        let b = v as usize - lo;
-        cur[b / 32] |= 1 << (b % 32);
-    }
-    let hi = lo + list_span(first) - 1;
-    let mut next = vec![0u32; words];
-    for list in rest {
-        // Stream the constraint coalesced; one shared probe per in-span
-        // element (the out-of-span bounds test is register-only ALU).
+    merge_passes(lists, out, |list, _, after| {
+        // Stream the constraint coalesced and zero the target bitmap; one
+        // shared probe per in-span element (the out-of-span bounds test is
+        // register-only ALU), one bit set per hit.
+        let in_span = list.partition_point(|&v| v <= hi) - list.partition_point(|&v| v < lo);
         ctr.dram_read_coalesced(list.len());
         ctr.alu(list.len());
         charge_idle(ctr, list.len(), vwarp);
-        ctr.shmem_write(words); // zero the target buffer
-        let mut kept = 0usize;
-        for &v in *list {
-            let v = v as usize;
-            if v < lo || v > hi {
-                continue;
-            }
-            let b = v - lo;
-            ctr.shmem_read(1);
-            if cur[b / 32] & (1 << (b % 32)) != 0 {
-                next[b / 32] |= 1 << (b % 32);
-                kept += 1;
-            }
-        }
-        ctr.shmem_write(kept);
-        std::mem::swap(&mut cur, &mut next);
-        next.iter_mut().for_each(|w| *w = 0);
-        if kept == 0 {
-            return;
-        }
+        ctr.shmem_write(words);
+        ctr.shmem_read(in_span);
+        ctr.shmem_write(after);
+    });
+    if !out.is_empty() {
+        // Extract the surviving bits: one read per bitmap word.
+        ctr.shmem_read(words);
+        charge_idle(ctr, out.len(), vwarp);
     }
-    // Extract set bits ascending: result is sorted by construction.
-    ctr.shmem_read(words);
-    for (wi, &w) in cur.iter().enumerate() {
-        let mut w = w;
-        while w != 0 {
-            let b = w.trailing_zeros() as usize;
-            out.push((lo + wi * 32 + b) as VertexId);
-            w &= w - 1;
-        }
-    }
-    charge_idle(ctr, out.len(), vwarp);
 }
 
 /// Micro-kernel choice for one partial path.
@@ -375,6 +398,8 @@ impl ScatterScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn naive_intersection(lists: &[&[u32]]) -> Vec<u32> {
         let Some((first, rest)) = lists.split_first() else {
@@ -552,6 +577,249 @@ mod tests {
         assert_eq!(constraint_list(&g, 0, Dir::Out), &[1]);
         assert_eq!(constraint_list(&g, 1, Dir::In), &[0, 2]);
         assert_eq!(constraint_list(&g, 1, Dir::Out), &[] as &[u32]);
+    }
+
+    /// The arms as they were before the host path became one sorted
+    /// merge: per-element binary searches, a per-call `tmp` buffer, and
+    /// two zeroed bitmaps per path. Their counters are the contract the
+    /// merge must reproduce exactly.
+    mod oracle {
+        use super::super::{bitmap_words, charge_idle, list_span, probe_cost};
+        use cuts_gpu_sim::BlockCounters;
+        use cuts_graph::VertexId;
+
+        pub fn c_intersection(
+            lists: &[&[VertexId]],
+            vwarp: usize,
+            ctr: &mut BlockCounters,
+            out: &mut Vec<VertexId>,
+        ) {
+            out.clear();
+            let Some((first, rest)) = lists.split_first() else {
+                return;
+            };
+            // Warp loads children of a1 into the shared buffer, coalesced.
+            ctr.dram_read_coalesced(first.len());
+            ctr.shmem_write(first.len());
+            charge_idle(ctr, first.len(), vwarp);
+            out.extend_from_slice(first);
+            let mut tmp: Vec<VertexId> = Vec::with_capacity(out.len());
+            for list in rest {
+                if out.is_empty() {
+                    return;
+                }
+                // Lanes load this constraint's children to registers, coalesced,
+                // then probe the shared buffer.
+                ctr.dram_read_coalesced(list.len());
+                charge_idle(ctr, list.len(), vwarp);
+                tmp.clear();
+                for &v in *list {
+                    ctr.shmem_read(probe_cost(out.len()));
+                    if out.binary_search(&v).is_ok() {
+                        tmp.push(v);
+                    }
+                }
+                // interset2 replaces interset1 in shared memory.
+                ctr.shmem_write(tmp.len());
+                std::mem::swap(out, &mut tmp);
+            }
+        }
+
+        pub fn p_intersection(
+            lists: &[&[VertexId]],
+            vwarp: usize,
+            ctr: &mut BlockCounters,
+            out: &mut Vec<VertexId>,
+        ) {
+            out.clear();
+            let Some((first, rest)) = lists.split_first() else {
+                return;
+            };
+            ctr.dram_read_coalesced(first.len());
+            charge_idle(ctr, first.len(), vwarp);
+            'cand: for &v in *first {
+                for list in rest {
+                    // Binary probe into the constraint's adjacency in global
+                    // memory: uncoalesced, log(len) words touched.
+                    ctr.dram_read_random(probe_cost(list.len()));
+                    if list.binary_search(&v).is_err() {
+                        continue 'cand;
+                    }
+                }
+                out.push(v);
+            }
+            ctr.shmem_write(out.len());
+        }
+
+        pub fn b_intersection(
+            lists: &[&[VertexId]],
+            vwarp: usize,
+            shared_words: usize,
+            ctr: &mut BlockCounters,
+            out: &mut Vec<VertexId>,
+        ) {
+            out.clear();
+            let Some((first, rest)) = lists.split_first() else {
+                return;
+            };
+            if first.is_empty() {
+                return;
+            }
+            let lo = first[0] as usize;
+            let words = bitmap_words(list_span(first));
+            if 2 * words > shared_words.max(1) {
+                // Span too wide for the double-buffered bitmap: fall back.
+                return c_intersection(lists, vwarp, ctr, out);
+            }
+            // Encode: stream the shortest list once (coalesced), zero the bitmap,
+            // set one bit per element.
+            ctr.dram_read_coalesced(first.len());
+            ctr.shmem_write(words + first.len());
+            charge_idle(ctr, first.len(), vwarp);
+            let mut cur = vec![0u32; words];
+            for &v in *first {
+                let b = v as usize - lo;
+                cur[b / 32] |= 1 << (b % 32);
+            }
+            let hi = lo + list_span(first) - 1;
+            let mut next = vec![0u32; words];
+            for list in rest {
+                // Stream the constraint coalesced; one shared probe per in-span
+                // element (the out-of-span bounds test is register-only ALU).
+                ctr.dram_read_coalesced(list.len());
+                ctr.alu(list.len());
+                charge_idle(ctr, list.len(), vwarp);
+                ctr.shmem_write(words); // zero the target buffer
+                let mut kept = 0usize;
+                for &v in *list {
+                    let v = v as usize;
+                    if v < lo || v > hi {
+                        continue;
+                    }
+                    let b = v - lo;
+                    ctr.shmem_read(1);
+                    if cur[b / 32] & (1 << (b % 32)) != 0 {
+                        next[b / 32] |= 1 << (b % 32);
+                        kept += 1;
+                    }
+                }
+                ctr.shmem_write(kept);
+                std::mem::swap(&mut cur, &mut next);
+                next.iter_mut().for_each(|w| *w = 0);
+                if kept == 0 {
+                    return;
+                }
+            }
+            // Extract set bits ascending: result is sorted by construction.
+            ctr.shmem_read(words);
+            for (wi, &w) in cur.iter().enumerate() {
+                let mut w = w;
+                while w != 0 {
+                    let b = w.trailing_zeros() as usize;
+                    out.push((lo + wi * 32 + b) as VertexId);
+                    w &= w - 1;
+                }
+            }
+            charge_idle(ctr, out.len(), vwarp);
+        }
+    }
+
+    /// Draws a sorted, duplicate-free list: `len` values from `pool` when
+    /// `shared`, otherwise from a private value range (disjoint lists).
+    fn draw_list(rng: &mut SmallRng, pool: &[u32], len: usize, shared: bool) -> Vec<u32> {
+        let mut v: Vec<u32> = if shared && !pool.is_empty() {
+            (0..len)
+                .map(|_| pool[rng.random_range(0..pool.len())])
+                .collect()
+        } else {
+            let base = rng.random_range(0..1u32 << 20) + (1 << 21);
+            (0..len)
+                .map(|_| base + rng.random_range(0..4 * len as u32 + 1))
+                .collect()
+        };
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    #[test]
+    fn merge_arms_match_the_oracle_counters() {
+        let mut rng = SmallRng::seed_from_u64(0x1D_E77);
+        let (mut gallops, mut fallbacks, mut early_exits) = (0, 0, 0);
+        for case in 0..3000 {
+            // A shared value pool over a narrow, medium or wide span: wide
+            // spans make the bitmap infeasible at either budget.
+            let span = [64u32, 4000, 3_000_000][case % 3];
+            let pool: Vec<u32> = (0..rng.random_range(1..400usize))
+                .map(|_| rng.random_range(0..span))
+                .collect();
+            let k = rng.random_range(1..=4usize);
+            let lists: Vec<Vec<u32>> = (0..k)
+                .map(|_| {
+                    // Skewed lengths so both galloping branches run.
+                    let len = match rng.random_range(0..4u32) {
+                        0 => rng.random_range(0..3usize),
+                        1 => rng.random_range(3..20),
+                        2 => rng.random_range(20..120),
+                        _ => rng.random_range(120..900),
+                    };
+                    let shared = rng.random_bool(0.85);
+                    draw_list(&mut rng, &pool, len, shared)
+                })
+                .collect();
+            let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
+            let lens: Vec<usize> = refs.iter().map(|l| l.len()).collect();
+            if lens
+                .iter()
+                .any(|&a| lens.iter().any(|&b| a > 0 && a * GALLOP_RATIO <= b))
+            {
+                gallops += 1;
+            }
+            for vwarp in [1usize, 4, 32] {
+                for budget in [64usize, 4096] {
+                    type Arm = fn(&[&[u32]], usize, usize, &mut BlockCounters, &mut Vec<u32>);
+                    let arms: [(&str, Arm, Arm); 3] = [
+                        (
+                            "c",
+                            |l, w, _, c, o| c_intersection(l, w, c, o),
+                            |l, w, _, c, o| oracle::c_intersection(l, w, c, o),
+                        ),
+                        (
+                            "p",
+                            |l, w, _, c, o| p_intersection(l, w, c, o),
+                            |l, w, _, c, o| oracle::p_intersection(l, w, c, o),
+                        ),
+                        ("b", b_intersection, oracle::b_intersection),
+                    ];
+                    for (name, new, old) in arms {
+                        let (mut cn, mut co) = (BlockCounters::default(), BlockCounters::default());
+                        let (mut on, mut oo) = (vec![7], vec![7]);
+                        new(&refs, vwarp, budget, &mut cn, &mut on);
+                        old(&refs, vwarp, budget, &mut co, &mut oo);
+                        assert_eq!(on, oo, "{name} result, {lists:?}");
+                        assert_eq!(
+                            cn.c, co.c,
+                            "{name} counters, vwarp {vwarp}, budget {budget}, {lists:?}"
+                        );
+                    }
+                }
+            }
+            let first = refs.first().map_or(0, |l| l.len());
+            if first > 0 && 2 * bitmap_words(list_span(refs[0])) > 64 {
+                fallbacks += 1;
+            }
+            let mut out = Vec::new();
+            let mut seen = 0;
+            merge_passes(&refs, &mut out, |_, _, _| seen += 1);
+            if seen + 1 < refs.len() {
+                early_exits += 1;
+            }
+        }
+        // The draw must actually reach every branch it is meant to cover.
+        assert!(
+            gallops > 100 && fallbacks > 100 && early_exits > 100,
+            "gallop {gallops}, fallback {fallbacks}, early exit {early_exits}"
+        );
     }
 
     use cuts_graph::Graph;

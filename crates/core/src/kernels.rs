@@ -1,6 +1,7 @@
 //! The two device kernels: level-0 candidate filtering and the search
 //! kernel of Algorithm 1.
 
+use std::cell::RefCell;
 use std::ops::Range;
 
 use cuts_gpu_sim::{Device, DeviceError};
@@ -13,6 +14,28 @@ use crate::intersect::{
 use crate::order::{label_ok, MatchOrder};
 use crate::policy::LevelMethod;
 use cuts_graph::profile::sig_dominates;
+
+/// Paths whose parent chains one block walks in lockstep.
+const WALK_BATCH: usize = 8;
+
+/// Back edges per query vertex that fit the stack-resident list array.
+const STACK_LISTS: usize = 16;
+
+/// Per-thread kernel scratch, reused by every block the thread runs, so a
+/// launch allocates nothing once the buffers have grown.
+#[derive(Default)]
+struct Scratch {
+    /// `WALK_BATCH` cached paths of `pos` vertices each, root first.
+    paths: Vec<VertexId>,
+    /// Intersection result of the current path.
+    cands: Vec<VertexId>,
+    /// Children that pass the degree, label and injectivity filters.
+    keep: Vec<VertexId>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
 
 /// Level-0 signature prefilter inputs: the data graph's per-vertex
 /// signature index and the (already label-masked) query-root signature
@@ -42,42 +65,43 @@ pub fn init_candidates(
     let q_label = plan.q_label[0];
     let blocks = max_blocks.min(n).max(1);
     device.launch_named("init_candidates", blocks, |ctx| {
-        let mut local: Vec<VertexId> = Vec::new();
-        let mut v = ctx.block_id;
-        while v < n {
-            // GSI-style signature prefilter: one coalesced 64-bit read
-            // (two device words) rejects most non-candidates before the
-            // CSR degree probes are ever issued.
-            let sig_ok = match prefilter {
-                Some(f) => {
+        SCRATCH.with_borrow_mut(|s| {
+            let local = &mut s.keep;
+            local.clear();
+            let mut v = ctx.block_id;
+            while v < n {
+                // GSI-style signature prefilter: one coalesced 64-bit read
+                // (two device words) rejects most non-candidates before the
+                // CSR degree probes are ever issued.
+                let sig_ok = match prefilter {
+                    Some(f) => {
+                        ctx.counters.dram_read_coalesced(2);
+                        ctx.counters.alu(1);
+                        sig_dominates(f.sigs[v], f.required)
+                    }
+                    None => true,
+                };
+                if sig_ok {
+                    // Degree test reads two CSR offset words per side.
                     ctx.counters.dram_read_coalesced(2);
-                    ctx.counters.alu(1);
-                    sig_dominates(f.sigs[v], f.required)
+                    ctx.counters.alu(2);
+                    if data.degree_dominates(v as VertexId, q_out, q_in)
+                        && label_ok(data, v as VertexId, q_label)
+                    {
+                        local.push(v as VertexId);
+                    }
                 }
-                None => true,
-            };
-            if sig_ok {
-                // Degree test reads two CSR offset words per side.
-                ctx.counters.dram_read_coalesced(2);
-                ctx.counters.alu(2);
-                if data.degree_dominates(v as VertexId, q_out, q_in)
-                    && label_ok(data, v as VertexId, q_label)
-                {
-                    local.push(v as VertexId);
-                }
+                v += ctx.num_blocks;
             }
-            v += ctx.num_blocks;
-        }
-        if !local.is_empty() {
-            // One atomic claims the block's whole output range.
-            ctx.counters.atomic();
-            let r = trie.table().reserve(local.len())?;
-            for (i, &c) in local.iter().enumerate() {
-                r.write(i, NO_PARENT, c);
+            if !local.is_empty() {
+                // One atomic claims the block's whole output range.
+                ctx.counters.atomic();
+                let r = trie.table().reserve(local.len())?;
+                r.write_children(NO_PARENT, local);
+                ctx.counters.dram_write(2 * local.len());
             }
-            ctx.counters.dram_write(2 * local.len());
-        }
-        Ok(())
+            Ok(())
+        })
     })
 }
 
@@ -123,92 +147,112 @@ pub fn expand_range(
     let blocks = p.max_blocks.min(total).max(1);
 
     device.launch_named(p.method.kernel_name(), blocks, |ctx| {
-        // Workhorse scratch, reused across this block's paths.
-        let mut path: Vec<VertexId> = Vec::with_capacity(p.pos);
-        let mut lists: Vec<&[VertexId]> = Vec::with_capacity(back.len());
-        let mut cands: Vec<VertexId> = Vec::new();
-        let mut keep: Vec<VertexId> = Vec::new();
-
-        let mut i = ctx.block_id;
-        while i < total {
-            let entry = match p.placement {
-                Some(perm) => perm[i] as usize,
-                None => frontier.start + i,
-            };
-
-            // Walk the parent chain once, caching the path in shared
-            // memory (two random words per ancestor: PA + CA).
-            path.clear();
-            let mut e = entry as u32;
-            for _ in 0..p.pos {
-                ctx.counters.dram_read_random(2);
-                path.push(trie.candidate(e as usize));
-                e = trie.parent(e as usize);
+        // Constraint lists live on the stack unless the query vertex has
+        // an unusually large number of back edges.
+        let mut stack_lists = [&[][..]; STACK_LISTS];
+        let mut heap_lists = Vec::new();
+        let lists = match stack_lists.get_mut(..back.len()) {
+            Some(l) => l,
+            None => {
+                heap_lists.resize(back.len(), &[][..]);
+                &mut heap_lists[..]
             }
-            path.reverse(); // path[l] = data vertex matched at depth l
-            debug_assert_eq!(e, NO_PARENT);
-            ctx.counters.shmem_write(p.pos);
+        };
 
-            // Resolve constraint adjacency lists; smallest first keeps the
-            // running buffer minimal for either micro-kernel.
-            lists.clear();
-            for be in back {
-                lists.push(constraint_list(p.data, path[be.pos], be.dir));
-            }
-            lists.sort_unstable_by_key(|l| l.len());
-            ctx.counters.alu(back.len());
-
-            let method = match p.method {
-                LevelMethod::Fixed(m) => m,
-                LevelMethod::PerPath => choose(&lists, p.shared_words),
-            };
-            match method {
-                Method::C => c_intersection(&lists, p.vwarp, &mut ctx.counters, &mut cands),
-                Method::P => p_intersection(&lists, p.vwarp, &mut ctx.counters, &mut cands),
-                Method::B => b_intersection(
-                    &lists,
-                    p.vwarp,
-                    p.shared_words,
-                    &mut ctx.counters,
-                    &mut cands,
-                ),
-            }
-
-            // Degree filter + injectivity against the cached path.
-            keep.clear();
-            for &c in &cands {
-                ctx.counters.dram_read_coalesced(2);
-                ctx.counters.alu(2);
-                if !p.data.degree_dominates(c, q_out, q_in) {
-                    continue;
+        SCRATCH.with_borrow_mut(|s| {
+            let Scratch { paths, cands, keep } = s;
+            paths.resize(WALK_BATCH * p.pos, 0);
+            let mut mine = (ctx.block_id..total).step_by(ctx.num_blocks).map(|i| {
+                p.placement
+                    .map_or((frontier.start + i) as u32, |perm| perm[i])
+            });
+            loop {
+                // Gather up to WALK_BATCH of this block's next paths, in
+                // the block's order, and walk their parent chains in
+                // lockstep: the loads of different paths are independent,
+                // so they overlap.
+                let mut entries = [0u32; WALK_BATCH];
+                let mut n = 0;
+                for (slot, entry) in entries.iter_mut().zip(&mut mine) {
+                    *slot = entry;
+                    n += 1;
                 }
-                if q_label.is_some() {
-                    ctx.counters.dram_read_random(1);
-                    if !label_ok(p.data, c, q_label) {
-                        continue;
+                if n == 0 {
+                    break;
+                }
+                let mut e = entries;
+                for depth in (0..p.pos).rev() {
+                    for (k, e) in e[..n].iter_mut().enumerate() {
+                        let (parent, cand) = trie.table().pair(*e as usize);
+                        paths[k * p.pos + depth] = cand; // path[l] = vertex at depth l
+                        *e = parent;
                     }
                 }
-                ctx.counters.shmem_read(p.pos);
-                if path.contains(&c) {
-                    continue;
-                }
-                keep.push(c);
-            }
+                debug_assert!(e[..n].iter().all(|&e| e == NO_PARENT));
 
-            if !keep.is_empty() {
-                // One atomic finds the write location for this path's
-                // children (§4.1.1).
-                ctx.counters.atomic();
-                let r = trie.table().reserve(keep.len())?;
-                for (k, &c) in keep.iter().enumerate() {
-                    r.write(k, entry as u32, c);
-                }
-                ctx.counters.dram_write(2 * keep.len());
-            }
+                for (k, &entry) in entries[..n].iter().enumerate() {
+                    let path = &paths[k * p.pos..(k + 1) * p.pos];
+                    // The walk cached the path in shared memory: two
+                    // random words per ancestor (PA + CA). Charged here,
+                    // so a block that stops at an overflow bills only the
+                    // paths it processed.
+                    ctx.counters.dram_read_random_n(p.pos, 2);
+                    ctx.counters.shmem_write(p.pos);
 
-            i += ctx.num_blocks;
-        }
-        Ok(())
+                    // Resolve constraint adjacency lists; smallest first
+                    // keeps the running buffer minimal for either
+                    // micro-kernel.
+                    for (l, be) in lists.iter_mut().zip(back) {
+                        *l = constraint_list(p.data, path[be.pos], be.dir);
+                    }
+                    lists.sort_unstable_by_key(|l| l.len());
+                    ctx.counters.alu(back.len());
+
+                    let method = match p.method {
+                        LevelMethod::Fixed(m) => m,
+                        LevelMethod::PerPath => choose(lists, p.shared_words),
+                    };
+                    match method {
+                        Method::C => c_intersection(lists, p.vwarp, &mut ctx.counters, cands),
+                        Method::P => p_intersection(lists, p.vwarp, &mut ctx.counters, cands),
+                        Method::B => {
+                            b_intersection(lists, p.vwarp, p.shared_words, &mut ctx.counters, cands)
+                        }
+                    }
+
+                    // Degree filter + injectivity against the cached path.
+                    keep.clear();
+                    for &c in cands.iter() {
+                        ctx.counters.dram_read_coalesced(2);
+                        ctx.counters.alu(2);
+                        if !p.data.degree_dominates(c, q_out, q_in) {
+                            continue;
+                        }
+                        if q_label.is_some() {
+                            ctx.counters.dram_read_random(1);
+                            if !label_ok(p.data, c, q_label) {
+                                continue;
+                            }
+                        }
+                        ctx.counters.shmem_read(p.pos);
+                        if path.contains(&c) {
+                            continue;
+                        }
+                        keep.push(c);
+                    }
+
+                    if !keep.is_empty() {
+                        // One atomic finds the write location for this
+                        // path's children (§4.1.1).
+                        ctx.counters.atomic();
+                        let r = trie.table().reserve(keep.len())?;
+                        r.write_children(entry, keep);
+                        ctx.counters.dram_write(2 * keep.len());
+                    }
+                }
+            }
+            Ok(())
+        })
     })
 }
 

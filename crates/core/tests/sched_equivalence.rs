@@ -80,10 +80,21 @@ fn lane_counts_are_byte_identical_to_serial() {
 /// job's score grows past any static priority, so it is picked up long
 /// before the stream drains; with aging effectively disabled it waits for
 /// the whole stream.
+///
+/// Each job's service time comes from the simulated clock: pacing is sized
+/// so every job sleeps `SERVICE_MS`, ten times the 1 ms submit stagger,
+/// so the queue stays backed up whatever the build profile or host speed.
 #[test]
 fn aging_prevents_priority_starvation() {
+    const SERVICE_MS: f64 = 10.0;
     let data = std::sync::Arc::new(generators::erdos_renyi(32, 120, 5));
     let clique = std::sync::Arc::new(generators::clique(3));
+    let probe = tier(ServeConfig::builder())
+        .run_serial(&[Job::new(data.clone(), clique.clone())])
+        .unwrap();
+    let sim_millis = probe.outcomes[0].result.as_ref().unwrap().sim_millis;
+    assert!(sim_millis > 0.0);
+    let pacing = SERVICE_MS / sim_millis;
 
     let run_with = |aging: Duration| -> (f64, f64) {
         let tier = tier(
@@ -91,7 +102,7 @@ fn aging_prevents_priority_starvation() {
                 .lanes(1)
                 .queue_capacity(128)
                 .aging(aging)
-                .pacing(40.0),
+                .pacing(pacing),
         );
         let report = tier
             .run(|h| {

@@ -145,6 +145,11 @@ impl AddAssign for Counters {
 /// block's execution, merged into the device aggregate once at block end.
 /// Keeping the hot-path increments non-atomic is exactly the pattern the
 /// perf-book recommends (merge-on-drop instead of contended atomics).
+///
+/// Charges are model-driven: a kernel bills the traffic its device
+/// algorithm would issue (a probe per element, a bitmap clear per pass),
+/// computed from sizes, whatever exact mechanism the host uses to produce
+/// the same result.
 #[derive(Debug, Default)]
 pub struct BlockCounters {
     /// Accumulated metrics for this block.
@@ -166,9 +171,16 @@ impl BlockCounters {
     /// this also bumps the divergence proxy).
     #[inline]
     pub fn dram_read_random(&mut self, len: usize) {
-        self.c.dram_reads += len as u64;
-        self.c.instructions += len as u64;
-        self.c.divergent_branches += 1;
+        self.dram_read_random_n(1, len);
+    }
+
+    /// `times` independent random reads of `words` words each — the bulk
+    /// form of `times` calls to [`BlockCounters::dram_read_random`].
+    #[inline]
+    pub fn dram_read_random_n(&mut self, times: usize, words: usize) {
+        self.c.dram_reads += (times * words) as u64;
+        self.c.instructions += (times * words) as u64;
+        self.c.divergent_branches += times as u64;
     }
 
     /// Coalesced global write of `len` words.

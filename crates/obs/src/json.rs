@@ -389,15 +389,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str).
+                    // Copy the run of plain bytes up to the next quote or
+                    // backslash in one step, validating only that run.
                     let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .map_err(|e| SchemaError::at(self.pos, e.to_string()))?
-                        .chars()
-                        .next()
-                        .unwrap();
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
+                    let n = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..n])
+                        .map_err(|e| SchemaError::at(self.pos, e.to_string()))?;
+                    s.push_str(run);
+                    self.pos += n;
                 }
             }
         }
@@ -497,6 +499,26 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn megabyte_of_multibyte_strings_parses_in_one_piece() {
+        // Each string mixes 1- to 4-byte scalars with escapes; the whole
+        // document is over 1 MiB and is parsed as a single input.
+        let piece = "añ漢🙂\"q\\\n";
+        let strings: Vec<String> = (0..4096)
+            .map(|i| format!("{i}:{}", piece.repeat(16)))
+            .collect();
+        let v = Json::Arr(strings.iter().cloned().map(Json::Str).collect());
+        let text = v.render();
+        assert!(text.len() > 1 << 20, "document is {} bytes", text.len());
+        let Json::Arr(items) = Json::parse(&text).unwrap() else {
+            panic!("top level must be an array");
+        };
+        assert_eq!(items.len(), strings.len());
+        for (got, want) in items.iter().zip(&strings) {
+            assert_eq!(got, &Json::Str(want.clone()));
+        }
+    }
 
     #[test]
     fn roundtrip_basic() {

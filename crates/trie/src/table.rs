@@ -340,6 +340,13 @@ impl PairTable {
         seg.ca.get(off)
     }
 
+    /// `(parent, candidate)` of entry `i`, located once for both arrays.
+    #[inline]
+    pub fn pair(&self, i: usize) -> (u32, u32) {
+        let (seg, off) = self.locate(i);
+        (seg.pa.get(off), seg.ca.get(off))
+    }
+
     /// Shrinks the committed length (hybrid BFS-DFS reclaims chunk
     /// scratch levels this way).
     pub fn truncate(&self, len: usize) {
@@ -402,6 +409,31 @@ impl PairRange<'_> {
         unsafe {
             seg.pa.write_raw(off, parent);
             seg.ca.write_raw(off, candidate);
+        }
+    }
+
+    /// Writes `children[k]` under `parent` at offset `k` of the claimed
+    /// range. The segment is located once per run of entries and the run
+    /// splits only where it crosses a segment boundary.
+    pub fn write_children(&self, parent: u32, children: &[u32]) {
+        assert!(children.len() <= self.len, "write past pair reservation");
+        let mut at = self.start;
+        let mut rest = children;
+        while !rest.is_empty() {
+            let (seg, off) = self.table.locate(at);
+            let n = rest.len().min(seg.pa.capacity() - off);
+            let (run, tail) = rest.split_at(n);
+            for (k, &c) in run.iter().enumerate() {
+                // SAFETY: `off + k < capacity` because `n` is clamped to
+                // this segment, and, as in `write`, every entry of the
+                // run lies in this range's uniquely claimed entries.
+                unsafe {
+                    seg.pa.write_raw(off + k, parent);
+                    seg.ca.write_raw(off + k, c);
+                }
+            }
+            at += n;
+            rest = tail;
         }
     }
 }
@@ -542,6 +574,38 @@ mod tests {
             assert_eq!(t.parent(k as usize), k);
             assert_eq!(t.candidate(k as usize), k + 1000);
         }
+    }
+
+    #[test]
+    fn run_writes_split_only_at_segment_boundaries() {
+        let d = Device::new(DeviceConfig::test_small());
+        let arena = chain_arena(&d, 8, 8);
+        let t = PairTable::chained_on_arena(&arena, 0, 24, 24).unwrap();
+        t.reserve(5)
+            .unwrap()
+            .write_children(1, &[10, 11, 12, 13, 14]);
+        // 5..23 crosses both the 8- and the 16-entry boundary.
+        let kids: Vec<u32> = (100..118).collect();
+        let r = t.reserve(19).unwrap();
+        r.write_children(7, &kids);
+        for i in 0..5 {
+            assert_eq!(t.pair(i), (1, 10 + i as u32));
+        }
+        for (k, &c) in kids.iter().enumerate() {
+            assert_eq!(t.pair(5 + k), (7, c));
+        }
+        // A short run fills only the front of its range.
+        let t = PairTable::on_host(4);
+        t.reserve(4).unwrap().write_children(3, &[9]);
+        assert_eq!(t.pair(0), (3, 9));
+        assert_eq!(t.pair(1), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "write past pair reservation")]
+    fn run_writes_past_the_reservation_panic() {
+        let t = PairTable::on_host(8);
+        t.reserve(2).unwrap().write_children(0, &[1, 2, 3]);
     }
 
     #[test]
