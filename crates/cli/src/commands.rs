@@ -400,7 +400,7 @@ fn run_snapshot_build(opts: &SnapshotBuildOpts) -> Result<(), CmdError> {
     let mut queries = Vec::with_capacity(opts.queries.len());
     for spec in &opts.queries {
         let q = load_query(spec, opts.directed)?;
-        let plan = session.plan_for(&q)?;
+        let plan = session.plan_over(&data, &q)?;
         println!(
             "  planned {spec}: {} level(s), query key {:#018x}",
             plan.len(),
@@ -411,7 +411,7 @@ fn run_snapshot_build(opts: &SnapshotBuildOpts) -> Result<(), CmdError> {
     let mut snap = Snapshot::capture(&data, &session);
     if opts.store_tries {
         for (spec, q) in opts.queries.iter().zip(&queries) {
-            let plan = session.plan_for(q)?; // cache hit: planned above
+            let plan = session.plan_over(&data, q)?; // cache hit: planned above
             let order = plan.order.order.clone();
             let mut paths: Vec<Vec<u32>> = Vec::new();
             session.run_enumerate(&data, q, &mut |m| {
@@ -772,7 +772,7 @@ fn run_watch(opts: &WatchOpts) -> Result<(), CmdError> {
                     ]));
                 } else {
                     println!(
-                        "batch {:>3}  rank {}  {:<12} +{} -{}  ({} dirty roots, {} reseeded, {} entries released)",
+                        "batch {:>3}  rank {}  {:<12} +{} -{}  ({} arcs anchored, {} seeds, {} trie entries)",
                         u.batch,
                         u.rank,
                         opts.queries[q],

@@ -1,28 +1,29 @@
 //! Batch-dynamic matching: standing queries over a mutating data graph.
 //!
 //! A [`DynamicSession`] owns a data graph plus a set of registered
-//! standing queries, each with its current embedding set mirrored as a
-//! host trie. Applying an [`EdgeBatch`] runs the incremental pipeline:
+//! standing queries, each with its current match set kept as a sorted
+//! set of query-space embeddings. Applying an [`EdgeBatch`] produces one
+//! [`MatchDelta`] per query by enumerating only the embeddings that use
+//! an updated edge (the batch-dynamic formulation of arXiv 2401.17018).
 //!
-//! 1. the graph applies the batch in place ([`Graph::apply_batch`]),
-//!    returning the [`GraphDelta`] of changed arcs and touched vertices;
-//! 2. for every standing query the session computes the **dirty ball**
-//!    — all vertices within `|V_Q| - 1` hops of a touched vertex over
-//!    the *union* adjacency (the new graph plus the removed arcs). Any
-//!    embedding that gained or lost an edge maps some query vertex onto
-//!    a touched endpoint, and because the query is weakly connected its
-//!    image is connected in old-or-new adjacency, so its **root** lies
-//!    inside the ball. Roots outside the ball keep their subtrees
-//!    verbatim;
-//! 3. the query's trie is split with
-//!    [`HostTrie::partition_roots`]: dirty subtrees are released back
-//!    to the device arena ([`ExecSession::release_subtrees`], one
-//!    `subtree_release` trie event) while clean subtrees are retained;
-//! 4. dirty roots that pass the host-side level-0 filter are re-seeded
-//!    as a depth-1 trie and only those subtrees are re-expanded on the
-//!    device ([`ExecSession::run_seeded_enumerate`]);
-//! 5. the per-root set difference between the old and new subtrees is
-//!    the [`MatchDelta`] — embeddings added and removed by the batch.
+//! Matching is non-induced: a mapping is an embedding iff every query
+//! arc lands on a data arc. So an embedding lost by the batch maps some
+//! query arc onto a deleted arc, one gained maps some query arc onto an
+//! inserted arc, and no other embedding changes. Per batch:
+//!
+//! 1. **Lost.** On the *old* graph, every deleted data arc `(u, v)` is
+//!    anchored on every query arc `(a, b)`: `[u, v]` joins a depth-2 seed
+//!    trie under a plan whose order starts `[a, b]`, and the device
+//!    expands only those seeds ([`ExecSession::run_seeded_enumerate`]).
+//! 2. The graph applies the batch ([`Graph::apply_batch`]).
+//! 3. **Gained.** The same anchored expansion runs on the *new* graph
+//!    from the inserted arcs.
+//!
+//! An embedding may map several query arcs onto updated arcs; it is
+//! kept only at the first anchor (in query-arc order) that does, so it is
+//! emitted once without a dedup set. When the query and the data are both
+//! symmetric, each undirected query edge anchors once (`a < b`): its twin
+//! `(b, a)` lands on an updated arc exactly when `(a, b)` does.
 //!
 //! The composition of emitted deltas is exactly the full-recompute
 //! match set (`tests/dynamic_equivalence.rs` checks this byte for byte
@@ -37,7 +38,9 @@ use cuts_trie::HostTrie;
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::session::ExecSession;
+use crate::order::{label_ok, Dir, MatchOrder};
+use crate::plan::QueryPlan;
+use crate::session::{matched_query, ExecSession};
 
 /// Handle to one standing query inside a [`DynamicSession`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,13 +59,16 @@ pub struct MatchDelta {
     pub added: Vec<Vec<VertexId>>,
     /// Embeddings present before the batch but not after, sorted.
     pub removed: Vec<Vec<VertexId>>,
-    /// Distinct roots whose subtrees were marked dirty and uprooted.
+    /// Updated data arcs anchored: the deleted arcs the graph had plus
+    /// the inserted arcs.
     pub dirty_roots: usize,
-    /// Dirty-ball vertices re-seeded for device re-expansion.
+    /// Seed paths (anchor × updated arc pairs passing the host filter)
+    /// launched for device expansion.
     pub reseeded: usize,
-    /// Trie entries released back to the arena before re-expansion.
+    /// Trie entries the anchored runs built (seeds included) and
+    /// returned to the arena.
     pub released_entries: usize,
-    /// Simulated device milliseconds the re-expansion cost.
+    /// Simulated device milliseconds the anchored runs cost.
     pub sim_millis: f64,
 }
 
@@ -90,12 +96,12 @@ pub struct BatchOutcome {
 }
 
 /// Failures of the batch-dynamic pipeline: either the batch itself was
-/// rejected (graph untouched) or a device re-expansion failed.
+/// rejected (graph untouched) or an anchored expansion failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DynamicError {
     /// The edge batch failed validation; nothing was applied.
     Batch(BatchError),
-    /// A standing query's re-expansion failed on the device.
+    /// A standing query's anchored expansion failed on the device.
     Engine(EngineError),
 }
 
@@ -122,42 +128,117 @@ impl From<EngineError> for DynamicError {
     }
 }
 
-/// One registered standing query: its graph, its matching order (fixed
-/// at registration) and the host mirror of its current embedding trie
-/// (full paths in order space).
-struct StandingQuery {
-    query: Graph,
-    /// `order[l]` = query vertex matched at depth `l`.
-    order: Vec<VertexId>,
-    trie: HostTrie,
+/// A query arc `(a, b)` and the plan whose matching order starts `[a, b]`.
+struct Anchor {
+    arc: (VertexId, VertexId),
+    plan: QueryPlan,
 }
 
-impl StandingQuery {
-    /// All current embeddings as order-space paths.
-    fn paths(&self) -> Vec<Vec<u32>> {
-        let n = self.order.len();
-        if self.trie.depth() == n {
-            self.trie.paths_at_level(n - 1)
-        } else {
-            Vec::new()
-        }
-    }
+/// One registered standing query: its graph, one anchor per query arc it
+/// is anchored on (fixed at registration) and its current match set.
+struct StandingQuery {
+    query: Graph,
+    anchors: Vec<Anchor>,
+    matches: BTreeSet<Vec<VertexId>>,
+}
 
-    /// Converts an order-space path to a query-vertex-space embedding.
-    fn to_embedding(&self, path: &[u32]) -> Vec<VertexId> {
-        let mut emb = vec![0u32; self.order.len()];
-        for (l, &q) in self.order.iter().enumerate() {
-            emb[q as usize] = path[l];
-        }
-        emb
+/// What the anchored runs over one set of updated arcs produced.
+#[derive(Default)]
+struct Anchored {
+    /// Each embedding using an updated arc, exactly once, unsorted.
+    embeddings: Vec<Vec<VertexId>>,
+    seeds: usize,
+    entries: usize,
+    sim_millis: f64,
+}
+
+/// The anchors of `query` over `data`: one per arc of the graph that is
+/// matched (the directed closure of a symmetric query over directed
+/// data), or one per undirected edge when that graph is symmetric, which
+/// it is exactly when the query and the data both are. Plans are built
+/// here rather than cached: their [`crate::PlanKey`] is the query's.
+fn anchors(
+    session: &ExecSession<'_>,
+    data: &Graph,
+    query: &Graph,
+) -> Result<Vec<Anchor>, EngineError> {
+    let matched = matched_query(data, query);
+    let twins = matched.is_symmetric();
+    matched
+        .edges()
+        .filter(|&(a, b)| !twins || a < b)
+        .map(|(a, b)| {
+            let order = MatchOrder::grow_greedy(&matched, vec![a, b])?;
+            let order = MatchOrder::from_order(&matched, order)?;
+            let plan = QueryPlan::with_order(&matched, order, session.config(), session.class())?;
+            Ok(Anchor { arc: (a, b), plan })
+        })
+        .collect()
+}
+
+/// Host-side replica of the device filters on an anchored order's first
+/// two levels: degree dominance and label at both, the level-1 back
+/// edges, and injectivity.
+fn seed_passes(data: &Graph, o: &MatchOrder, u: VertexId, v: VertexId) -> bool {
+    u != v
+        && [u, v].iter().enumerate().all(|(l, &w)| {
+            data.degree_dominates(w, o.q_out[l], o.q_in[l]) && label_ok(data, w, o.q_label[l])
+        })
+        && o.back_edges[1].iter().all(|be| match be.dir {
+            Dir::Out => data.has_edge(u, v),
+            Dir::In => data.has_edge(v, u),
+        })
+}
+
+/// Enumerates every embedding of `sq` in `data` that maps a query arc
+/// onto one of `updated` (sorted, deduplicated arcs of `data`), each
+/// exactly once: at the first anchor whose arc lands on an updated arc.
+fn anchored(
+    session: &ExecSession<'_>,
+    data: &Graph,
+    sq: &StandingQuery,
+    updated: &[(VertexId, VertexId)],
+) -> Result<Anchored, EngineError> {
+    let mut out = Anchored::default();
+    if updated.is_empty() {
+        return Ok(out);
     }
+    for (i, anchor) in sq.anchors.iter().enumerate() {
+        let paths: Vec<Vec<VertexId>> = updated
+            .iter()
+            .filter(|&&(u, v)| seed_passes(data, &anchor.plan.order, u, v))
+            .map(|&(u, v)| vec![u, v])
+            .collect();
+        if paths.is_empty() {
+            continue;
+        }
+        out.seeds += paths.len();
+        let earlier = &sq.anchors[..i];
+        let embeddings = &mut out.embeddings;
+        let mut sink = |m: &[u32]| {
+            let lands = |(a, b): (VertexId, VertexId)| {
+                updated
+                    .binary_search(&(m[a as usize], m[b as usize]))
+                    .is_ok()
+            };
+            if !earlier.iter().any(|e| lands(e.arc)) {
+                embeddings.push(m.to_vec());
+            }
+        };
+        let seed = HostTrie::from_flat_paths(&paths);
+        let r = session.run_seeded_enumerate(&anchor.plan, data, &seed, &mut sink)?;
+        out.entries += r.level_counts.iter().sum::<u64>() as usize;
+        out.sim_millis += r.sim_millis;
+    }
+    Ok(out)
 }
 
 /// Vertices within `radius` hops of the delta's touched set over the
 /// union adjacency: the post-batch graph (which already contains every
 /// inserted arc) plus the removed arcs in both directions (so
-/// connectivity that existed only before the batch still counts).
-/// Every embedding gaining or losing an edge has its root in this set.
+/// connectivity that existed only before the batch still counts). A
+/// diagnostic of how far a batch could reach; the apply path does not
+/// use it.
 pub fn dirty_ball(graph: &Graph, delta: &GraphDelta, radius: usize) -> HashSet<VertexId> {
     let mut removed_adj: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
     for &(u, v) in &delta.removed {
@@ -225,25 +306,18 @@ impl<'d> DynamicSession<'d> {
 
     /// Registers `query` (which must be weakly connected, like every
     /// [`ExecSession::run`] input) as a standing query: runs the full
-    /// initial expansion and retains the embedding trie for incremental
-    /// maintenance.
+    /// initial expansion, keeps its match set and plans one anchor per
+    /// query arc for incremental maintenance.
     pub fn register(&mut self, query: &Graph) -> Result<StandingQueryId, EngineError> {
-        let plan = self.session.plan_for(query)?;
-        let order = plan.order.order.clone();
-        let mut paths: Vec<Vec<u32>> = Vec::new();
-        {
-            let order = &order;
-            let mut sink = |m: &[u32]| {
-                paths.push(order.iter().map(|&q| m[q as usize]).collect());
-            };
-            self.session.run_enumerate(&self.graph, query, &mut sink)?;
-        }
-        paths.sort_unstable();
+        let mut matches = BTreeSet::new();
+        self.session.run_enumerate(&self.graph, query, &mut |m| {
+            matches.insert(m.to_vec());
+        })?;
         let id = StandingQueryId(self.queries.len());
         self.queries.push(StandingQuery {
             query: query.clone(),
-            order,
-            trie: HostTrie::from_flat_paths(&paths),
+            anchors: anchors(&self.session, &self.graph, query)?,
+            matches,
         });
         Ok(id)
     }
@@ -252,8 +326,7 @@ impl<'d> DynamicSession<'d> {
     /// the composition of its initial expansion with every delta
     /// emitted since.
     pub fn match_set(&self, id: StandingQueryId) -> BTreeSet<Vec<VertexId>> {
-        let sq = &self.queries[id.0];
-        sq.paths().iter().map(|p| sq.to_embedding(p)).collect()
+        self.queries[id.0].matches.clone()
     }
 
     /// Ground truth: a fresh full expansion of the standing query over
@@ -271,11 +344,19 @@ impl<'d> DynamicSession<'d> {
 
     /// Applies `batch` to the graph and incrementally maintains every
     /// standing query, returning the arc delta plus one [`MatchDelta`]
-    /// per query. On a batch validation error nothing changes; on an
-    /// engine error the graph has advanced but standing state is only
-    /// updated for the queries processed before the failure (re-register
-    /// to resynchronise).
+    /// per query. The lost embeddings are enumerated before the batch is
+    /// validated, from the deleted arcs the graph actually has; on a
+    /// validation error, or an engine error on that side, nothing
+    /// changes. An engine error on the gained side leaves the graph
+    /// advanced and updates only the queries processed before the
+    /// failure (re-register to resynchronise).
     pub fn apply_batch(&mut self, batch: &EdgeBatch) -> Result<BatchOutcome, DynamicError> {
+        let deleted = present_arcs(&self.graph, batch.deletes());
+        let lost = self
+            .queries
+            .iter()
+            .map(|sq| anchored(&self.session, &self.graph, sq, &deleted))
+            .collect::<Result<Vec<_>, _>>()?;
         let delta = self.graph.apply_batch(batch)?;
         let trace = self.session.device().trace();
         trace.instant_with(
@@ -288,78 +369,39 @@ impl<'d> DynamicSession<'d> {
                 ("version", Arg::U64(delta.version)),
             ],
         );
-        let session = &self.session;
-        let graph = &self.graph;
         let mut deltas = Vec::with_capacity(self.queries.len());
-        for (qi, sq) in self.queries.iter_mut().enumerate() {
-            let n = sq.order.len();
-            let ball = dirty_ball(graph, &delta, n - 1);
-            let (clean, dirty) = sq.trie.partition_roots(|r| ball.contains(&r));
-            let dirty_roots = dirty.levels.first().map_or(0, |r| r.len());
-            let released = session.release_subtrees(&dirty)?;
-            let old_paths: BTreeSet<Vec<u32>> = if dirty.depth() == n {
-                dirty.paths_at_level(n - 1).into_iter().collect()
-            } else {
-                BTreeSet::new()
-            };
-
-            // Re-seed every ball vertex that passes the level-0 filter
-            // on the *new* graph (vertices failing it host no roots).
-            let mut seeds: Vec<u32> = Vec::new();
-            for &v in &ball {
-                if session.root_passes(graph, &sq.query, v)? {
-                    seeds.push(v);
-                }
+        for (qi, (sq, lost)) in self.queries.iter_mut().zip(lost).enumerate() {
+            let gained = anchored(&self.session, &self.graph, sq, &delta.inserted)?;
+            let mut removed = lost.embeddings;
+            let mut added = gained.embeddings;
+            removed.sort_unstable();
+            added.sort_unstable();
+            for e in &removed {
+                sq.matches.remove(e);
             }
-            seeds.sort_unstable();
-
-            let mut new_paths: BTreeSet<Vec<u32>> = BTreeSet::new();
-            let mut sim_millis = 0.0;
-            if !seeds.is_empty() {
-                let seed_paths: Vec<Vec<u32>> = seeds.iter().map(|&v| vec![v]).collect();
-                let seed = HostTrie::from_flat_paths(&seed_paths);
-                let order = &sq.order;
-                let mut sink = |m: &[u32]| {
-                    new_paths.insert(order.iter().map(|&q| m[q as usize]).collect());
-                };
-                let r = session.run_seeded_enumerate(graph, &sq.query, &seed, &mut sink)?;
-                sim_millis = r.sim_millis;
-            }
-
-            let added: Vec<Vec<u32>> = new_paths.difference(&old_paths).cloned().collect();
-            let removed: Vec<Vec<u32>> = old_paths.difference(&new_paths).cloned().collect();
-
-            // Merge: untouched subtrees verbatim, re-expanded subtrees
-            // from the device run, rebuilt as one prefix-shared trie.
-            let mut all: Vec<Vec<u32>> = if clean.depth() == n {
-                clean.paths_at_level(n - 1)
-            } else {
-                Vec::new()
+            sq.matches.extend(added.iter().cloned());
+            let d = MatchDelta {
+                query: StandingQueryId(qi),
+                added,
+                removed,
+                dirty_roots: deleted.len() + delta.inserted.len(),
+                reseeded: lost.seeds + gained.seeds,
+                released_entries: lost.entries + gained.entries,
+                sim_millis: lost.sim_millis + gained.sim_millis,
             };
-            all.extend(new_paths.iter().cloned());
-            all.sort_unstable();
-            sq.trie = HostTrie::from_flat_paths(&all);
-
             trace.instant_with(
                 EventKind::Batch,
                 "delta",
                 &[
                     ("query", Arg::U64(qi as u64)),
-                    ("added", Arg::U64(added.len() as u64)),
-                    ("removed", Arg::U64(removed.len() as u64)),
-                    ("dirty_roots", Arg::U64(dirty_roots as u64)),
-                    ("released", Arg::U64(released as u64)),
+                    ("added", Arg::U64(d.added.len() as u64)),
+                    ("removed", Arg::U64(d.removed.len() as u64)),
+                    ("anchored_arcs", Arg::U64(d.dirty_roots as u64)),
+                    ("seeds", Arg::U64(d.reseeded as u64)),
+                    ("entries", Arg::U64(d.released_entries as u64)),
                 ],
             );
-            deltas.push(MatchDelta {
-                query: StandingQueryId(qi),
-                added: added.iter().map(|p| sq.to_embedding(p)).collect(),
-                removed: removed.iter().map(|p| sq.to_embedding(p)).collect(),
-                dirty_roots,
-                reseeded: seeds.len(),
-                released_entries: released,
-                sim_millis,
-            });
+            deltas.push(d);
         }
         Ok(BatchOutcome {
             graph: delta,
@@ -368,11 +410,31 @@ impl<'d> DynamicSession<'d> {
     }
 }
 
+/// The arcs of `graph` that `deletes` names (both orientations on a
+/// symmetric graph), sorted and deduplicated. Entries the graph does not
+/// have are skipped: batch validation, which runs later, rejects them.
+fn present_arcs(graph: &Graph, deletes: &[(VertexId, VertexId)]) -> Vec<(VertexId, VertexId)> {
+    let n = graph.num_vertices() as VertexId;
+    let mut arcs = Vec::with_capacity(2 * deletes.len());
+    for &(u, v) in deletes {
+        if u < n && v < n && graph.has_edge(u, v) {
+            arcs.push((u, v));
+            if graph.is_symmetric() {
+                arcs.push((v, u));
+            }
+        }
+    }
+    arcs.sort_unstable();
+    arcs.dedup();
+    arcs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::enumerate_embeddings;
     use cuts_gpu_sim::DeviceConfig;
-    use cuts_graph::generators::{clique, erdos_renyi, mesh2d};
+    use cuts_graph::generators::{chain, clique, cycle, erdos_renyi, mesh2d};
 
     fn session(graph: Graph) -> DynamicSession<'static> {
         let device = Box::leak(Box::new(Device::new(DeviceConfig::test_small())));
@@ -450,18 +512,19 @@ mod tests {
     }
 
     #[test]
-    fn clean_subtrees_are_not_reexpanded() {
-        // Two far-apart regions on a long mesh: edits in one corner must
-        // not re-seed roots in the other.
+    fn only_updated_edges_are_seeded() {
+        // Far-apart regions on a long mesh: an edit in one corner seeds
+        // only its own arcs, never the rest of the graph.
         let mut dyn_s = session(mesh2d(2, 20));
         let q = dyn_s.register(&clique(3)).unwrap();
         let mut b = EdgeBatch::new();
-        b.insert(0, 3); // a diagonal in the left corner
+        b.insert(0, 21); // a diagonal in the left corner
         let out = dyn_s.apply_batch(&b).unwrap();
         let d = &out.deltas[0];
-        // Ball radius 2 around {0, 3} stays well left of column 10.
-        assert!(d.reseeded > 0);
-        assert!(d.reseeded < 20, "reseeded {} of 40 vertices", d.reseeded);
+        assert_eq!(d.dirty_roots, 2, "both arcs of the inserted edge");
+        // Three undirected query edges anchor each of the two arcs.
+        assert!(d.reseeded > 0 && d.reseeded <= 6, "{} seeds", d.reseeded);
+        assert_eq!(d.added.len(), 12, "triangles 0-1-21 and 0-20-21");
         assert_eq!(dyn_s.match_set(q), dyn_s.recompute(q).unwrap());
     }
 
@@ -491,5 +554,163 @@ mod tests {
         // each other; via the new graph 0 sees 2 and 1 sees 3.
         let ball = dirty_ball(&g, &delta, 1);
         assert_eq!(ball, [0u32, 1, 2, 3].into_iter().collect::<HashSet<_>>());
+    }
+
+    /// Each edge of a random undirected graph as one arc (low id to high
+    /// id), a third of them reciprocated.
+    fn directed_data(n: usize, m: usize, seed: u64) -> Graph {
+        let arcs: Vec<(VertexId, VertexId)> = erdos_renyi(n, m, seed)
+            .edges()
+            .filter(|&(u, v)| u < v || (u + v) % 3 == 0)
+            .collect();
+        Graph::directed(n, &arcs)
+    }
+
+    /// A seeded schedule of `rounds` batches, each deleting and inserting
+    /// `edits` edges (arcs on directed data). After every batch the
+    /// folded deltas must equal both the recompute and the reference
+    /// matcher.
+    fn check_schedule(data: Graph, query: &Graph, rounds: usize, edits: usize, seed: u64) {
+        let n = data.num_vertices() as u64;
+        let mut dyn_s = session(data);
+        let q = dyn_s.register(query).unwrap();
+        let mut folded = dyn_s.match_set(q);
+        let mut state = seed;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % bound) as VertexId
+        };
+        for round in 0..rounds {
+            let g = dyn_s.graph();
+            let canon = |u: VertexId, v: VertexId| {
+                if g.is_symmetric() {
+                    (u.min(v), u.max(v))
+                } else {
+                    (u, v)
+                }
+            };
+            let present: Vec<_> = g.edges().filter(|&(u, v)| canon(u, v) == (u, v)).collect();
+            let mut named = BTreeSet::new();
+            let mut b = EdgeBatch::new();
+            while named.len() < edits {
+                let (u, v) = present[next(present.len() as u64) as usize];
+                if named.insert((u, v)) {
+                    b.delete(u, v);
+                }
+            }
+            while named.len() < 2 * edits {
+                let (u, v) = (next(n), next(n));
+                if u != v && !g.has_edge(u, v) && named.insert(canon(u, v)) {
+                    b.insert(u, v);
+                }
+            }
+            let out = dyn_s.apply_batch(&b).unwrap();
+            fold_delta(&mut folded, &out.deltas[0]);
+            let fresh = dyn_s.recompute(q).unwrap();
+            assert_eq!(folded, fresh, "round {round}: folded deltas vs recompute");
+            assert_eq!(folded, dyn_s.match_set(q), "round {round}: standing set");
+            let mut want = BTreeSet::new();
+            enumerate_embeddings(dyn_s.graph(), query, &mut |m| {
+                want.insert(m.to_vec());
+            });
+            assert_eq!(fresh, want, "round {round}: recompute vs reference");
+        }
+    }
+
+    #[test]
+    fn directed_queries_on_directed_data_track_recompute() {
+        let triangle = Graph::directed(3, &[(0, 1), (1, 2), (2, 0)]);
+        let out_star = Graph::directed(4, &[(0, 1), (0, 2), (0, 3)]);
+        let two_cycle = Graph::directed(2, &[(0, 1), (1, 0)]);
+        for (i, query) in [triangle, out_star, two_cycle].iter().enumerate() {
+            check_schedule(directed_data(30, 150, 3), query, 6, 4, 10 + i as u64);
+        }
+    }
+
+    #[test]
+    fn symmetric_query_on_directed_data_tracks_recompute() {
+        for (i, query) in [clique(3), cycle(4), chain(3)].iter().enumerate() {
+            check_schedule(directed_data(30, 150, 4), query, 6, 4, 20 + i as u64);
+        }
+    }
+
+    #[test]
+    fn two_vertex_query_needs_no_kernel() {
+        // The depth-2 seed already is the full embedding: seeds are
+        // emitted as they are, with no expansion launched.
+        for (i, (data, query)) in [
+            (erdos_renyi(30, 90, 2), chain(2)),
+            (directed_data(30, 150, 5), Graph::directed(2, &[(0, 1)])),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut dyn_s = session(data.clone());
+            let q = dyn_s.register(&query).unwrap();
+            let mut b = EdgeBatch::new();
+            let (u, v) = data.edges().next().unwrap();
+            b.delete(u, v);
+            let device = dyn_s.session().device();
+            let launches = device.counters().kernel_launches;
+            let out = dyn_s.apply_batch(&b).unwrap();
+            assert_eq!(device.counters().kernel_launches, launches);
+            let d = &out.deltas[0];
+            assert!(d.reseeded > 0);
+            assert_eq!(d.removed.len(), if data.is_symmetric() { 2 } else { 1 });
+            assert_eq!(dyn_s.match_set(q), dyn_s.recompute(q).unwrap());
+            check_schedule(data, &query, 4, 3, 30 + i as u64);
+        }
+    }
+
+    #[test]
+    fn label_mismatch_rejects_seeds() {
+        // Labels 0 on the left half of a 4x4 mesh, 1 on the right; the
+        // query wants three label-1 vertices.
+        let labels = (0..16).map(|v| u32::from(v % 4 >= 2)).collect();
+        let data = mesh2d(4, 4).with_labels(labels);
+        let query = clique(3).with_labels(vec![1, 1, 1]);
+        let mut dyn_s = session(data.clone());
+        let q = dyn_s.register(&query).unwrap();
+
+        let mut b = EdgeBatch::new();
+        b.insert(0, 5); // a diagonal among label-0 vertices
+        let d = &dyn_s.apply_batch(&b).unwrap().deltas[0];
+        assert_eq!(
+            (d.reseeded, d.len()),
+            (0, 0),
+            "no seed passes the label check"
+        );
+
+        let mut b = EdgeBatch::new();
+        b.insert(2, 7); // a diagonal among label-1 vertices
+        let d = &dyn_s.apply_batch(&b).unwrap().deltas[0];
+        assert!(d.reseeded > 0);
+        assert_eq!(d.added.len(), 12, "triangles 2-3-7 and 2-6-7");
+        assert_eq!(dyn_s.match_set(q), dyn_s.recompute(q).unwrap());
+        check_schedule(data, &query, 6, 3, 40);
+    }
+
+    #[test]
+    fn embedding_losing_two_edges_is_removed_once() {
+        let mut dyn_s = session(clique(4));
+        let q = dyn_s.register(&clique(3)).unwrap();
+        let mut folded = dyn_s.match_set(q);
+        let mut b = EdgeBatch::new();
+        b.delete(0, 1).delete(1, 2); // both edges of triangle 0-1-2
+        let d = dyn_s.apply_batch(&b).unwrap().deltas.remove(0);
+        let distinct: BTreeSet<_> = d.removed.iter().collect();
+        assert_eq!(distinct.len(), d.removed.len(), "no embedding twice");
+        // Every triangle but 0-2-3 used one of the two edges.
+        assert_eq!(d.removed.len(), 18);
+        fold_delta(&mut folded, &d);
+        assert_eq!(folded, dyn_s.recompute(q).unwrap());
+
+        // And back: the triangles gaining both edges appear once.
+        let d = dyn_s.apply_batch(&b.inverse()).unwrap().deltas.remove(0);
+        assert_eq!(d.added.len(), 18);
+        fold_delta(&mut folded, &d);
+        assert_eq!(folded, dyn_s.recompute(q).unwrap());
     }
 }

@@ -118,8 +118,9 @@ impl MatchOrder {
         position: &[usize],
     ) -> Vec<Vec<BackEdge>> {
         // For symmetric (undirected) queries each adjacency appears in both
-        // directions; one constraint per edge suffices because the data
-        // graph is symmetric too.
+        // directions; one constraint per edge suffices only when the data
+        // graph is symmetric too. Over directed data the session plans
+        // the query's directed closure instead (`ExecSession::plan_over`).
         let symmetric = query.is_symmetric();
         let n = order.len();
         let mut back_edges = Vec::with_capacity(n);
@@ -204,32 +205,42 @@ impl MatchOrder {
         // Undirected degree view for selection: out-degree as the paper
         // specifies (for symmetrised graphs they coincide).
         let deg = |v: VertexId| query.out_degree(v);
-
         let root = (0..n as VertexId)
             .max_by(|&a, &b| deg(a).cmp(&deg(b)).then(b.cmp(&a)))
             .expect("non-empty");
+        Self::from_order(query, Self::grow_greedy(query, vec![root])?)
+    }
 
-        let mut order = Vec::with_capacity(n);
-        let mut position = vec![usize::MAX; n];
-        let mut in_prefix = vec![false; n];
-        let mut frontier_mark = vec![false; n];
-        order.push(root);
-        position[root as usize] = 0;
-        in_prefix[root as usize] = true;
-
+    /// Extends a connected `prefix` to a full order with the degree-greedy
+    /// rule: each next position takes the highest-out-degree vertex
+    /// adjacent to the ordered prefix (min id on ties). [`compute`] grows
+    /// from the max-degree root; the batch-dynamic matcher grows from an
+    /// anchor edge `[a, b]`.
+    ///
+    /// [`compute`]: MatchOrder::compute
+    pub(crate) fn grow_greedy(
+        query: &Graph,
+        mut order: Vec<VertexId>,
+    ) -> Result<Vec<VertexId>, EngineError> {
+        let n = query.num_vertices();
+        let deg = |v: VertexId| query.out_degree(v);
+        // A vertex is marked once it is ordered or on the frontier.
+        let mut marked = vec![false; n];
+        for &v in &order {
+            marked[v as usize] = true;
+        }
         let mut frontier: Vec<VertexId> = Vec::new();
-        let push_neighbors = |v: VertexId,
-                              frontier: &mut Vec<VertexId>,
-                              in_prefix: &[bool],
-                              frontier_mark: &mut [bool]| {
+        let mut push_neighbors = |v: VertexId, frontier: &mut Vec<VertexId>| {
             for &w in query.out_neighbors(v).iter().chain(query.in_neighbors(v)) {
-                if !in_prefix[w as usize] && !frontier_mark[w as usize] {
-                    frontier_mark[w as usize] = true;
+                if !marked[w as usize] {
+                    marked[w as usize] = true;
                     frontier.push(w);
                 }
             }
         };
-        push_neighbors(root, &mut frontier, &in_prefix, &mut frontier_mark);
+        for &v in &order {
+            push_neighbors(v, &mut frontier);
+        }
 
         while order.len() < n {
             // Max out-degree in the frontier, min id on ties.
@@ -241,24 +252,10 @@ impl MatchOrder {
                 return Err(EngineError::DisconnectedQuery);
             };
             let v = frontier.swap_remove(idx);
-            position[v as usize] = order.len();
             order.push(v);
-            in_prefix[v as usize] = true;
-            push_neighbors(v, &mut frontier, &in_prefix, &mut frontier_mark);
+            push_neighbors(v, &mut frontier);
         }
-
-        let back_edges = Self::build_back_edges(query, &order, &position);
-        let q_out = order.iter().map(|&q| query.out_degree(q)).collect();
-        let q_in = order.iter().map(|&q| query.in_degree(q)).collect();
-        let q_label = order.iter().map(|&q| query.label(q)).collect();
-        Ok(MatchOrder {
-            order,
-            position,
-            back_edges,
-            q_out,
-            q_in,
-            q_label,
-        })
+        Ok(order)
     }
 
     /// Number of levels (query vertices).

@@ -188,6 +188,19 @@ impl QueryPlan {
         class: &DeviceClass,
     ) -> Result<QueryPlan, EngineError> {
         let order = MatchOrder::compute_with_policy(query, config.order_policy)?;
+        Self::with_order(query, order, config, class)
+    }
+
+    /// [`QueryPlan::build`] over an explicit matching order (e.g. one
+    /// starting from an anchor edge). The key is still the query's
+    /// [`PlanKey`], so such a plan must not enter a [`crate::PlanCache`]:
+    /// it would shadow the query's policy-ordered plan.
+    pub(crate) fn with_order(
+        query: &Graph,
+        order: MatchOrder,
+        config: &EngineConfig,
+        class: &DeviceClass,
+    ) -> Result<QueryPlan, EngineError> {
         let schedule = (1..order.len())
             .map(|pos| LevelSchedule {
                 pos,

@@ -175,7 +175,8 @@ pub struct JobOutcome {
     pub queue_millis: f64,
     /// Milliseconds spent executing (including pacing sleep).
     pub exec_millis: f64,
-    /// Trie entry capacity the job was sized to.
+    /// Trie entry capacity the job was sized to (for a watch delta: the
+    /// entries its anchored runs built).
     pub trie_entries: usize,
     /// The run result, or the typed failure.
     pub result: Result<MatchResult, CutsError>,

@@ -604,7 +604,7 @@ impl<'e> ServeShared<'e, '_> {
         let Some(session) = self.sizing_session() else {
             return 0;
         };
-        match session.plan_for(&job.query) {
+        match session.plan_over(&job.data, &job.query) {
             Ok(plan) => {
                 let key = (Arc::as_ptr(&job.data) as usize, plan.key.query);
                 if let Some(&words) = self.sizing_memo.lock().unwrap().get(&key) {
@@ -1291,7 +1291,7 @@ impl ServeTier {
             let queued = start.elapsed().as_secs_f64() * 1e3;
             let exec_start = Instant::now();
             let result = session
-                .plan_for(&job.query)
+                .plan_over(&job.data, &job.query)
                 .map_err(CutsError::from)
                 .and_then(|plan| {
                     let entries = job_entries_for(&plan, &job.data, cfg.sigma);
@@ -1456,7 +1456,7 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
         let job = &q.seed.job;
         let outcome_result;
         let mut trie_entries = 0usize;
-        match dev.session.plan_for(&job.query) {
+        match dev.session.plan_over(&job.data, &job.query) {
             Err(e) => {
                 outcome_result = Err(CutsError::from(e));
             }

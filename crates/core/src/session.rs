@@ -18,6 +18,7 @@
 //! issued, even when other sessions — or other serving lanes — drive
 //! the same device concurrently.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -31,7 +32,7 @@ use cuts_gpu_sim::{
     Arena, ArenaStats, ClassSpec, CostModel, CounterSink, Counters, Device, DeviceError,
 };
 use cuts_graph::components::{extract_component, weakly_connected_components};
-use cuts_graph::{Graph, VertexId};
+use cuts_graph::Graph;
 use cuts_obs::flight::{self, FlightCode};
 use cuts_obs::{Arg, EventKind, Json, ToJson};
 use cuts_trie::{PairTable, Trie};
@@ -47,6 +48,17 @@ use crate::result::MatchResult;
 /// Sink receiving one complete embedding at a time; the slice is indexed
 /// by *query vertex id* (`m[q]` = matched data vertex).
 pub type MatchSink<'s> = &'s mut dyn FnMut(&[u32]);
+
+/// The graph that matches `query` over `data`: `query` itself, or its
+/// directed closure when a symmetric query meets directed data (see
+/// [`ExecSession::plan_over`]).
+pub(crate) fn matched_query<'q>(data: &Graph, query: &'q Graph) -> Cow<'q, Graph> {
+    if query.is_symmetric() && !data.is_symmetric() {
+        Cow::Owned(query.to_directed())
+    } else {
+        Cow::Borrowed(query)
+    }
+}
 
 /// Default number of plans a session retains.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 16;
@@ -328,16 +340,30 @@ impl<'d> ExecSession<'d> {
         plan
     }
 
+    /// The (cached) plan that matches `query` over `data`. A symmetric
+    /// query's plan keeps one constraint per undirected edge, which is
+    /// exact only over symmetric data; over directed data the query is
+    /// planned as its directed closure, so both arcs of each edge are
+    /// constrained. The closure orders identically (only the back edges
+    /// differ) and caches under its own key. Every `(data, query)` entry
+    /// point plans through here; callers of
+    /// [`ExecSession::run_with_plan`] should too.
+    pub fn plan_over(&self, data: &Graph, query: &Graph) -> Result<Arc<QueryPlan>, EngineError> {
+        self.plan_for(&matched_query(data, query))
+    }
+
     /// Counts all embeddings of `query` in `data`. The query must be
     /// (weakly) connected — see [`ExecSession::run_disconnected`]
     /// otherwise.
     pub fn run(&self, data: &Graph, query: &Graph) -> Result<MatchResult, EngineError> {
-        let plan = self.plan_for(query)?;
+        let plan = self.plan_over(data, query)?;
         self.run_inner(&plan, data, None, None, None)
     }
 
     /// Executes an already-built plan over `data` (the batch entry points
-    /// and benchmarks use this to separate plan cost from run cost).
+    /// and benchmarks use this to separate plan cost from run cost). Get
+    /// the plan from [`ExecSession::plan_over`] when `data` may be
+    /// directed.
     pub fn run_with_plan(
         &self,
         plan: &QueryPlan,
@@ -368,7 +394,7 @@ impl<'d> ExecSession<'d> {
         query: &Graph,
         sink: MatchSink<'_>,
     ) -> Result<MatchResult, EngineError> {
-        let plan = self.plan_for(query)?;
+        let plan = self.plan_over(data, query)?;
         self.run_inner(&plan, data, Some(sink), None, None)
     }
 
@@ -384,90 +410,45 @@ impl<'d> ExecSession<'d> {
         query: &Graph,
         seed: &cuts_trie::HostTrie,
     ) -> Result<MatchResult, EngineError> {
-        let plan = self.plan_for(query)?;
+        let plan = self.plan_over(data, query)?;
         self.run_inner(&plan, data, None, Some(seed), None)
     }
 
-    /// [`ExecSession::run_seeded`] with streaming: every completion of a
-    /// seeded path is handed to `sink` as a full embedding in
-    /// query-vertex space. This is the incremental matcher's workhorse —
-    /// dirty roots become a depth-1 seed and only their subtrees are
-    /// re-expanded on the device.
+    /// Streams every completion of the seeded partial paths under an
+    /// explicit `plan` (seed level `l` holds query vertex
+    /// `plan.order.order[l]`), as full embeddings in query-vertex space.
+    /// The batch-dynamic matcher's workhorse: it seeds the data arcs of
+    /// an updated edge at depth 2 under a plan whose order starts at the
+    /// anchoring query edge. The plan must suit `data` (see
+    /// [`ExecSession::plan_over`]).
     pub fn run_seeded_enumerate(
         &self,
+        plan: &QueryPlan,
         data: &Graph,
-        query: &Graph,
         seed: &cuts_trie::HostTrie,
         sink: MatchSink<'_>,
     ) -> Result<MatchResult, EngineError> {
-        let plan = self.plan_for(query)?;
-        self.run_inner(&plan, data, Some(sink), Some(seed), None)
+        self.run_inner(plan, data, Some(sink), Some(seed), None)
     }
 
-    /// Host-side replica of the level-0 root filter (Definition 5 degree
-    /// dominance plus label compatibility) for `query`'s matching order.
-    /// The signature prefilter is deliberately elided: it is
-    /// pruning-sound (a vertex it rejects hosts no embeddings), so
-    /// seeding such a vertex costs a fruitless expansion but never
-    /// changes the match set. Used by the batch-dynamic path to decide
-    /// which dirty vertices are worth re-seeding.
-    pub fn root_passes(
-        &self,
-        data: &Graph,
-        query: &Graph,
-        v: VertexId,
-    ) -> Result<bool, EngineError> {
-        let plan = self.plan_for(query)?;
-        let o = &plan.order;
-        Ok(data.degree_dominates(v, o.q_out[0], o.q_in[0])
-            && crate::order::label_ok(data, v, o.q_label[0]))
-    }
-
-    /// Materialises `dirty` (the subtrees uprooted by a batch of edge
-    /// edits) on an arena chain and immediately releases it: the slabs
-    /// the stale subtrees occupied return to the arena before their
-    /// roots are re-expanded. Emits one `subtree_release` trie event
-    /// carrying the entry and root counts; returns the entries released.
-    pub fn release_subtrees(&self, dirty: &cuts_trie::HostTrie) -> Result<usize, EngineError> {
-        let entries = dirty.len();
-        if entries == 0 {
-            return Ok(0);
-        }
-        let mut trie = self.acquire_trie()?;
-        trie.load(dirty)?;
-        drop(trie); // slabs return to the arena here
-        self.device.trace().instant_with(
-            EventKind::Trie,
-            "subtree_release",
-            &[
-                ("entries", Arg::U64(entries as u64)),
-                (
-                    "roots",
-                    Arg::U64(dirty.levels.first().map_or(0, |r| r.len()) as u64),
-                ),
-            ],
-        );
-        Ok(entries)
-    }
-
-    /// Runs one query over many data graphs, planning once. Results are in
-    /// input order, one `Result` per data graph — a failure on one graph
-    /// (say, a capacity exhaustion) does not discard the completed runs.
-    /// The trie buffers and the plan are shared across the whole batch,
-    /// so only the first element can trigger device allocation. When the
-    /// query itself cannot be planned, every slot carries that error.
+    /// Runs one query over many data graphs, planning through the plan
+    /// cache (so once, when caching is on). Results are in input order,
+    /// one `Result` per data graph — a failure on one graph (say, a
+    /// capacity exhaustion) does not discard the completed runs. The trie buffers and the plan
+    /// are shared across the whole batch, so only the first element can
+    /// trigger device allocation. When the query itself cannot be
+    /// planned, every slot carries that error.
     pub fn run_batch(
         &self,
         datas: &[Graph],
         query: &Graph,
     ) -> Vec<Result<MatchResult, EngineError>> {
-        let plan = match self.plan_for(query) {
-            Ok(p) => p,
-            Err(e) => return datas.iter().map(|_| Err(e.clone())).collect(),
-        };
         datas
             .iter()
-            .map(|data| self.run_inner(&plan, data, None, None, None))
+            .map(|data| {
+                let plan = self.plan_over(data, query)?;
+                self.run_inner(&plan, data, None, None, None)
+            })
             .collect()
     }
 
@@ -531,7 +512,7 @@ impl<'d> ExecSession<'d> {
         query: &Graph,
         seed: &cuts_trie::HostTrie,
     ) -> Result<cuts_trie::HostTrie, EngineError> {
-        let plan = self.plan_for(query)?;
+        let plan = self.plan_over(data, query)?;
         let depth = seed.levels.len();
         assert!(
             depth >= 1 && depth < plan.len(),

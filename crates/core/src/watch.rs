@@ -14,8 +14,8 @@
 //!
 //! SLO accounting covers per-delta latencies: each delta is committed to
 //! the tier-style `Telemetry` under class `watch/q<id>` with the
-//! fan-out wait as queue time and the simulated re-expansion cost as
-//! execution time, so [`WatchSession::slo`] reports the same per-class
+//! fan-out wait as queue time and the simulated cost of the anchored
+//! expansions as execution time, so [`WatchSession::slo`] reports the same per-class
 //! quantiles `cuts serve` emits.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -218,6 +218,7 @@ impl WatchSession<'_> {
                 lane: 0,
                 queue_millis,
                 exec_millis: d.sim_millis,
+                // Entries the delta's anchored runs built and returned.
                 trie_entries: d.released_entries,
                 result: Ok(MatchResult {
                     num_matches: d.len() as u64,

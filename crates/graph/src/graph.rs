@@ -130,6 +130,21 @@ impl Graph {
         })
     }
 
+    /// The same arcs and labels, flagged directed: a symmetric graph's
+    /// *directed closure*, in which each undirected edge is two arcs that
+    /// a matcher must constrain independently.
+    pub fn to_directed(&self) -> Graph {
+        Graph {
+            out: self.out.clone(),
+            inn: self.inn.clone(),
+            symmetric: false,
+            labels: self.labels.clone(),
+            profile: OnceLock::new(),
+            version: 0,
+            fingerprint: OnceLock::new(),
+        }
+    }
+
     /// Attaches vertex labels (one per vertex).
     pub fn with_labels(mut self, labels: Vec<u32>) -> Self {
         assert_eq!(

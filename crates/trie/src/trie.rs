@@ -455,63 +455,6 @@ impl HostTrie {
             .collect()
     }
 
-    /// Root candidate (level-0 vertex) of every entry, computed by one
-    /// top-down propagation pass. Entry `i`'s slot holds the candidate
-    /// of its level-0 ancestor.
-    pub fn root_of_entries(&self) -> Vec<u32> {
-        let mut roots = vec![0u32; self.ca.len()];
-        for (l, range) in self.levels.iter().enumerate() {
-            for i in range.clone() {
-                roots[i] = if l == 0 {
-                    self.ca[i]
-                } else {
-                    roots[self.pa[i] as usize]
-                };
-            }
-        }
-        roots
-    }
-
-    /// Dirty-subtree split for batch-dynamic maintenance: partitions the
-    /// trie by root, keeping every subtree whose root candidate is
-    /// *clean* in the first trie and moving every subtree rooted at a
-    /// `dirty` candidate into the second. Both sides keep their levels
-    /// and relative entry order; parent indices are remapped to the
-    /// compacted layout. The dirty side is what the incremental matcher
-    /// releases and re-expands after a graph batch; the clean side is
-    /// reusable as-is because none of its entries can reach a changed
-    /// vertex.
-    pub fn partition_roots(&self, dirty: impl Fn(u32) -> bool) -> (HostTrie, HostTrie) {
-        let roots = self.root_of_entries();
-        let mut clean = HostTrie::new();
-        let mut moved = HostTrie::new();
-        // Old entry index -> new index within its destination trie.
-        let mut remap = vec![0u32; self.ca.len()];
-        for range in &self.levels {
-            let (clean_start, moved_start) = (clean.ca.len(), moved.ca.len());
-            for i in range.clone() {
-                let dest = if dirty(roots[i]) {
-                    &mut moved
-                } else {
-                    &mut clean
-                };
-                let parent = if self.pa[i] == NO_PARENT {
-                    NO_PARENT
-                } else {
-                    remap[self.pa[i] as usize]
-                };
-                remap[i] = dest.ca.len() as u32;
-                dest.pa.push(parent);
-                dest.ca.push(self.ca[i]);
-            }
-            // Seal the level on both sides even when one is empty, so
-            // depths stay aligned for a later merge.
-            clean.levels.push(clean_start..clean.ca.len());
-            moved.levels.push(moved_start..moved.ca.len());
-        }
-        (clean, moved)
-    }
-
     /// Builds a single-level host trie from flat paths of uniform depth,
     /// re-rooting each path as a chain (used by the receiving side of a
     /// donation: §4.2 "integrate it to its own local trie").
@@ -704,24 +647,6 @@ mod tests {
         // More parts than paths: one trie per path.
         assert_eq!(host.split_frontier(100).len(), 3);
         assert!(HostTrie::new().split_frontier(4).is_empty());
-    }
-
-    #[test]
-    fn partition_roots_splits_subtrees_and_remaps_parents() {
-        let host = sample().to_host(); // paths [0,3] [0,4] [1,2]
-        assert_eq!(host.root_of_entries(), vec![0, 1, 0, 0, 1]);
-        let (clean, dirty) = host.partition_roots(|r| r == 0);
-        clean.validate().unwrap();
-        dirty.validate().unwrap();
-        assert_eq!(clean.paths_at_level(1), vec![vec![1, 2]]);
-        let mut moved = dirty.paths_at_level(1);
-        moved.sort();
-        assert_eq!(moved, vec![vec![0, 3], vec![0, 4]]);
-        // Nothing dirty: everything stays, entry-for-entry.
-        let (all, none) = host.partition_roots(|_| false);
-        assert_eq!(all, host);
-        assert_eq!(none.len(), 0);
-        assert_eq!(none.depth(), host.depth(), "levels stay aligned");
     }
 
     #[test]
