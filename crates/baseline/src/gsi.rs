@@ -268,7 +268,7 @@ fn expand_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuts_core::{reference, CutsEngine};
+    use cuts_core::{reference, EngineConfig, ExecSession};
     use cuts_gpu_sim::{DeviceConfig, DeviceError};
     use cuts_graph::generators::{chain, clique, cycle, erdos_renyi, mesh2d};
 
@@ -315,7 +315,9 @@ mod tests {
         let data = erdos_renyi(120, 900, 7);
         let query = clique(4);
         let gsi = GsiEngine::new(&device).run(&data, &query).unwrap();
-        let cuts = CutsEngine::new(&device).run(&data, &query).unwrap();
+        let cuts = ExecSession::new(&device, EngineConfig::default())
+            .run(&data, &query)
+            .unwrap();
         assert_eq!(gsi.num_matches, cuts.num_matches);
         assert!(
             gsi.counters.dram_reads > cuts.counters.dram_reads,
@@ -341,7 +343,9 @@ mod tests {
             matches!(gsi, Err(CutsError::Device(DeviceError::OutOfMemory { .. }))),
             "expected GSI OOM, got {gsi:?}"
         );
-        let cuts = CutsEngine::new(&small).run(&data, &query).unwrap();
+        let cuts = ExecSession::new(&small, EngineConfig::default())
+            .run(&data, &query)
+            .unwrap();
         assert!(cuts.num_matches > 0);
     }
 

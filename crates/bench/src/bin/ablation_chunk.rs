@@ -7,7 +7,7 @@
 //! ```
 
 use cuts_bench::{scale_from_env, Machine};
-use cuts_core::{CutsEngine, EngineConfig};
+use cuts_core::{EngineConfig, ExecSession};
 use cuts_gpu_sim::Device;
 use cuts_graph::generators::clique;
 use cuts_graph::Dataset;
@@ -27,9 +27,8 @@ fn main() {
     );
     for chunk in [64usize, 128, 256, 512, 1024, 4096] {
         let device = Device::new(constrained.clone());
-        let engine =
-            CutsEngine::with_config(&device, EngineConfig::default().with_chunk_size(chunk));
-        match engine.run(&data, &clique(5)) {
+        let session = ExecSession::new(&device, EngineConfig::default().with_chunk_size(chunk));
+        match session.run(&data, &clique(5)) {
             Ok(r) => println!(
                 "{:>8} {:>12} {:>10} {:>16} {:>12.3}",
                 chunk, r.num_matches, r.used_chunking, r.counters.kernel_launches, r.sim_millis

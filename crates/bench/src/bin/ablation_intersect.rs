@@ -6,7 +6,7 @@
 //! ```
 
 use cuts_bench::{scale_from_env, Machine};
-use cuts_core::{CutsEngine, EngineConfig, IntersectStrategy};
+use cuts_core::{EngineConfig, ExecSession, IntersectStrategy};
 use cuts_gpu_sim::Device;
 use cuts_graph::generators::{clique, cycle};
 use cuts_graph::Dataset;
@@ -40,9 +40,9 @@ fn main() {
                 IntersectStrategy::Auto,
             ] {
                 let device = Device::new(Machine::V100.device_config(scale));
-                let engine =
-                    CutsEngine::with_config(&device, EngineConfig::default().with_intersect(strat));
-                match engine.run(&data, &q) {
+                let session =
+                    ExecSession::new(&device, EngineConfig::default().with_intersect(strat));
+                match session.run(&data, &q) {
                     Ok(r) => {
                         dram.push(format!("{}", r.counters.dram_total()));
                         ms.push(format!("{:.3}", r.sim_millis));

@@ -10,7 +10,7 @@
 //! ```
 
 use cuts_bench::{scale_from_env, Machine};
-use cuts_core::{CutsEngine, EngineConfig, OrderPolicy};
+use cuts_core::{EngineConfig, ExecSession, OrderPolicy};
 use cuts_gpu_sim::Device;
 use cuts_graph::generators::clique;
 use cuts_graph::query_gen::query_set;
@@ -49,9 +49,9 @@ fn main() {
         let mut row = Vec::new();
         for policy in [OrderPolicy::DegreeGreedy, OrderPolicy::IdBfs] {
             let device = Device::new(Machine::V100.device_config(scale));
-            let engine =
-                CutsEngine::with_config(&device, EngineConfig::default().with_order_policy(policy));
-            match engine.run(&data, q) {
+            let session =
+                ExecSession::new(&device, EngineConfig::default().with_order_policy(policy));
+            match session.run(&data, q) {
                 Ok(r) => row.push(Some((r.level_counts[0], r.counters.instructions))),
                 Err(_) => row.push(None),
             }

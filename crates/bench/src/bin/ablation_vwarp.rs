@@ -7,7 +7,7 @@
 //! ```
 
 use cuts_bench::{scale_from_env, Machine};
-use cuts_core::{CutsEngine, EngineConfig, VirtualWarpPolicy};
+use cuts_core::{EngineConfig, ExecSession, VirtualWarpPolicy};
 use cuts_gpu_sim::Device;
 use cuts_graph::generators::clique;
 use cuts_graph::Dataset;
@@ -29,9 +29,8 @@ fn main() {
         ];
         for (label, p) in policies {
             let device = Device::new(Machine::V100.device_config(scale));
-            let engine =
-                CutsEngine::with_config(&device, EngineConfig::default().with_virtual_warp(p));
-            match engine.run(&data, &clique(4)) {
+            let session = ExecSession::new(&device, EngineConfig::default().with_virtual_warp(p));
+            match session.run(&data, &clique(4)) {
                 Ok(r) => println!(
                     "{:<12} {:>8} | {:>16} {:>16} {:>12.3}",
                     ds.name(),

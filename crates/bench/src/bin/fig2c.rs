@@ -10,7 +10,7 @@
 //! cargo run -p cuts-bench --release --bin fig2c
 //! ```
 
-use cuts_core::CutsEngine;
+use cuts_core::{EngineConfig, ExecSession};
 use cuts_gpu_sim::{Device, DeviceConfig};
 use cuts_graph::generators::{chain, mesh2d};
 
@@ -18,7 +18,7 @@ fn main() {
     let data = mesh2d(4, 4);
     let query = chain(4);
     let device = Device::new(DeviceConfig::test_small());
-    let r = CutsEngine::new(&device)
+    let r = ExecSession::new(&device, EngineConfig::default())
         .run(&data, &query)
         .expect("fig2c run failed");
 

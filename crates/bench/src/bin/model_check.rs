@@ -8,7 +8,7 @@
 
 use cuts_bench::{scale_from_env, Machine};
 use cuts_core::complexity::ComplexityModel;
-use cuts_core::CutsEngine;
+use cuts_core::{EngineConfig, ExecSession};
 use cuts_gpu_sim::Device;
 use cuts_graph::generators::clique;
 use cuts_graph::Dataset;
@@ -25,7 +25,8 @@ fn main() {
         for k in [3usize, 4, 5] {
             let device = Device::new(Machine::V100.device_config(scale));
             let query = clique(k);
-            let Ok(r) = CutsEngine::new(&device).run(&data, &query) else {
+            let Ok(r) = ExecSession::new(&device, EngineConfig::default()).run(&data, &query)
+            else {
                 println!("{:<12} K{k}: failed", ds.name());
                 continue;
             };

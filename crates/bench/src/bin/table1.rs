@@ -7,7 +7,7 @@
 //! ```
 
 use cuts_bench::{scale_from_env, Machine};
-use cuts_core::CutsEngine;
+use cuts_core::{EngineConfig, ExecSession};
 use cuts_gpu_sim::Device;
 use cuts_graph::generators::clique;
 use cuts_graph::Dataset;
@@ -24,7 +24,7 @@ fn main() {
     );
 
     let device = Device::new(Machine::V100.device_config(scale));
-    let result = CutsEngine::new(&device)
+    let result = ExecSession::new(&device, EngineConfig::default())
         .run(&data, &query)
         .expect("table1 run failed");
     let counts = LevelCounts(result.level_counts.clone());

@@ -13,7 +13,7 @@
 
 use cuts_baseline::GsiEngine;
 use cuts_bench::{cell, datasets, geomean, query_sizes, scale_from_env, Machine};
-use cuts_core::CutsEngine;
+use cuts_core::{EngineConfig, ExecSession};
 use cuts_gpu_sim::{Counters, Device};
 use cuts_graph::query_gen::query_set;
 use cuts_graph::Graph;
@@ -31,7 +31,9 @@ fn run_case(machine: Machine, data: &Graph, query: &Graph, scale: cuts_graph::Sc
     let gsi_dev = Device::new(machine.device_config(scale));
     let gsi = GsiEngine::new(&gsi_dev).run(data, query).ok();
     let cuts_dev = Device::new(machine.device_config(scale));
-    let cuts = CutsEngine::new(&cuts_dev).run(data, query).ok();
+    let cuts = ExecSession::new(&cuts_dev, EngineConfig::default())
+        .run(data, query)
+        .ok();
     Outcome {
         gsi_ms: gsi.as_ref().map(|r| r.sim_millis),
         cuts_ms: cuts.as_ref().map(|r| r.sim_millis),

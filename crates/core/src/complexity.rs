@@ -174,7 +174,9 @@ mod tests {
         let data = erdos_renyi(300, 1800, 5);
         let query = cuts_graph::generators::clique(4);
         let device = cuts_gpu_sim::Device::new(cuts_gpu_sim::DeviceConfig::test_small());
-        let r = crate::CutsEngine::new(&device).run(&data, &query).unwrap();
+        let r = crate::ExecSession::new(&device, crate::EngineConfig::default())
+            .run(&data, &query)
+            .unwrap();
         let delta = data.max_out_degree() as f64;
         let sigma = ComplexityModel::fit_sigma(&r.level_counts, delta);
         let m = ComplexityModel {

@@ -52,7 +52,7 @@ impl VirtualWarpPolicy {
 use crate::error::ConfigError;
 use crate::order::OrderPolicy;
 
-/// Tunables of a [`crate::CutsEngine`] run.
+/// Tunables of an [`crate::ExecSession`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Query-ordering heuristic (ablation: [`OrderPolicy::IdBfs`]).

@@ -20,7 +20,7 @@ pub enum EngineError {
     EmptyQuery,
     /// The query is not (weakly) connected; split into components first
     /// (§4 gives the composition rule, implemented by
-    /// [`crate::engine::CutsEngine::run_disconnected`]).
+    /// [`crate::ExecSession::run_disconnected`]).
     DisconnectedQuery,
     /// Even a single partial path's expansion cannot fit in the remaining
     /// trie space: the instance is genuinely too large for this device.

@@ -321,6 +321,46 @@ mod tests {
     }
 
     #[test]
+    fn transfer_fails_after_commit() {
+        let l: WorkLedger<u32> = WorkLedger::new();
+        let id = l.new_id();
+        l.register(id, 0, &1);
+        assert!(l.transfer(id, 1));
+        l.commit(id, 3);
+        assert!(!l.transfer(id, 2));
+    }
+
+    #[test]
+    fn reclaim_takes_dead_and_own_units_only() {
+        let l: WorkLedger<u32> = WorkLedger::new();
+        let ids: Vec<WorkId> = (0..4).map(|_| l.new_id()).collect();
+        l.register(ids[0], 0, &0); // dead rank
+        l.register(ids[1], 1, &1); // live rank
+        l.register(ids[2], 2, &2); // claimant's own lost unit
+        l.register(ids[3], 0, &3); // dead rank
+        let claimed = l.reclaim(2, |owner| owner == 0);
+        assert_eq!(claimed, vec![(ids[0], 0), (ids[2], 2), (ids[3], 3)]);
+        assert_eq!(l.reassigned(), 3);
+        // Claimed units now belong to rank 2; rank 1's unit untouched.
+        assert_eq!(l.reclaim(2, |owner| owner == 0).len(), 3, "still mine");
+        assert_eq!(l.reclaim(1, |_| false).len(), 1);
+    }
+
+    #[test]
+    fn split_replaces_parent() {
+        let l: WorkLedger<u32> = WorkLedger::new();
+        let parent = l.new_id();
+        l.register(parent, 0, &9);
+        let (c1, c2) = (l.new_id(), l.new_id());
+        assert!(l.split(parent, 0, &[(c1, &1), (c2, &2)]));
+        assert!(!l.commit(parent, 100), "split parent must never commit");
+        assert!(l.commit(c1, 1));
+        assert!(l.commit(c2, 2));
+        assert!(l.all_completed());
+        assert_eq!(l.total_matches(), 3);
+    }
+
+    #[test]
     fn recovery_clock() {
         let l: WorkLedger<u32> = WorkLedger::new();
         let id = l.new_id();

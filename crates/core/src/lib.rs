@@ -15,8 +15,8 @@
 //! Execution is split into two phases: a [`QueryPlan`] (immutable,
 //! device-independent — built once per query/config/device-class) and an
 //! [`ExecSession`] (device-bound, reusable — arena-backed trie slabs, scoped
-//! counters, an LRU [`PlanCache`]). [`CutsEngine`] remains as a thin
-//! facade over a private session for one-shot use.
+//! counters, an LRU [`PlanCache`]). The session is the engine's one
+//! entry point: `ExecSession::new(&device, config)`, then `run`.
 //!
 //! Semantics: all injective mappings `f : V_Q → V_D` with every query edge
 //! mapped to a data edge (subgraph isomorphism *search*, Definition 4;
@@ -27,7 +27,6 @@ pub mod cache;
 pub mod complexity;
 pub mod config;
 pub mod dynamic;
-pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod intersect;
@@ -48,7 +47,6 @@ pub mod watch;
 pub use cache::{PlanCache, PlanCacheStats};
 pub use config::{EngineConfig, EngineConfigBuilder, IntersectStrategy, VirtualWarpPolicy};
 pub use dynamic::{BatchOutcome, DynamicError, DynamicSession, MatchDelta, StandingQueryId};
-pub use engine::CutsEngine;
 pub use error::{ConfigError, CutsError, DistError, EngineError, SchedError, SnapshotError};
 pub use fault::{CrashKind, FaultInjector, FaultPlan};
 pub use ledger::{AliveBoard, WorkId, WorkLedger};

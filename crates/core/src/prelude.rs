@@ -1,14 +1,14 @@
 //! The one-line import for typical users of the engine:
-//! `use cuts_core::prelude::*;` brings in the engine facade, the
-//! plan/session split, the serving tier and its job types, the unified
-//! error type, and the validating config builders — everything the
+//! `use cuts_core::prelude::*;` brings in the plan/session split
+//! ([`ExecSession`] is the engine's one entry point), the serving tier
+//! and its job types, the unified error type, and the validating config
+//! builders — everything the
 //! README quick-starts use, and nothing obscure enough to collide with
 //! caller names.
 
 #![deny(missing_docs)]
 
 pub use crate::config::{EngineConfig, EngineConfigBuilder, IntersectStrategy};
-pub use crate::engine::CutsEngine;
 pub use crate::error::{ConfigError, CutsError, EngineError, SchedError};
 pub use crate::fault::FaultPlan;
 pub use crate::plan::QueryPlan;

@@ -1297,7 +1297,7 @@ impl ServeTier {
                     let entries = job_entries_for(&plan, &job.data, cfg.sigma);
                     let budget = plan.trie_entries_budget.max(1);
                     match session
-                        .run_with_plan_budgeted(&plan, &job.data, entries, budget, &GrantAll)
+                        .run_budgeted(&plan, &job.data, None, None, entries, budget, &GrantAll)
                     {
                         Ok(ok) => Ok(ok),
                         Err(BudgetedRunError::Engine(e)) => Err(CutsError::from(e)),
@@ -1482,9 +1482,11 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
                         dev,
                         granted: AtomicUsize::new(0),
                     };
-                    let run = dev.session.run_with_plan_budgeted(
+                    let run = dev.session.run_budgeted(
                         &plan,
                         &job.data,
+                        None,
+                        None,
                         entries,
                         budget_entries,
                         &ledger,

@@ -130,7 +130,7 @@ impl GrowthLedger for GrantAll {
     fn refund(&self, _words: usize) {}
 }
 
-/// Failure of a budgeted run (the serving-tier path).
+/// Failure of [`ExecSession::run_budgeted`].
 #[derive(Debug)]
 pub(crate) enum BudgetedRunError {
     /// The run itself failed.
@@ -186,6 +186,33 @@ struct GrowthState<'a> {
     cur_entries: usize,
     limit_entries: usize,
     ledger: &'a dyn GrowthLedger,
+}
+
+/// What every expansion of one run shares: the one place a level's
+/// [`ExpandParams`] are built.
+struct LevelCtx<'a> {
+    data: &'a Graph,
+    plan: &'a QueryPlan,
+    policy: KernelPolicy,
+    vwarp: usize,
+    shared_words: usize,
+    max_blocks: usize,
+}
+
+impl<'a> LevelCtx<'a> {
+    /// Kernel parameters for expanding depth `pos`.
+    fn params(&'a self, pos: usize, placement: Option<&'a [u32]>) -> ExpandParams<'a> {
+        ExpandParams {
+            data: self.data,
+            plan: &self.plan.order,
+            pos,
+            vwarp: self.vwarp,
+            method: self.policy.method_at(pos),
+            shared_words: self.shared_words,
+            placement,
+            max_blocks: self.max_blocks,
+        }
+    }
 }
 
 /// A reusable executor binding an [`EngineConfig`] to one [`Device`].
@@ -357,33 +384,18 @@ impl<'d> ExecSession<'d> {
     /// otherwise.
     pub fn run(&self, data: &Graph, query: &Graph) -> Result<MatchResult, EngineError> {
         let plan = self.plan_over(data, query)?;
-        self.run_inner(&plan, data, None, None, None)
+        self.run_full(&plan, data, None, None)
     }
 
-    /// Executes an already-built plan over `data` (the batch entry points
-    /// and benchmarks use this to separate plan cost from run cost). Get
-    /// the plan from [`ExecSession::plan_over`] when `data` may be
-    /// directed.
+    /// Executes an already-built plan over `data` (benchmarks use this to
+    /// separate plan cost from run cost). Get the plan from
+    /// [`ExecSession::plan_over`] when `data` may be directed.
     pub fn run_with_plan(
         &self,
         plan: &QueryPlan,
         data: &Graph,
     ) -> Result<MatchResult, EngineError> {
-        self.run_inner(plan, data, None, None, None)
-    }
-
-    /// [`ExecSession::run_with_plan`] with an explicit trie capacity of
-    /// `entries` PA/CA pairs for this run only, acquired exactly (no
-    /// best-fit over-serving). The serving tier sizes each job from its own
-    /// §5 space estimate instead of this session's device-wide default,
-    /// which keeps results independent of lane count and arena history.
-    pub fn run_with_plan_sized(
-        &self,
-        plan: &QueryPlan,
-        data: &Graph,
-        entries: usize,
-    ) -> Result<MatchResult, EngineError> {
-        self.run_inner(plan, data, None, None, Some(entries))
+        self.run_full(plan, data, None, None)
     }
 
     /// Like [`ExecSession::run`], additionally streaming every embedding
@@ -395,7 +407,7 @@ impl<'d> ExecSession<'d> {
         sink: MatchSink<'_>,
     ) -> Result<MatchResult, EngineError> {
         let plan = self.plan_over(data, query)?;
-        self.run_inner(&plan, data, Some(sink), None, None)
+        self.run_full(&plan, data, Some(sink), None)
     }
 
     /// Resumes matching from already-built partial paths: the receiving
@@ -411,7 +423,7 @@ impl<'d> ExecSession<'d> {
         seed: &cuts_trie::HostTrie,
     ) -> Result<MatchResult, EngineError> {
         let plan = self.plan_over(data, query)?;
-        self.run_inner(&plan, data, None, Some(seed), None)
+        self.run_full(&plan, data, None, Some(seed))
     }
 
     /// Streams every completion of the seeded partial paths under an
@@ -428,28 +440,7 @@ impl<'d> ExecSession<'d> {
         seed: &cuts_trie::HostTrie,
         sink: MatchSink<'_>,
     ) -> Result<MatchResult, EngineError> {
-        self.run_inner(plan, data, Some(sink), Some(seed), None)
-    }
-
-    /// Runs one query over many data graphs, planning through the plan
-    /// cache (so once, when caching is on). Results are in input order,
-    /// one `Result` per data graph — a failure on one graph (say, a
-    /// capacity exhaustion) does not discard the completed runs. The trie buffers and the plan
-    /// are shared across the whole batch, so only the first element can
-    /// trigger device allocation. When the query itself cannot be
-    /// planned, every slot carries that error.
-    pub fn run_batch(
-        &self,
-        datas: &[Graph],
-        query: &Graph,
-    ) -> Vec<Result<MatchResult, EngineError>> {
-        datas
-            .iter()
-            .map(|data| {
-                let plan = self.plan_over(data, query)?;
-                self.run_inner(&plan, data, None, None, None)
-            })
-            .collect()
+        self.run_full(plan, data, Some(sink), Some(seed))
     }
 
     /// §4 composition for disconnected query graphs: match each weakly
@@ -518,23 +509,12 @@ impl<'d> ExecSession<'d> {
             depth >= 1 && depth < plan.len(),
             "seed depth must be in 1..|V_Q|"
         );
-        let mut trie = self.acquire_trie()?;
+        let (mut trie, ..) = self.acquire(usize::MAX, usize::MAX)?;
         let out = (|| {
             trie.load(seed)?;
             let frontier = trie.level(depth - 1);
-            let vwarp = self.config.virtual_warp.width(data.avg_out_degree());
-            let policy = self.resolve_policy(&plan, data);
-            let params = ExpandParams {
-                data,
-                plan: &plan.order,
-                pos: depth,
-                vwarp,
-                method: policy.method_at(depth),
-                shared_words: self.class.shared_mem_words_per_block,
-                placement: None,
-                max_blocks: self.config.max_blocks,
-            };
-            expand_range(self.device, &trie, frontier, &params)?;
+            let ctx = self.level_ctx(&plan, data);
+            expand_range(self.device, &trie, frontier, &ctx.params(depth, None))?;
             trie.seal_level();
             Ok(trie.to_host())
         })();
@@ -610,112 +590,63 @@ impl<'d> ExecSession<'d> {
             .chain_words(entries)
     }
 
-    /// Hands out a full-capacity trie chain (every slab pair the class
-    /// holds). Warm-path cost is `O(pairs)` bitmap CASes — the device
+    /// A trie chain starting at `entries` whose spine can grow to
+    /// `limit`, both clamped to the class (`1 ≤ entries ≤ limit ≤` the
+    /// full arena); returns the chain and the clamped pair. Capacity is
+    /// whole slabs — a deterministic function of the pair and the device
+    /// model alone, which keeps results independent of lane count and
+    /// run history. Warm-path cost is `O(slabs)` bitmap CASes: the device
     /// allocator is never involved after the first carve.
-    fn acquire_trie(&self) -> Result<Trie, EngineError> {
-        let t = self.trie_arena()?;
-        let cap = t.max_chain_entries();
-        let table = PairTable::chained_on_arena(&t.arena, 0, cap, cap)?;
-        Ok(Trie::from_table(table))
-    }
-
-    /// A trie chain covering `entries` with no room to grow, bypassing
-    /// the session-wide sizing (serving-tier path; see
-    /// [`ExecSession::run_with_plan_sized`]). Capacity is `entries`
-    /// rounded up to whole slabs and clamped to the class — a
-    /// deterministic function of `entries` and the device model alone,
-    /// which keeps results independent of lane count and run history.
-    fn acquire_trie_sized(&self, entries: usize) -> Result<Trie, EngineError> {
+    fn acquire(&self, entries: usize, limit: usize) -> Result<(Trie, usize, usize), EngineError> {
         let t = self.trie_arena()?;
         let entries = entries.clamp(1, t.max_chain_entries());
-        let table = PairTable::chained_on_arena(&t.arena, 0, entries, entries)?;
-        Ok(Trie::from_table(table))
-    }
-
-    /// A trie chain starting at `entries` whose spine can grow to
-    /// `limit`. Used by the budgeted serving-tier path.
-    fn acquire_trie_budgeted(&self, entries: usize, limit: usize) -> Result<Trie, EngineError> {
-        let t = self.trie_arena()?;
+        let limit = limit.clamp(entries, t.max_chain_entries());
         let table = PairTable::chained_on_arena(&t.arena, 0, entries, limit)?;
-        Ok(Trie::from_table(table))
+        Ok((Trie::from_table(table), entries, limit))
     }
 
-    fn run_inner(
+    /// A run on a full-capacity chain that never grows: the budgeted run
+    /// with `entries = limit =` the whole arena, which [`GrantAll`] never
+    /// gets asked about.
+    fn run_full(
         &self,
         plan: &QueryPlan,
         data: &Graph,
         sink: Option<MatchSink<'_>>,
         seed: Option<&cuts_trie::HostTrie>,
-        trie_entries: Option<usize>,
     ) -> Result<MatchResult, EngineError> {
-        let trace = self.device.trace();
-        let mut rspan = if trace.is_enabled() {
-            let mut s = trace.span(EventKind::Run, "run");
-            s.arg("query_n", Arg::U64(plan.len() as u64));
-            s.arg("data_n", Arg::U64(data.num_vertices() as u64));
-            Some(s)
-        } else {
-            None
-        };
-        let wall_start = Instant::now();
-        let counter_sink = CounterSink::install();
-        let mut trie = match trie_entries {
-            Some(entries) => self.acquire_trie_sized(entries)?,
-            None => self.acquire_trie()?,
-        };
-        let out = self.run_core(
-            plan,
-            data,
-            &mut trie,
-            sink,
-            seed,
-            wall_start,
-            &counter_sink,
-            None,
-        );
-        drop(trie); // slabs return to the arena here
-        let out = out.map_err(|e| match e {
-            BudgetedRunError::Engine(e) => e,
-            BudgetedRunError::GrowthDenied { .. } => {
-                unreachable!("growth denial without a ledger")
-            }
-        });
-        if let Ok(r) = &out {
-            self.runs.fetch_add(1, Ordering::Relaxed);
-            if let Some(s) = &mut rspan {
-                s.arg("matches", Arg::U64(r.num_matches));
-                s.counters(r.counters.into());
+        match self.run_budgeted(plan, data, sink, seed, usize::MAX, usize::MAX, &GrantAll) {
+            Ok((r, _)) => Ok(r),
+            Err(BudgetedRunError::Engine(e)) => Err(e),
+            Err(BudgetedRunError::GrowthDenied { .. }) => {
+                unreachable!("GrantAll never denies growth")
             }
         }
-        out
     }
 
-    /// The serving tier's entry point: run `plan` over `data` on a trie
-    /// chain that starts at `entries` and may grow **in place** (a pure
-    /// slab append — no copy, no retry-from-scratch) up to
-    /// `limit_entries`, with every growth step charged to `ledger`.
-    /// Returns the result and the capacity (entries) the run settled on,
-    /// so the caller can reconcile its reservation.
+    /// Every run's one path: run `plan` over `data` on a trie chain that
+    /// starts at `entries` and may grow **in place** (a pure slab append —
+    /// no copy, no retry-from-scratch) up to `limit_entries`, with every
+    /// growth step charged to `ledger`. Owns the run span, the `runs`
+    /// counter and the per-run counter sink. Returns the result and the
+    /// capacity (entries) the run settled on, so the serving tier can
+    /// reconcile its reservation.
     ///
     /// When the ledger denies a step the run aborts with
     /// [`BudgetedRunError::GrowthDenied`]; the trie is dropped (its slabs
     /// and reservation return) before the caller re-reserves and reruns
     /// at the target — growers never deadlock each other.
-    pub(crate) fn run_with_plan_budgeted(
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_budgeted(
         &self,
         plan: &QueryPlan,
         data: &Graph,
+        sink: Option<MatchSink<'_>>,
+        seed: Option<&cuts_trie::HostTrie>,
         entries: usize,
         limit_entries: usize,
         ledger: &dyn GrowthLedger,
     ) -> Result<(MatchResult, usize), BudgetedRunError> {
-        let max = self
-            .trie_arena()
-            .map_err(BudgetedRunError::Engine)?
-            .max_chain_entries();
-        let entries = entries.clamp(1, max);
-        let limit = limit_entries.clamp(entries, max);
         let trace = self.device.trace();
         let mut rspan = if trace.is_enabled() {
             let mut s = trace.span(EventKind::Run, "run");
@@ -727,9 +658,7 @@ impl<'d> ExecSession<'d> {
         };
         let wall_start = Instant::now();
         let counter_sink = CounterSink::install();
-        let mut trie = self
-            .acquire_trie_budgeted(entries, limit)
-            .map_err(BudgetedRunError::Engine)?;
+        let (mut trie, entries, limit) = self.acquire(entries, limit_entries)?;
         let mut growth = GrowthState {
             cur_entries: entries,
             limit_entries: limit,
@@ -739,11 +668,11 @@ impl<'d> ExecSession<'d> {
             plan,
             data,
             &mut trie,
-            None,
-            None,
+            sink,
+            seed,
             wall_start,
             &counter_sink,
-            Some(&mut growth),
+            &mut growth,
         );
         drop(trie); // slabs return to the arena here
         if let Ok(r) = &out {
@@ -766,14 +695,13 @@ impl<'d> ExecSession<'d> {
         seed: Option<&cuts_trie::HostTrie>,
         wall_start: Instant,
         counter_sink: &CounterSink,
-        mut growth: Option<&mut GrowthState<'_>>,
+        growth: &mut GrowthState<'_>,
     ) -> Result<MatchResult, BudgetedRunError> {
         let order = &plan.order;
         let n = order.len();
         let mut level_counts = vec![0u64; n];
-        let vwarp = self.config.virtual_warp.width(data.avg_out_degree());
         let mut rng = SmallRng::seed_from_u64(self.config.seed);
-        let policy = self.resolve_policy(plan, data);
+        let ctx = self.level_ctx(plan, data);
         let profile = data.profile();
 
         let (frontier0, start_pos) = match seed {
@@ -822,16 +750,7 @@ impl<'d> ExecSession<'d> {
             };
             let pre_len = trie.table().len();
             let placement = self.placement(&mut rng, &frontier);
-            let params = ExpandParams {
-                data,
-                plan: order,
-                pos,
-                vwarp,
-                method: policy.method_at(pos),
-                shared_words: self.class.shared_mem_words_per_block,
-                placement: placement.as_deref(),
-                max_blocks: self.config.max_blocks,
-            };
+            let params = ctx.params(pos, placement.as_deref());
             match expand_range(self.device, trie, frontier.clone(), &params) {
                 Ok(()) => {
                     let lvl = trie.seal_level();
@@ -845,64 +764,62 @@ impl<'d> ExecSession<'d> {
                 Err(DeviceError::BufferOverflow { .. }) => {
                     trie.table().truncate(pre_len);
                     drop(lspan.take());
-                    // A budgeted run grows the chain in place first —
-                    // appending slabs is cheaper than spilling to the
-                    // hybrid walk, and the expansion resumes exactly
+                    // The chain grows in place first while its limit
+                    // allows — appending slabs is cheaper than spilling
+                    // to the hybrid walk, and the expansion resumes exactly
                     // where it overflowed (counts are only committed on
                     // success, so the retry double-counts nothing).
-                    if let Some(g) = growth.as_deref_mut() {
-                        if g.cur_entries < g.limit_entries {
-                            let (seg, cur_cap, max_e) = {
-                                let t = trie.table();
-                                (t.seg_entries(), t.capacity(), t.max_entries())
-                            };
-                            let cap_of = |e: usize| (e.div_ceil(seg) * seg).min(max_e);
-                            // Double past the slab-rounded capacity we
-                            // already have, so every step adds a segment.
-                            let mut target = (g.cur_entries * 2).min(g.limit_entries);
-                            while target < g.limit_entries && cap_of(target) <= cur_cap {
-                                target = (target * 2).min(g.limit_entries);
-                            }
-                            let target_cap = cap_of(target);
-                            let delta_words = 2 * target_cap.saturating_sub(cur_cap);
-                            if delta_words == 0 {
-                                // Even the limit adds no capacity: fall
-                                // through to the hybrid walk below.
-                                g.cur_entries = target;
-                            } else if !g.ledger.try_grant(delta_words) {
-                                return Err(BudgetedRunError::GrowthDenied {
-                                    target_entries: target,
-                                });
-                            } else {
-                                match trie.grow_to(target_cap) {
-                                    Ok(new_cap) => {
-                                        g.cur_entries = target;
-                                        flight::record(
-                                            FlightCode::ArenaGrow,
-                                            pos as u64,
-                                            new_cap as u64,
-                                        );
-                                        trace.instant_with(
-                                            EventKind::Arena,
-                                            "chain_grow",
-                                            &[
-                                                ("depth", Arg::U64(pos as u64)),
-                                                ("capacity", Arg::U64(new_cap as u64)),
-                                            ],
-                                        );
-                                        continue;
-                                    }
-                                    Err(_) => {
-                                        // The ledger said yes but the
-                                        // class could not serve — a
-                                        // protocol breach somewhere; fall
-                                        // back to chunking.
-                                        g.ledger.refund(delta_words);
-                                        debug_assert!(
-                                            false,
-                                            "ledger-granted chain growth must not fail"
-                                        );
-                                    }
+                    if growth.cur_entries < growth.limit_entries {
+                        let (seg, cur_cap, max_e) = {
+                            let t = trie.table();
+                            (t.seg_entries(), t.capacity(), t.max_entries())
+                        };
+                        let cap_of = |e: usize| (e.div_ceil(seg) * seg).min(max_e);
+                        // Double past the slab-rounded capacity we
+                        // already have, so every step adds a segment.
+                        let mut target = (growth.cur_entries * 2).min(growth.limit_entries);
+                        while target < growth.limit_entries && cap_of(target) <= cur_cap {
+                            target = (target * 2).min(growth.limit_entries);
+                        }
+                        let target_cap = cap_of(target);
+                        let delta_words = 2 * target_cap.saturating_sub(cur_cap);
+                        if delta_words == 0 {
+                            // Even the limit adds no capacity: fall
+                            // through to the hybrid walk below.
+                            growth.cur_entries = target;
+                        } else if !growth.ledger.try_grant(delta_words) {
+                            return Err(BudgetedRunError::GrowthDenied {
+                                target_entries: target,
+                            });
+                        } else {
+                            match trie.grow_to(target_cap) {
+                                Ok(new_cap) => {
+                                    growth.cur_entries = target;
+                                    flight::record(
+                                        FlightCode::ArenaGrow,
+                                        pos as u64,
+                                        new_cap as u64,
+                                    );
+                                    trace.instant_with(
+                                        EventKind::Arena,
+                                        "chain_grow",
+                                        &[
+                                            ("depth", Arg::U64(pos as u64)),
+                                            ("capacity", Arg::U64(new_cap as u64)),
+                                        ],
+                                    );
+                                    continue;
+                                }
+                                Err(_) => {
+                                    // The ledger said yes but the
+                                    // class could not serve — a
+                                    // protocol breach somewhere; fall
+                                    // back to chunking.
+                                    growth.ledger.refund(delta_words);
+                                    debug_assert!(
+                                        false,
+                                        "ledger-granted chain growth must not fail"
+                                    );
                                 }
                             }
                         }
@@ -919,14 +836,11 @@ impl<'d> ExecSession<'d> {
                         ],
                     );
                     let total = self.process_chunks(
-                        data,
-                        plan,
-                        &policy,
+                        &ctx,
                         trie,
                         pos,
                         frontier.clone(),
                         self.config.chunk_size,
-                        vwarp,
                         &mut level_counts,
                         &mut sink,
                     )?;
@@ -959,6 +873,20 @@ impl<'d> ExecSession<'d> {
             used_chunking,
             order: order.order.clone(),
         })
+    }
+
+    /// What every expansion of a run of `plan` over `data` shares,
+    /// resolving the plan-time kernel policy (see
+    /// [`ExecSession::resolve_policy`]).
+    fn level_ctx<'a>(&self, plan: &'a QueryPlan, data: &'a Graph) -> LevelCtx<'a> {
+        LevelCtx {
+            data,
+            plan,
+            policy: self.resolve_policy(plan, data),
+            vwarp: self.config.virtual_warp.width(data.avg_out_degree()),
+            shared_words: self.class.shared_mem_words_per_block,
+            max_blocks: self.config.max_blocks,
+        }
     }
 
     /// Computes the plan-time kernel policy for running `plan` over
@@ -1009,50 +937,34 @@ impl<'d> ExecSession<'d> {
     #[allow(clippy::too_many_arguments)]
     fn process_chunks(
         &self,
-        data: &Graph,
-        plan: &QueryPlan,
-        policy: &KernelPolicy,
+        ctx: &LevelCtx<'_>,
         trie: &mut Trie,
         pos: usize,
         frontier: Range<usize>,
         chunk_size: usize,
-        vwarp: usize,
         level_counts: &mut [u64],
         sink: &mut Option<MatchSink<'_>>,
     ) -> Result<u64, EngineError> {
-        let n = plan.len();
+        let n = ctx.plan.len();
         if pos == n {
             if let Some(sink) = sink.as_mut() {
-                self.emit_level(trie, &plan.order, frontier.clone(), sink);
+                self.emit_level(trie, &ctx.plan.order, frontier.clone(), sink);
             }
             return Ok(frontier.len() as u64);
         }
         let mut total = 0u64;
         for chunk in cuts_trie::Chunks::new(frontier, chunk_size) {
             let pre_len = trie.table().len();
-            let params = ExpandParams {
-                data,
-                plan: &plan.order,
-                pos,
-                vwarp,
-                method: policy.method_at(pos),
-                shared_words: self.class.shared_mem_words_per_block,
-                placement: None,
-                max_blocks: self.config.max_blocks,
-            };
-            match expand_range(self.device, trie, chunk.clone(), &params) {
+            match expand_range(self.device, trie, chunk.clone(), &ctx.params(pos, None)) {
                 Ok(()) => {
                     let lvl = trie.seal_level();
                     level_counts[pos] += lvl.len() as u64;
                     total += self.process_chunks(
-                        data,
-                        plan,
-                        policy,
+                        ctx,
                         trie,
                         pos + 1,
                         lvl,
                         chunk_size,
-                        vwarp,
                         level_counts,
                         sink,
                     )?;
@@ -1073,14 +985,11 @@ impl<'d> ExecSession<'d> {
                     );
                     // Halve locally and retry this chunk.
                     total += self.process_chunks(
-                        data,
-                        plan,
-                        policy,
+                        ctx,
                         trie,
                         pos,
                         chunk.clone(),
                         (chunk.len() / 2).max(1),
-                        vwarp,
                         level_counts,
                         sink,
                     )?;
@@ -1125,8 +1034,265 @@ impl std::fmt::Debug for ExecSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::IntersectStrategy;
+    use crate::reference;
     use cuts_gpu_sim::DeviceConfig;
-    use cuts_graph::generators::{clique, erdos_renyi, mesh2d};
+    use cuts_graph::generators::{chain, clique, cycle, erdos_renyi, mesh2d, star};
+
+    fn check_against_reference(data: &Graph, query: &Graph) {
+        let device = Device::new(DeviceConfig::test_small());
+        let session = ExecSession::new(&device, EngineConfig::default());
+        let got = session.run(data, query).unwrap();
+        let want = reference::count_embeddings(data, query);
+        assert_eq!(got.num_matches, want, "session vs reference");
+    }
+
+    #[test]
+    fn triangles_in_k4() {
+        let device = Device::new(DeviceConfig::test_small());
+        let session = ExecSession::new(&device, EngineConfig::default());
+        let r = session.run(&clique(4), &clique(3)).unwrap();
+        // 4 x 3 x 2 ordered embeddings.
+        assert_eq!(r.num_matches, 24);
+        assert!(!r.used_chunking);
+        assert_eq!(r.level_counts, vec![4, 12, 24]);
+    }
+
+    #[test]
+    fn matches_reference_on_varied_pairs() {
+        let mesh = mesh2d(4, 4);
+        let er = erdos_renyi(40, 120, 3);
+        for query in [chain(3), chain(4), clique(3), clique(4), cycle(4), star(4)] {
+            check_against_reference(&mesh, &query);
+            check_against_reference(&er, &query);
+        }
+    }
+
+    #[test]
+    fn strategies_agree() {
+        let data = erdos_renyi(60, 240, 9);
+        let query = cycle(4);
+        let device = Device::new(DeviceConfig::test_small());
+        let mut counts = Vec::new();
+        for s in [
+            IntersectStrategy::Auto,
+            IntersectStrategy::Bitmap,
+            IntersectStrategy::CIntersection,
+            IntersectStrategy::PIntersection,
+        ] {
+            let session = ExecSession::new(&device, EngineConfig::default().with_intersect(s));
+            counts.push(session.run(&data, &query).unwrap().num_matches);
+        }
+        assert_eq!(counts[0], counts[1]);
+        assert_eq!(counts[1], counts[2]);
+    }
+
+    #[test]
+    fn chunking_triggered_and_correct() {
+        // Tiny trie forces the hybrid path; count must be unchanged.
+        let data = erdos_renyi(50, 250, 5);
+        let query = chain(4);
+        let big = Device::new(DeviceConfig::test_small());
+        let expect = ExecSession::new(&big, EngineConfig::default())
+            .run(&data, &query)
+            .unwrap();
+        assert!(!expect.used_chunking);
+
+        let small = Device::new(DeviceConfig::test_small().with_global_mem_words(2048));
+        let session = ExecSession::new(
+            &small,
+            EngineConfig::default()
+                .with_chunk_size(8)
+                .with_trie_fraction(0.9),
+        );
+        let got = session.run(&data, &query).unwrap();
+        assert!(got.used_chunking, "expected hybrid fallback");
+        assert_eq!(got.num_matches, expect.num_matches);
+        assert_eq!(got.level_counts, expect.level_counts);
+    }
+
+    #[test]
+    fn enumeration_yields_valid_embeddings() {
+        let data = mesh2d(3, 3);
+        let query = cycle(4);
+        let device = Device::new(DeviceConfig::test_small());
+        let session = ExecSession::new(&device, EngineConfig::default());
+        let mut seen = Vec::new();
+        let r = session
+            .run_enumerate(&data, &query, &mut |m| seen.push(m.to_vec()))
+            .unwrap();
+        assert_eq!(seen.len() as u64, r.num_matches);
+        for m in &seen {
+            // Injective.
+            let mut s = m.clone();
+            s.sort_unstable();
+            s.dedup();
+            assert_eq!(s.len(), m.len());
+            // Edge-preserving.
+            for (u, v) in query.edges() {
+                assert!(data.has_edge(m[u as usize], m[v as usize]));
+            }
+        }
+        // 4-cycles in a 3x3 mesh: 4 squares × 8 automorphic orderings.
+        assert_eq!(r.num_matches, 32);
+    }
+
+    #[test]
+    fn enumeration_consistent_under_chunking() {
+        let data = erdos_renyi(40, 160, 11);
+        let query = chain(4);
+        let big = Device::new(DeviceConfig::test_small());
+        let mut a = Vec::new();
+        ExecSession::new(&big, EngineConfig::default())
+            .run_enumerate(&data, &query, &mut |m| a.push(m.to_vec()))
+            .unwrap();
+        let small = Device::new(DeviceConfig::test_small().with_global_mem_words(2048));
+        let mut b = Vec::new();
+        ExecSession::new(&small, EngineConfig::default().with_chunk_size(4))
+            .run_enumerate(&data, &query, &mut |m| b.push(m.to_vec()))
+            .unwrap();
+        a.sort();
+        b.sort();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn no_match_is_zero() {
+        // K6 needs degree 5; a mesh's maximum degree is 4.
+        let device = Device::new(DeviceConfig::test_small());
+        let session = ExecSession::new(&device, EngineConfig::default());
+        let r = session.run(&mesh2d(4, 4), &clique(6)).unwrap();
+        assert_eq!(r.num_matches, 0);
+    }
+
+    #[test]
+    fn single_vertex_query() {
+        let device = Device::new(DeviceConfig::test_small());
+        let session = ExecSession::new(&device, EngineConfig::default());
+        let g = Graph::undirected(5, &[(0, 1), (1, 2)]);
+        let q = Graph::undirected(1, &[]);
+        // Every vertex matches a degree-0 query vertex.
+        let r = session.run(&g, &q).unwrap();
+        assert_eq!(r.num_matches, 5);
+    }
+
+    #[test]
+    fn randomization_does_not_change_counts() {
+        let data = erdos_renyi(50, 200, 21);
+        let query = clique(3);
+        let device = Device::new(DeviceConfig::test_small());
+        let run = |randomize: bool| {
+            ExecSession::new(
+                &device,
+                EngineConfig::default().with_randomize_placement(randomize),
+            )
+            .run(&data, &query)
+            .unwrap()
+        };
+        assert_eq!(run(true).num_matches, run(false).num_matches);
+    }
+
+    #[test]
+    fn capacity_exhausted_when_hopeless() {
+        // Device so small even chunk size 1 cannot expand.
+        let device = Device::new(DeviceConfig::test_small().with_global_mem_words(40));
+        let session = ExecSession::new(&device, EngineConfig::default());
+        let data = clique(8);
+        match session.run(&data, &clique(4)) {
+            Err(EngineError::CapacityExhausted { .. }) | Err(EngineError::Device(_)) => {}
+            other => panic!("expected capacity failure, got {other:?}"),
+        }
+    }
+
+    /// Every level-0 candidate of `query`'s first order slot in `data`.
+    fn root_paths(data: &Graph, query: &Graph) -> Vec<Vec<u32>> {
+        let plan = crate::order::MatchOrder::compute(query).unwrap();
+        (0..data.num_vertices() as u32)
+            .filter(|&v| data.degree_dominates(v, plan.q_out[0], plan.q_in[0]))
+            .map(|v| vec![v])
+            .collect()
+    }
+
+    #[test]
+    fn seeded_runs_partition_the_count() {
+        // Splitting the root-candidate set across seeded runs must
+        // partition the total count (the §4.2 distribution invariant).
+        let data = erdos_renyi(40, 160, 2);
+        let query = clique(3);
+        let device = Device::new(DeviceConfig::test_small());
+        let session = ExecSession::new(&device, EngineConfig::default());
+        let full = session.run(&data, &query).unwrap();
+
+        let roots = root_paths(&data, &query);
+        assert_eq!(roots.len() as u64, full.level_counts[0]);
+        let mid = roots.len() / 2;
+        let a = cuts_trie::HostTrie::from_flat_paths(&roots[..mid]);
+        let b = cuts_trie::HostTrie::from_flat_paths(&roots[mid..]);
+        let ca = session.run_seeded(&data, &query, &a).unwrap();
+        let cb = session.run_seeded(&data, &query, &b).unwrap();
+        assert_eq!(ca.num_matches + cb.num_matches, full.num_matches);
+    }
+
+    #[test]
+    fn seeded_run_with_deeper_paths() {
+        // Seed with every depth-2 partial path that passes the degree
+        // filter of the first two order slots; completion count must match.
+        let data = mesh2d(3, 3);
+        let query = chain(4);
+        let device = Device::new(DeviceConfig::test_small());
+        let session = ExecSession::new(&device, EngineConfig::default());
+        let full = session.run(&data, &query).unwrap();
+        let plan = crate::order::MatchOrder::compute(&query).unwrap();
+        let mut prefix_paths = Vec::new();
+        for v in 0..data.num_vertices() as u32 {
+            if !data.degree_dominates(v, plan.q_out[0], plan.q_in[0]) {
+                continue;
+            }
+            for &w in data.out_neighbors(v) {
+                if data.degree_dominates(w, plan.q_out[1], plan.q_in[1]) && w != v {
+                    prefix_paths.push(vec![v, w]);
+                }
+            }
+        }
+        let seed = cuts_trie::HostTrie::from_flat_paths(&prefix_paths);
+        let seeded = session.run_seeded(&data, &query, &seed).unwrap();
+        assert_eq!(seeded.num_matches, full.num_matches);
+        assert_eq!(seeded.level_counts, full.level_counts);
+    }
+
+    #[test]
+    fn expand_seed_once_matches_full_run_levels() {
+        let data = erdos_renyi(40, 160, 2);
+        let query = clique(3);
+        let device = Device::new(DeviceConfig::test_small());
+        let session = ExecSession::new(&device, EngineConfig::default());
+        let full = session.run(&data, &query).unwrap();
+        // Seed with all roots, expand once: level-2 count must match.
+        let seed = cuts_trie::HostTrie::from_flat_paths(&root_paths(&data, &query));
+        let expanded = session.expand_seed_once(&data, &query, &seed).unwrap();
+        assert_eq!(expanded.levels.len(), 2);
+        assert_eq!(
+            expanded.levels[1].len() as u64,
+            full.level_counts[1],
+            "one-level expansion disagrees with the full run"
+        );
+        // Completing the expanded seed reproduces the full count.
+        let done = session.run_seeded(&data, &query, &expanded).unwrap();
+        assert_eq!(done.num_matches, full.num_matches);
+    }
+
+    #[test]
+    fn directed_semantics() {
+        // Directed triangle query in a directed 6-cycle: none.
+        let data = Graph::directed(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
+        let tri = Graph::directed(3, &[(0, 1), (1, 2), (2, 0)]);
+        let device = Device::new(DeviceConfig::test_small());
+        let session = ExecSession::new(&device, EngineConfig::default());
+        assert_eq!(session.run(&data, &tri).unwrap().num_matches, 0);
+        // Directed 3-cycle data: 3 rotations match.
+        let d3 = Graph::directed(3, &[(0, 1), (1, 2), (2, 0)]);
+        assert_eq!(session.run(&d3, &tri).unwrap().num_matches, 3);
+    }
 
     #[test]
     fn warm_runs_reuse_buffers_and_plans() {
@@ -1161,17 +1327,17 @@ mod tests {
         let device = Device::new(DeviceConfig::test_small());
         let session = ExecSession::new(&device, EngineConfig::default());
         let datas = vec![clique(4), mesh2d(3, 3), erdos_renyi(30, 90, 7)];
-        let batch = session.run_batch(&datas, &clique(3));
-        assert_eq!(batch.len(), 3);
-        for (data, r) in datas.iter().zip(&batch) {
-            let r = r.as_ref().expect("per-job result is Ok");
+        for data in &datas {
+            let r = session
+                .run(data, &clique(3))
+                .expect("per-graph result is Ok");
             let fresh = ExecSession::new(&device, EngineConfig::default())
                 .run(data, &clique(3))
                 .unwrap();
             assert_eq!(r.num_matches, fresh.num_matches);
         }
         let s = session.stats();
-        assert_eq!(s.plans.misses, 1, "one plan serves the whole batch");
+        assert_eq!(s.plans.misses, 1, "one plan serves every graph");
         assert_eq!(s.arena.expect("arena carved").device_allocs, 1);
     }
 
@@ -1179,12 +1345,12 @@ mod tests {
     fn batch_with_unplannable_query_fails_per_job() {
         let device = Device::new(DeviceConfig::test_small());
         let session = ExecSession::new(&device, EngineConfig::default());
-        let datas = vec![clique(4), mesh2d(3, 3)];
         let disconnected = Graph::undirected(4, &[(0, 1), (2, 3)]);
-        let batch = session.run_batch(&datas, &disconnected);
-        assert_eq!(batch.len(), 2);
-        for r in &batch {
-            assert!(matches!(r, Err(EngineError::DisconnectedQuery)));
+        for data in [clique(4), mesh2d(3, 3)] {
+            assert!(matches!(
+                session.run(&data, &disconnected),
+                Err(EngineError::DisconnectedQuery)
+            ));
         }
     }
 
@@ -1197,11 +1363,15 @@ mod tests {
         let baseline = session.run(&data, &query).unwrap();
         let plan = session.plan_for(&query).unwrap();
         // Any capacity large enough to avoid spilling gives identical
-        // counts; a deliberately tiny one still matches via chunking.
+        // counts; a deliberately tiny one still matches via chunking. A
+        // chain with `entries == limit` never grows.
         for entries in [256usize, 4096] {
-            let r = session.run_with_plan_sized(&plan, &data, entries).unwrap();
+            let (r, settled) = session
+                .run_budgeted(&plan, &data, None, None, entries, entries, &GrantAll)
+                .unwrap();
             assert_eq!(r.num_matches, baseline.num_matches);
             assert_eq!(r.level_counts, baseline.level_counts);
+            assert_eq!(settled, entries);
         }
     }
 
@@ -1222,6 +1392,8 @@ mod tests {
         let device = Device::new(DeviceConfig::test_small());
         let session = ExecSession::new(&device, EngineConfig::default());
         let data = clique(4);
+        // Two disjoint edges: each has 12 embeddings in K4, and the
+        // paper's cross product gives 144.
         let q = Graph::undirected(4, &[(0, 1), (2, 3)]);
         let r = session.run_disconnected(&data, &q).unwrap();
         assert_eq!(r.num_matches, 144);
@@ -1251,7 +1423,7 @@ mod tests {
         // Start absurdly small; the chain must grow (never chunk) up to
         // the limit and still produce identical counts.
         let (r, achieved) = session
-            .run_with_plan_budgeted(&plan, &data, 1, 1 << 20, &GrantAll)
+            .run_budgeted(&plan, &data, None, None, 1, 1 << 20, &GrantAll)
             .unwrap();
         assert_eq!(r.num_matches, baseline.num_matches);
         assert_eq!(r.level_counts, baseline.level_counts);
@@ -1277,7 +1449,7 @@ mod tests {
         let session = ExecSession::new(&device, EngineConfig::default());
         let data = erdos_renyi(30, 90, 7);
         let plan = session.plan_for(&clique(3)).unwrap();
-        match session.run_with_plan_budgeted(&plan, &data, 1, 1 << 20, &DenyAll) {
+        match session.run_budgeted(&plan, &data, None, None, 1, 1 << 20, &DenyAll) {
             Err(BudgetedRunError::GrowthDenied { target_entries }) => {
                 assert!(target_entries > 1, "target doubles past the start size");
             }
@@ -1298,6 +1470,21 @@ mod tests {
         assert_eq!(w256, session.chain_words(1));
         assert_eq!(session.chain_words(usize::MAX), session.trie_budget_words());
         assert!(session.trie_budget_words() >= w256);
+        // A sized run settles on the same capacity and counters whatever
+        // ran on the session before it.
+        let data = erdos_renyi(30, 90, 7);
+        let plan = session.plan_for(&clique(3)).unwrap();
+        let sized = || {
+            session
+                .run_budgeted(&plan, &data, None, None, 256, 256, &GrantAll)
+                .unwrap()
+        };
+        let (cold, cold_entries) = sized();
+        session.run(&mesh2d(4, 4), &cycle(4)).unwrap();
+        let (warm, warm_entries) = sized();
+        assert_eq!(cold_entries, warm_entries);
+        assert_eq!(cold.counters, warm.counters);
+        assert_eq!(cold.level_counts, warm.level_counts);
     }
 
     #[test]

@@ -66,12 +66,9 @@ fn symmetric_queries_on_directed_data_match_the_reference() {
             assert_eq!(r.num_matches, want.len() as u64, "{name}: enumerate count");
             let count = session.run(&data, &query).unwrap().num_matches;
             assert_eq!(count, want.len() as u64, "{name} under {policy:?}: run");
-            let batch = session.run_batch(std::slice::from_ref(&data), &query);
-            assert_eq!(
-                batch[0].as_ref().unwrap().num_matches,
-                count,
-                "{name}: batch"
-            );
+            let plan = session.plan_over(&data, &query).unwrap();
+            let with_plan = session.run_with_plan(&plan, &data).unwrap();
+            assert_eq!(with_plan.num_matches, count, "{name}: run_with_plan");
         }
     }
     assert!(

@@ -75,7 +75,7 @@ fn engine_golden(
     data: &Graph,
     query: &Graph,
 ) -> (Golden, bool) {
-    let engine = CutsEngine::with_config(device, config);
+    let engine = ExecSession::new(device, config);
     let mut h = Fnv::new();
     let r = engine
         .run_enumerate(data, query, &mut |m: &[u32]| h.words(m))

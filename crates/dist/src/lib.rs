@@ -17,16 +17,16 @@
 //! to a given free node, and a given busy node only sends data to one free
 //! node"). Donated work travels as a serialised trie
 //! ([`cuts_trie::serial`]), which the receiver integrates and resumes via
-//! [`cuts_core::CutsEngine::run_seeded`].
+//! [`cuts_core::ExecSession::run_seeded`].
 //!
 //! Beyond the paper, the runtime is fault-tolerant: [`cuts_core::fault`]
-//! injects deterministic rank crashes, message drops, and delays; [`ledger`]
-//! tracks chunk ownership so survivors reclaim a dead rank's pending
+//! injects deterministic rank crashes, message drops, and delays; the
+//! [`ChunkLedger`] — the generic [`cuts_core::ledger::WorkLedger`] over
+//! path-batch [`cuts_trie::HostTrie`] chunks — tracks chunk ownership so survivors reclaim a dead rank's pending
 //! work; and any schedule that leaves one rank alive completes with the
 //! exact fault-free match count (see `DESIGN.md` §7).
 
 pub mod config;
-pub mod ledger;
 pub mod metrics;
 pub mod mpi;
 pub mod protocol;
@@ -36,9 +36,16 @@ pub mod worker;
 
 pub use config::DistConfig;
 pub use cuts_core::fault::{FaultInjector, FaultPlan};
-pub use ledger::{AliveBoard, ChunkId, ChunkLedger};
+pub use cuts_core::ledger::AliveBoard;
 pub use metrics::{DistResult, RankMetrics, RecoveryStats};
 pub use mpi::{Comm, Message};
 pub use runner::run;
 pub use sync_runner::{run_synchronous, SyncResult};
 pub use worker::Partition;
+
+/// Stable identity of one chunk of outer-loop work.
+pub type ChunkId = cuts_core::ledger::WorkId;
+
+/// Shared chunk-ownership and result store: the generic ledger with
+/// path-batch chunks as its unit of work.
+pub type ChunkLedger = cuts_core::ledger::WorkLedger<cuts_trie::HostTrie>;

@@ -17,7 +17,7 @@
 //! chunks become reclaimable. Second, termination no longer relies on
 //! the all-peers-free consensus (a single lost FREE broadcast would hang
 //! it); workers exit when the shared
-//! [`ChunkLedger`](crate::ledger::ChunkLedger) reports every registered
+//! [`ChunkLedger`](crate::ChunkLedger) reports every registered
 //! chunk committed, which is monotone and immune to message loss.
 
 use std::time::{Duration, Instant};
@@ -26,7 +26,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cuts_trie::serial::{decode_trie, encode_trie, WireError};
 use cuts_trie::HostTrie;
 
-use crate::ledger::ChunkId;
+use crate::ChunkId;
 
 /// Message tags.
 pub mod tag {

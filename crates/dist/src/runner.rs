@@ -19,10 +19,10 @@ use cuts_obs::flight::{self, FlightCode};
 use cuts_obs::{Arg, EventKind};
 
 pub use crate::config::DistConfig;
-use crate::ledger::{AliveBoard, ChunkLedger};
 use crate::metrics::{DistResult, RankMetrics, RecoveryStats};
 use crate::mpi::Comm;
 use crate::worker::{Shared, Worker, WorkerError};
+use crate::{AliveBoard, ChunkLedger};
 
 /// Flips the rank's liveness flag on *any* exit from the worker thread —
 /// clean return, error return, or panic unwind — and starts the recovery
@@ -255,13 +255,13 @@ mod tests {
     use super::*;
     use crate::worker::Partition;
     use cuts_core::fault::FaultPlan;
-    use cuts_core::CutsEngine;
+    use cuts_core::{EngineConfig, ExecSession};
     use cuts_gpu_sim::{Device, DeviceConfig};
     use cuts_graph::generators::{barabasi_albert, clique, erdos_renyi};
 
     fn single_node_count(data: &Graph, query: &Graph) -> u64 {
         let device = Device::new(DeviceConfig::test_small());
-        CutsEngine::new(&device)
+        ExecSession::new(&device, EngineConfig::default())
             .run(data, query)
             .unwrap()
             .num_matches

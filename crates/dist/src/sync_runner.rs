@@ -156,7 +156,7 @@ pub fn run_synchronous(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuts_core::CutsEngine;
+    use cuts_core::{EngineConfig, ExecSession};
     use cuts_gpu_sim::DeviceConfig;
     use cuts_graph::generators::{barabasi_albert, clique, erdos_renyi};
 
@@ -172,7 +172,7 @@ mod tests {
         let data = erdos_renyi(50, 200, 31);
         let query = clique(3);
         let device = Device::new(DeviceConfig::test_small());
-        let want = CutsEngine::new(&device)
+        let want = ExecSession::new(&device, EngineConfig::default())
             .run(&data, &query)
             .unwrap()
             .num_matches;

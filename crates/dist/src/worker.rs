@@ -4,7 +4,7 @@
 //!
 //! Fault tolerance rests on three mechanisms:
 //!
-//! 1. **The chunk ledger** ([`crate::ledger::ChunkLedger`]): every chunk
+//! 1. **The chunk ledger** ([`crate::ChunkLedger`]): every chunk
 //!    of work is registered before any rank starts, every hand-off is a
 //!    ledger transfer, and every result is an idempotent per-chunk
 //!    commit. `total_matches` is the ledger sum, so duplicated or
@@ -39,10 +39,10 @@ use cuts_trie::serial::WireError;
 use cuts_trie::HostTrie;
 
 use crate::config::DistConfig;
-use crate::ledger::{AliveBoard, ChunkId, ChunkLedger};
 use crate::metrics::RankMetrics;
 use crate::mpi::{Comm, Rank};
 use crate::protocol::{tag, DonatedChunk, Status, StatusBoard, WorkPayload};
+use crate::{AliveBoard, ChunkId, ChunkLedger};
 
 /// How root candidates are split across ranks at start-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

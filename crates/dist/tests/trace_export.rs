@@ -6,7 +6,7 @@
 //! a disabled `Trace` holds no journal, records nothing, and leaves the
 //! match results identical to an untraced run.
 
-use cuts_core::CutsEngine;
+use cuts_core::{EngineConfig, ExecSession};
 use cuts_dist::{run, DistConfig, Partition};
 use cuts_gpu_sim::{Device, DeviceConfig};
 use cuts_graph::generators::{barabasi_albert, clique, erdos_renyi};
@@ -27,7 +27,9 @@ fn single_node_trace_exports_valid_chrome_json() {
     let query = clique(3);
     let mut device = Device::new(DeviceConfig::test_small());
     device.set_trace(trace.clone());
-    let r = CutsEngine::new(&device).run(&data, &query).unwrap();
+    let r = ExecSession::new(&device, EngineConfig::default())
+        .run(&data, &query)
+        .unwrap();
     assert!(r.num_matches > 0);
 
     let events = trace.journal().unwrap().snapshot_sorted();
@@ -122,14 +124,18 @@ fn disabled_tracing_is_free_and_changes_nothing() {
     // Single node: traced and untraced runs agree on every deterministic
     // output field (wall_millis is host time and may differ).
     let plain_dev = Device::new(DeviceConfig::test_small());
-    let plain = CutsEngine::new(&plain_dev).run(&data, &query).unwrap();
+    let plain = ExecSession::new(&plain_dev, EngineConfig::default())
+        .run(&data, &query)
+        .unwrap();
     let traced = Trace::with_config(TraceConfig {
         per_block: true,
         ..Default::default()
     });
     let mut traced_dev = Device::new(DeviceConfig::test_small());
     traced_dev.set_trace(traced.clone());
-    let t = CutsEngine::new(&traced_dev).run(&data, &query).unwrap();
+    let t = ExecSession::new(&traced_dev, EngineConfig::default())
+        .run(&data, &query)
+        .unwrap();
     assert_eq!(plain.num_matches, t.num_matches);
     assert_eq!(plain.level_counts, t.level_counts);
     assert_eq!(plain.order, t.order);

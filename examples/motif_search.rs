@@ -27,7 +27,7 @@ fn main() {
     let null = erdos_renyi(ppi.num_vertices(), ppi.num_input_edges(), 99);
 
     let device = Device::new(DeviceConfig::a100_like());
-    let engine = CutsEngine::new(&device);
+    let session = ExecSession::new(&device, EngineConfig::default());
 
     println!(
         "motif census: {} vertices, {} edges",
@@ -44,8 +44,8 @@ fn main() {
         let motifs = query_set(n, 16);
         for m in &motifs {
             let auts = automorphism_count(&m.graph);
-            let real = engine.run(&ppi, &m.graph).expect("real run").num_matches / auts;
-            let nullc = engine.run(&null, &m.graph).expect("null run").num_matches / auts;
+            let real = session.run(&ppi, &m.graph).expect("real run").num_matches / auts;
+            let nullc = session.run(&null, &m.graph).expect("null run").num_matches / auts;
             let ratio = if nullc == 0 {
                 f64::INFINITY
             } else {

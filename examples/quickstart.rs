@@ -22,9 +22,9 @@ fn main() {
     // A simulated device (paper-shaped: V100). The engine allocates its
     // PA/CA trie from the device's free memory, exactly like the paper.
     let device = Device::new(DeviceConfig::v100_like());
-    let engine = CutsEngine::new(&device);
+    let session = ExecSession::new(&device, EngineConfig::default());
 
-    let result = engine.run(&social, &triangle).expect("run failed");
+    let result = session.run(&social, &triangle).expect("run failed");
     println!(
         "triangle embeddings: {} (each triangle counted once per automorphism: 6)",
         result.num_matches
@@ -46,7 +46,7 @@ fn main() {
     // Enumerate a few concrete matches.
     println!("\nfirst five embeddings (query vertex -> data vertex):");
     let mut shown = 0;
-    engine
+    session
         .run_enumerate(&social, &triangle, &mut |m| {
             if shown < 5 {
                 println!("  q0->{} q1->{} q2->{}", m[0], m[1], m[2]);

@@ -24,7 +24,7 @@ fn main() {
     );
 
     let device = Device::new(DeviceConfig::v100_like());
-    let engine = CutsEngine::new(&device);
+    let session = ExecSession::new(&device, EngineConfig::default());
 
     println!(
         "{:<12} {:>14} {:>10} {:>12}",
@@ -37,7 +37,7 @@ fn main() {
         ("cycle-4", cycle(4)),
         ("cycle-6", cycle(6)),
     ] {
-        match engine.run(&road, &q) {
+        match session.run(&road, &q) {
             Ok(r) => println!(
                 "{:<12} {:>14} {:>10.3} {:>12}",
                 name,

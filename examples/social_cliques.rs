@@ -27,11 +27,11 @@ fn main() {
     );
 
     let device = Device::new(DeviceConfig::v100_like());
-    let engine = CutsEngine::new(&device);
+    let session = ExecSession::new(&device, EngineConfig::default());
 
     for k in [3usize, 4, 5] {
         let q = clique(k);
-        match engine.run(&social, &q) {
+        match session.run(&social, &q) {
             Ok(r) => {
                 let auts: u64 = (1..=k as u64).product();
                 println!(
@@ -57,7 +57,7 @@ fn main() {
         }
         Err(e) => println!("GSI-style: {e}"),
     }
-    match CutsEngine::new(&tiny).run(&social, &q4) {
+    match ExecSession::new(&tiny, EngineConfig::default()).run(&social, &q4) {
         Ok(r) => println!(
             "cuTS (trie + chunking):   {} matches (chunked: {})",
             r.num_matches, r.used_chunking

@@ -1,5 +1,5 @@
 //! Cross-rank count-equivalence matrix: the distributed runtime must
-//! report exactly the single-node `CutsEngine` count for every
+//! report exactly the single-node `ExecSession` count for every
 //! combination of rank count × partition strategy × data graph. This is
 //! the paper's Table 6 property ("the distributed implementation finds
 //! the same embeddings") as an exhaustive grid.
@@ -11,7 +11,7 @@ use cuts::prelude::*;
 
 fn single_node_count(data: &Graph, query: &Graph) -> u64 {
     let device = Device::new(DeviceConfig::test_small());
-    CutsEngine::new(&device)
+    ExecSession::new(&device, EngineConfig::default())
         .run(data, query)
         .unwrap()
         .num_matches

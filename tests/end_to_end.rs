@@ -31,7 +31,10 @@ fn all_engines_agree_on_all_datasets() {
             // compare counts where every engine completes).
             let roomy = Device::new(DeviceConfig::test_small().with_global_mem_words(32 << 20));
             let want = reference::count_embeddings(&data, &q);
-            let cuts = CutsEngine::new(&device).run(&data, &q).unwrap().num_matches;
+            let cuts = ExecSession::new(&device, EngineConfig::default())
+                .run(&data, &q)
+                .unwrap()
+                .num_matches;
             assert_eq!(cuts, want, "cuts vs reference on {ds}");
             let gsi = GsiEngine::new(&roomy).run(&data, &q).unwrap().num_matches;
             assert_eq!(gsi, want, "gsi vs reference on {ds}");
@@ -53,10 +56,10 @@ fn paper_query_suite_on_enron_standin() {
     // The 5-vertex top-11 suite end-to-end against the reference.
     let data = Dataset::Enron.generate(Scale::Custom(1.0 / 2048.0));
     let device = tiny_device();
-    let engine = CutsEngine::new(&device);
+    let session = ExecSession::new(&device, EngineConfig::default());
     for q in query_set(5, 11) {
         let want = reference::count_embeddings(&data, &q.graph);
-        let got = engine.run(&data, &q.graph).unwrap().num_matches;
+        let got = session.run(&data, &q.graph).unwrap().num_matches;
         assert_eq!(got, want, "{}", q.name);
     }
 }
@@ -65,14 +68,14 @@ fn paper_query_suite_on_enron_standin() {
 fn distributed_equals_single_node_on_suite() {
     let data = Dataset::Gowalla.generate(Scale::Custom(1.0 / 2048.0));
     let device = tiny_device();
-    let engine = CutsEngine::new(&device);
+    let session = ExecSession::new(&device, EngineConfig::default());
     let config = cuts::dist::DistConfig {
         device: DeviceConfig::test_small(),
         dist_chunk: 8,
         ..Default::default()
     };
     for q in query_set(4, 6) {
-        let want = engine.run(&data, &q.graph).unwrap().num_matches;
+        let want = session.run(&data, &q.graph).unwrap().num_matches;
         for ranks in [2usize, 3] {
             let got = cuts::dist::run(&data, &q.graph, ranks, &config)
                 .unwrap()
@@ -87,16 +90,15 @@ fn chunked_and_unchunked_agree_on_standins() {
     let data = Dataset::WikiTalk.generate(Scale::Custom(1.0 / 4096.0));
     let q = clique(4);
     let roomy = tiny_device();
-    let want = CutsEngine::new(&roomy).run(&data, &q).unwrap();
+    let want = ExecSession::new(&roomy, EngineConfig::default())
+        .run(&data, &q)
+        .unwrap();
     // Find a budget that forces chunking but still completes.
     let need = 2 * want.level_counts.iter().sum::<u64>() as usize;
     let tight = Device::new(DeviceConfig::test_small().with_global_mem_words(need / 2));
-    let got = CutsEngine::with_config(
-        &tight,
-        cuts::engine::EngineConfig::default().with_chunk_size(16),
-    )
-    .run(&data, &q)
-    .unwrap();
+    let got = ExecSession::new(&tight, EngineConfig::default().with_chunk_size(16))
+        .run(&data, &q)
+        .unwrap();
     assert!(got.used_chunking);
     assert_eq!(got.num_matches, want.num_matches);
     assert_eq!(got.level_counts, want.level_counts);
@@ -107,7 +109,9 @@ fn storage_accounting_matches_run() {
     // The MatchResult's space view must equal recomputing from counts.
     let data = Dataset::RoadNetPA.generate(Scale::Custom(1.0 / 2048.0));
     let device = tiny_device();
-    let r = CutsEngine::new(&device).run(&data, &chain(4)).unwrap();
+    let r = ExecSession::new(&device, EngineConfig::default())
+        .run(&data, &chain(4))
+        .unwrap();
     let counts = cuts::trie::space::LevelCounts(r.level_counts.clone());
     assert_eq!(r.cuts_words(), counts.cuts_words(r.level_counts.len()));
     assert_eq!(r.naive_words(), counts.naive_words(r.level_counts.len()));
@@ -123,7 +127,7 @@ fn enumeration_roundtrips_through_wire_format() {
     let q = clique(3);
     let device = tiny_device();
     let mut paths = Vec::new();
-    CutsEngine::new(&device)
+    ExecSession::new(&device, EngineConfig::default())
         .run_enumerate(&data, &q, &mut |m| paths.push(m.to_vec()))
         .unwrap();
     let host = cuts::trie::HostTrie::from_flat_paths(&paths);
@@ -143,12 +147,12 @@ fn star_queries_and_hubs() {
     // of star(k), so large k on a hubby graph is combinatorially explosive.
     let data = Dataset::RoadNetPA.generate(Scale::Custom(1.0 / 2048.0));
     let device = tiny_device();
-    let engine = CutsEngine::new(&device);
+    let session = ExecSession::new(&device, EngineConfig::default());
     for k in [3usize, 4] {
         let q = star(k);
         let want = reference::count_embeddings(&data, &q);
         assert_eq!(
-            engine.run(&data, &q).unwrap().num_matches,
+            session.run(&data, &q).unwrap().num_matches,
             want,
             "star({k})"
         );

@@ -17,7 +17,7 @@ use cuts::prelude::*;
 
 fn single_node_count(data: &Graph, query: &Graph) -> u64 {
     let device = Device::new(DeviceConfig::test_small());
-    CutsEngine::new(&device)
+    ExecSession::new(&device, EngineConfig::default())
         .run(data, query)
         .unwrap()
         .num_matches

@@ -59,9 +59,7 @@ fn queries(labeled: bool) -> Vec<(&'static str, Graph)> {
 
 fn run(data: &Graph, query: &Graph, config: EngineConfig) -> MatchResult {
     let device = Device::new(DeviceConfig::test_small());
-    CutsEngine::with_config(&device, config)
-        .run(data, query)
-        .unwrap()
+    ExecSession::new(&device, config).run(data, query).unwrap()
 }
 
 #[test]

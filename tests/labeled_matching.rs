@@ -22,7 +22,9 @@ fn engines_agree_on_labeled_graphs() {
         let (data, query) = labeled_pair(seed);
         let want = reference::count_embeddings(&data, &query);
         let device = Device::new(DeviceConfig::test_small());
-        let cuts = CutsEngine::new(&device).run(&data, &query).unwrap();
+        let cuts = ExecSession::new(&device, EngineConfig::default())
+            .run(&data, &query)
+            .unwrap();
         assert_eq!(cuts.num_matches, want, "cuts, seed {seed}");
         let gsi = GsiEngine::new(&device).run(&data, &query).unwrap();
         assert_eq!(gsi.num_matches, want, "gsi, seed {seed}");
@@ -36,12 +38,16 @@ fn engines_agree_on_labeled_graphs() {
 fn labels_prune_candidates() {
     let (data, query) = labeled_pair(7);
     let device = Device::new(DeviceConfig::test_small());
-    let labeled = CutsEngine::new(&device).run(&data, &query).unwrap();
+    let labeled = ExecSession::new(&device, EngineConfig::default())
+        .run(&data, &query)
+        .unwrap();
     // Same structure without labels admits strictly more embeddings
     // (unless the unlabeled count is already 0).
     let unl_data = erdos_renyi(60, 240, 7);
     let unl_query = clique(3);
-    let unlabeled = CutsEngine::new(&device).run(&unl_data, &unl_query).unwrap();
+    let unlabeled = ExecSession::new(&device, EngineConfig::default())
+        .run(&unl_data, &unl_query)
+        .unwrap();
     assert!(labeled.num_matches <= unlabeled.num_matches);
     assert!(labeled.level_counts[0] < unlabeled.level_counts[0]);
 }
@@ -51,7 +57,7 @@ fn labeled_embeddings_respect_labels() {
     let (data, query) = labeled_pair(11);
     let device = Device::new(DeviceConfig::test_small());
     let mut n = 0u64;
-    CutsEngine::new(&device)
+    ExecSession::new(&device, EngineConfig::default())
         .run_enumerate(&data, &query, &mut |m| {
             n += 1;
             for q in 0..3u32 {
@@ -69,8 +75,12 @@ fn wildcard_semantics() {
     let labeled_data = erdos_renyi(40, 160, 13).with_labels(random_labels(40, 4, 5));
     let query = chain(3);
     let device = Device::new(DeviceConfig::test_small());
-    let a = CutsEngine::new(&device).run(&data, &query).unwrap();
-    let b = CutsEngine::new(&device).run(&labeled_data, &query).unwrap();
+    let a = ExecSession::new(&device, EngineConfig::default())
+        .run(&data, &query)
+        .unwrap();
+    let b = ExecSession::new(&device, EngineConfig::default())
+        .run(&labeled_data, &query)
+        .unwrap();
     assert_eq!(a.num_matches, b.num_matches);
 }
 
@@ -79,7 +89,7 @@ fn distributed_labeled_matches_single_node() {
     let data = erdos_renyi(50, 200, 17).with_labels(zipf_labels(50, 4, 3));
     let query = clique(3).with_labels(vec![0, 0, 1]);
     let device = Device::new(DeviceConfig::test_small());
-    let want = CutsEngine::new(&device)
+    let want = ExecSession::new(&device, EngineConfig::default())
         .run(&data, &query)
         .unwrap()
         .num_matches;
@@ -103,7 +113,10 @@ fn degree_band_labels_work_as_selectors() {
     // the vertices in that band.
     let q = Graph::undirected(1, &[]).with_labels(vec![max_band]);
     let device = Device::new(DeviceConfig::test_small());
-    let got = CutsEngine::new(&device).run(&data, &q).unwrap().num_matches;
+    let got = ExecSession::new(&device, EngineConfig::default())
+        .run(&data, &q)
+        .unwrap()
+        .num_matches;
     let expect = bands.iter().filter(|&&b| b == max_band).count() as u64;
     assert_eq!(got, expect);
 }

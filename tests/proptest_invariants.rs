@@ -32,7 +32,7 @@ proptest! {
     #[test]
     fn engine_matches_reference(data in arb_graph(24, 80), query in arb_query()) {
         let device = Device::new(DeviceConfig::test_small());
-        let got = CutsEngine::new(&device).run(&data, &query).unwrap().num_matches;
+        let got = ExecSession::new(&device, EngineConfig::default()).run(&data, &query).unwrap().num_matches;
         let want = reference::count_embeddings(&data, &query);
         prop_assert_eq!(got, want);
     }
@@ -49,12 +49,12 @@ proptest! {
     #[test]
     fn chunking_never_changes_counts(data in arb_graph(20, 60), query in arb_query(), chunk in 1usize..16) {
         let roomy = Device::new(DeviceConfig::test_small());
-        let want = CutsEngine::new(&roomy).run(&data, &query).unwrap().num_matches;
+        let want = ExecSession::new(&roomy, EngineConfig::default()).run(&data, &query).unwrap().num_matches;
         let tight = Device::new(DeviceConfig::test_small().with_global_mem_words(4096));
-        let cfg = cuts::engine::EngineConfig::default().with_chunk_size(chunk);
+        let cfg = EngineConfig::default().with_chunk_size(chunk);
         // Tight runs may legitimately fail on capacity; when they
         // complete, the count must be identical.
-        if let Ok(r) = CutsEngine::with_config(&tight, cfg).run(&data, &query) {
+        if let Ok(r) = ExecSession::new(&tight, cfg).run(&data, &query) {
             prop_assert_eq!(r.num_matches, want);
         }
     }
@@ -101,7 +101,7 @@ proptest! {
     fn distributed_equals_local(data in arb_graph(18, 50), ranks in 2usize..4) {
         let query = cuts::graph::generators::clique(3);
         let device = Device::new(DeviceConfig::test_small());
-        let want = CutsEngine::new(&device).run(&data, &query).unwrap().num_matches;
+        let want = ExecSession::new(&device, EngineConfig::default()).run(&data, &query).unwrap().num_matches;
         let config = cuts::dist::DistConfig {
             device: DeviceConfig::test_small(),
             dist_chunk: 4,
