@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use cuts_core::intersect::{c_intersection, constraint_list};
 use cuts_core::{CutsError, MatchOrder, MatchResult};
-use cuts_gpu_sim::{CostModel, Device, GlobalBuffer};
+use cuts_gpu_sim::{CostModel, CounterSink, Device, GlobalBuffer};
 use cuts_graph::{Graph, VertexId};
 
 /// GSI engine tunables.
@@ -103,7 +103,7 @@ impl<'d> GsiEngine<'d> {
     /// Counts all embeddings of a connected `query` in `data`.
     pub fn run(&self, data: &Graph, query: &Graph) -> Result<MatchResult, CutsError> {
         let wall_start = Instant::now();
-        let scope = self.device.counter_scope();
+        let sink = CounterSink::install();
         let plan = MatchOrder::from_order(query, Self::query_order(query, data))?;
         let n = plan.len();
         let mut level_counts = vec![0u64; n];
@@ -199,7 +199,7 @@ impl<'d> GsiEngine<'d> {
         }
 
         let num_matches = level_counts[n - 1];
-        let counters = scope.elapsed(self.device);
+        let counters = sink.snapshot();
         let sim_millis = CostModel::default().millis(&counters, self.device.config());
         Ok(MatchResult {
             num_matches,

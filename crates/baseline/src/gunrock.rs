@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use cuts_core::intersect::{c_intersection, constraint_list};
 use cuts_core::{MatchOrder, MatchResult};
-use cuts_gpu_sim::{CostModel, Device, GlobalBuffer};
+use cuts_gpu_sim::{CostModel, CounterSink, Device, GlobalBuffer};
 use cuts_graph::{Graph, VertexId};
 
 use cuts_core::CutsError;
@@ -56,7 +56,7 @@ impl<'d> GunrockEngine<'d> {
                 detail: format!("{nd}^{nq} exceeds 2^64"),
             });
         }
-        let scope = self.device.counter_scope();
+        let sink = CounterSink::install();
         let plan = MatchOrder::compute(query)?;
         let n = plan.len();
         let base = nd.max(1) as u64;
@@ -149,7 +149,7 @@ impl<'d> GunrockEngine<'d> {
             cur = next;
         }
 
-        let counters = scope.elapsed(self.device);
+        let counters = sink.snapshot();
         let sim_millis = CostModel::default().millis(&counters, self.device.config());
         Ok(MatchResult {
             num_matches: level_counts[n - 1],

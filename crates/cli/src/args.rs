@@ -648,6 +648,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if opts.ranks == 0 {
                 return Err("--ranks must be at least 1".into());
             }
+            if opts.chunk == 0 {
+                return Err("--chunk must be at least 1".into());
+            }
             if opts.fault_plan.is_some() && opts.ranks < 2 {
                 return Err("--fault-plan requires --ranks > 1".into());
             }
@@ -893,6 +896,14 @@ mod tests {
     fn fault_plan_requires_multiple_ranks() {
         assert!(parse(&argv("match g.txt --query clique:3 --fault-plan crash:0@0")).is_err());
         assert!(parse(&argv("match g.txt --query clique:3 --rank-timeout")).is_err());
+        // A zero chunk is a usage error on one rank and on many.
+        for extra in ["", " --ranks 2"] {
+            let line = format!("match g.txt --query clique:3 --chunk 0{extra}");
+            assert_eq!(
+                parse(&argv(&line)).unwrap_err(),
+                "--chunk must be at least 1"
+            );
+        }
     }
 
     #[test]

@@ -209,7 +209,6 @@ fn run_match(opts: &MatchOpts, profile: bool) -> Result<(), CmdError> {
     let trace = if profile || opts.trace_out.is_some() || opts.metrics_out.is_some() {
         Trace::with_config(TraceConfig {
             per_block: opts.trace_per_block,
-            ..Default::default()
         })
     } else {
         Trace::disabled()
@@ -354,7 +353,6 @@ fn run_match_warm(path: &str, opts: &MatchOpts, profile: bool) -> Result<(), Cmd
     let trace = if profile || opts.trace_out.is_some() || opts.metrics_out.is_some() {
         Trace::with_config(TraceConfig {
             per_block: opts.trace_per_block,
-            ..Default::default()
         })
     } else {
         Trace::disabled()

@@ -94,15 +94,36 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// A validating builder: the same knobs as the `with_*` methods, but
-    /// illegal values surface as a typed [`ConfigError`] at
-    /// [`EngineConfigBuilder::build`] time instead of a panic (or a
-    /// run-time failure deep inside a launch).
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder {
-            config: EngineConfig::default(),
-            device_words: None,
+    /// Checks every range once, against a concrete device of
+    /// `device_words` global words: the chunk size and block cap are at
+    /// least 1, the trie fraction lies in `(0, 1]`, a fixed virtual warp
+    /// is a power of two ≤ 32, and the trie's fraction of the device holds
+    /// at least one PA/CA entry pair (mirrors `QueryPlan::build`'s OOM).
+    /// Illegal values surface as a typed [`ConfigError`] instead of a
+    /// panic deep inside a launch.
+    pub fn validate(&self, device_words: usize) -> Result<(), ConfigError> {
+        let invalid = |field, reason| Err(ConfigError::Invalid { field, reason });
+        if self.chunk_size == 0 {
+            return invalid("chunk_size", "must be at least 1");
         }
+        if !(self.trie_fraction > 0.0 && self.trie_fraction <= 1.0) {
+            return invalid("trie_fraction", "must be in (0, 1]");
+        }
+        if self.max_blocks == 0 {
+            return invalid("max_blocks", "must be at least 1");
+        }
+        if let VirtualWarpPolicy::Fixed(w) = self.virtual_warp {
+            if !w.is_power_of_two() || w > 32 {
+                return invalid("virtual_warp", "fixed width must be a power of two ≤ 32");
+            }
+        }
+        if (device_words as f64 * self.trie_fraction) as usize / 2 == 0 {
+            return Err(ConfigError::Budget {
+                required_words: 2,
+                device_words,
+            });
+        }
+        Ok(())
     }
 
     /// Builder-style chunk size.
@@ -147,124 +168,6 @@ impl EngineConfig {
         assert!(f > 0.0 && f <= 1.0);
         self.trie_fraction = f;
         self
-    }
-}
-
-/// Validating builder for [`EngineConfig`] (see
-/// [`EngineConfig::builder`]). Every setter records the value; all range
-/// checks run together in [`EngineConfigBuilder::build`], which returns
-/// [`ConfigError`] instead of panicking.
-#[derive(Debug, Clone)]
-pub struct EngineConfigBuilder {
-    config: EngineConfig,
-    device_words: Option<usize>,
-}
-
-impl EngineConfigBuilder {
-    /// Hybrid BFS-DFS chunk size (must be ≥ 1).
-    pub fn chunk_size(mut self, n: usize) -> Self {
-        self.config.chunk_size = n;
-        self
-    }
-
-    /// Fraction of free device words handed to the trie (must be in
-    /// `(0, 1]`).
-    pub fn trie_fraction(mut self, f: f64) -> Self {
-        self.config.trie_fraction = f;
-        self
-    }
-
-    /// Intersection micro-kernel selection.
-    pub fn intersect(mut self, s: IntersectStrategy) -> Self {
-        self.config.intersect = s;
-        self
-    }
-
-    /// Level-0 signature prefilter.
-    pub fn signature_prefilter(mut self, on: bool) -> Self {
-        self.config.signature_prefilter = on;
-        self
-    }
-
-    /// Partial-path placement randomisation.
-    pub fn randomize_placement(mut self, on: bool) -> Self {
-        self.config.randomize_placement = on;
-        self
-    }
-
-    /// Query-ordering heuristic.
-    pub fn order_policy(mut self, p: OrderPolicy) -> Self {
-        self.config.order_policy = p;
-        self
-    }
-
-    /// Virtual warp sizing (a `Fixed` width must be a power of two ≤ 32).
-    pub fn virtual_warp(mut self, p: VirtualWarpPolicy) -> Self {
-        self.config.virtual_warp = p;
-        self
-    }
-
-    /// Maximum thread blocks per kernel launch (must be ≥ 1).
-    pub fn max_blocks(mut self, n: usize) -> Self {
-        self.config.max_blocks = n;
-        self
-    }
-
-    /// Placement-randomisation seed.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.config.seed = s;
-        self
-    }
-
-    /// Checks the trie budget against a concrete device size: `build`
-    /// fails with [`ConfigError::Budget`] when the configured fraction
-    /// of this many words cannot hold even one trie entry pair.
-    pub fn for_device_words(mut self, words: usize) -> Self {
-        self.device_words = Some(words);
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<EngineConfig, ConfigError> {
-        let c = &self.config;
-        if c.chunk_size == 0 {
-            return Err(ConfigError::Invalid {
-                field: "chunk_size",
-                reason: "must be at least 1",
-            });
-        }
-        if !(c.trie_fraction > 0.0 && c.trie_fraction <= 1.0) {
-            return Err(ConfigError::Invalid {
-                field: "trie_fraction",
-                reason: "must be in (0, 1]",
-            });
-        }
-        if c.max_blocks == 0 {
-            return Err(ConfigError::Invalid {
-                field: "max_blocks",
-                reason: "must be at least 1",
-            });
-        }
-        if let VirtualWarpPolicy::Fixed(w) = c.virtual_warp {
-            if !w.is_power_of_two() || w > 32 {
-                return Err(ConfigError::Invalid {
-                    field: "virtual_warp",
-                    reason: "fixed width must be a power of two ≤ 32",
-                });
-            }
-        }
-        if let Some(words) = self.device_words {
-            // The trie needs at least one PA/CA entry pair within its
-            // fraction of the device (mirrors QueryPlan::build's OOM).
-            let budget_entries = (words as f64 * c.trie_fraction) as usize / 2;
-            if budget_entries == 0 {
-                return Err(ConfigError::Budget {
-                    required_words: 2,
-                    device_words: words,
-                });
-            }
-        }
-        Ok(self.config)
     }
 }
 

@@ -299,11 +299,6 @@ impl<'d> DynamicSession<'d> {
         &self.session
     }
 
-    /// Number of registered standing queries.
-    pub fn num_queries(&self) -> usize {
-        self.queries.len()
-    }
-
     /// Registers `query` (which must be weakly connected, like every
     /// [`ExecSession::run`] input) as a standing query: runs the full
     /// initial expansion, keeps its match set and plans one anchor per

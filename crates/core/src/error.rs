@@ -56,8 +56,9 @@ impl From<DeviceError> for EngineError {
     }
 }
 
-/// A configuration rejected at build time by one of the validating
-/// builders ([`crate::EngineConfig::builder`], `DistConfig::builder`).
+/// A configuration rejected at build time by [`crate::EngineConfig::validate`]
+/// or one of the validating builders ([`crate::ServeConfig::builder`],
+/// `DistConfig::builder`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// A field value is out of its legal range.

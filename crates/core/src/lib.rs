@@ -45,7 +45,7 @@ pub mod snapshot;
 pub mod watch;
 
 pub use cache::{PlanCache, PlanCacheStats};
-pub use config::{EngineConfig, EngineConfigBuilder, IntersectStrategy, VirtualWarpPolicy};
+pub use config::{EngineConfig, IntersectStrategy, VirtualWarpPolicy};
 pub use dynamic::{BatchOutcome, DynamicError, DynamicSession, MatchDelta, StandingQueryId};
 pub use error::{ConfigError, CutsError, DistError, EngineError, SchedError, SnapshotError};
 pub use fault::{CrashKind, FaultInjector, FaultPlan};

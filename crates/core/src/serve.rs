@@ -51,7 +51,9 @@ use crate::plan::QueryPlan;
 use crate::sched::{
     dispatch_score, job_entries_for, Job, JobId, JobOutcome, SloReport, StatsSink, Telemetry,
 };
-use crate::session::{BudgetedRunError, ExecSession, GrantAll, GrowthLedger};
+use crate::session::{
+    BudgetedRunError, ExecSession, GrantAll, GrowthLedger, DEFAULT_PLAN_CACHE_CAPACITY,
+};
 
 /// A peer must hold at least this many queued jobs before an idle rank
 /// migrates work away from it. Migration is only attempted by a lane
@@ -65,19 +67,19 @@ const MIGRATE_MIN_QUEUE: usize = 1;
 
 /// Validated configuration of a [`ServeTier`] — the single knob surface
 /// for the whole serving stack (devices × lanes × ranks, fault plan,
-/// trace/metrics sinks). Built by [`ServeConfig::builder`].
+/// trace/metrics sinks). Built by [`ServeConfig::builder`]. Every session
+/// runs [`EngineConfig::default`] with a plan cache of
+/// [`DEFAULT_PLAN_CACHE_CAPACITY`] entries, raised to hold every warm plan.
 #[derive(Clone)]
 pub struct ServeConfig {
     ranks: usize,
     devices_per_rank: usize,
     lanes: usize,
     device: DeviceConfig,
-    engine: EngineConfig,
     sigma: f64,
     pacing: f64,
     queue_capacity: usize,
     aging: Duration,
-    plan_cache: usize,
     warm_plans: Vec<Arc<QueryPlan>>,
     fault_plan: FaultPlan,
     trace: Option<Trace>,
@@ -108,12 +110,10 @@ impl ServeConfig {
             devices_per_rank: 1,
             lanes: 2,
             device: DeviceConfig::v100_like(),
-            engine: EngineConfig::default(),
             sigma: 0.25,
             pacing: 0.0,
             queue_capacity: 64,
             aging: Duration::from_millis(5),
-            plan_cache: crate::session::DEFAULT_PLAN_CACHE_CAPACITY,
             warm_plans: Vec::new(),
             fault_plan: FaultPlan::default(),
             trace: None,
@@ -128,9 +128,15 @@ impl ServeConfig {
         self.ranks
     }
 
-    /// The validated engine configuration (watch-session plumbing).
-    pub(crate) fn engine(&self) -> &EngineConfig {
-        &self.engine
+    /// A ready session on `device`: the default engine, a plan cache
+    /// seeded with every warm plan (its capacity raised to hold them all),
+    /// and the trie arena carved.
+    fn session<'d>(&self, device: &'d Device) -> Result<ExecSession<'d>, CutsError> {
+        let capacity = DEFAULT_PLAN_CACHE_CAPACITY.max(self.warm_plans.len());
+        let session = ExecSession::with_cache_capacity(device, EngineConfig::default(), capacity);
+        session.seed_plans(&self.warm_plans);
+        session.prepare_trie_arena().map_err(CutsError::from)?;
+        Ok(session)
     }
 
     /// The configured fault plan (watch-session plumbing).
@@ -161,12 +167,10 @@ pub struct ServeConfigBuilder {
     devices_per_rank: usize,
     lanes: usize,
     device: DeviceConfig,
-    engine: EngineConfig,
     sigma: f64,
     pacing: f64,
     queue_capacity: usize,
     aging: Duration,
-    plan_cache: usize,
     warm_plans: Vec<Arc<QueryPlan>>,
     fault_plan: FaultPlan,
     trace: Option<Trace>,
@@ -200,12 +204,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// The engine configuration shared by every rank's sessions.
-    pub fn engine_config(mut self, c: EngineConfig) -> Self {
-        self.engine = c;
-        self
-    }
-
     /// §5 candidate-survival prior σ for space estimates (in `(0, 1]`).
     pub fn sigma(mut self, s: f64) -> Self {
         self.sigma = s;
@@ -230,12 +228,6 @@ impl ServeConfigBuilder {
     /// Aging constant: one unit of dispatch score per `aging` waited.
     pub fn aging(mut self, d: Duration) -> Self {
         self.aging = d;
-        self
-    }
-
-    /// Plan-cache capacity per device session.
-    pub fn plan_cache(mut self, n: usize) -> Self {
-        self.plan_cache = n;
         self
     }
 
@@ -320,32 +312,18 @@ impl ServeConfigBuilder {
                 "crashes every rank; no survivor could finish the stream",
             ));
         }
-        // The engine config must survive its own validation, including
-        // the trie budget against this device model.
-        let engine = {
-            let mut b = EngineConfig::builder()
-                .chunk_size(self.engine.chunk_size)
-                .trie_fraction(self.engine.trie_fraction)
-                .intersect(self.engine.intersect)
-                .randomize_placement(self.engine.randomize_placement)
-                .order_policy(self.engine.order_policy)
-                .virtual_warp(self.engine.virtual_warp)
-                .max_blocks(self.engine.max_blocks)
-                .seed(self.engine.seed);
-            b = b.for_device_words(self.device.global_mem_words);
-            b.build()?
-        };
+        // Every session runs the default engine; its trie budget must
+        // fit this device model.
+        EngineConfig::default().validate(self.device.global_mem_words)?;
         Ok(ServeConfig {
             ranks: self.ranks,
             devices_per_rank: self.devices_per_rank,
             lanes: self.lanes,
             device: self.device,
-            engine,
             sigma: self.sigma,
             pacing: self.pacing,
             queue_capacity: self.queue_capacity,
             aging: self.aging,
-            plan_cache: self.plan_cache.max(self.warm_plans.len()),
             warm_plans: self.warm_plans,
             fault_plan: self.fault_plan,
             trace: self.trace,
@@ -1066,10 +1044,7 @@ impl ServeTier {
         for rank_devs in &self.rank_devices {
             let mut per_rank = Vec::with_capacity(cfg.devices_per_rank);
             for d in rank_devs {
-                let s = ExecSession::with_cache_capacity(d, cfg.engine.clone(), cfg.plan_cache);
-                s.seed_plans(&cfg.warm_plans);
-                s.prepare_trie_arena().map_err(CutsError::from)?;
-                per_rank.push(s);
+                per_rank.push(cfg.session(d)?);
             }
             sessions.push(per_rank);
         }
@@ -1274,13 +1249,7 @@ impl ServeTier {
     /// any ranks × lanes.
     pub fn run_serial(&self, jobs: &[Job]) -> Result<ServeReport, CutsError> {
         let cfg = &self.config;
-        let session = ExecSession::with_cache_capacity(
-            &self.rank_devices[0][0],
-            cfg.engine.clone(),
-            cfg.plan_cache,
-        );
-        session.seed_plans(&cfg.warm_plans);
-        session.prepare_trie_arena().map_err(CutsError::from)?;
+        let session = cfg.session(&self.rank_devices[0][0])?;
         let telem = Telemetry::with(cfg.telemetry, cfg.stats_every, cfg.stats_sink.clone());
         flight::record(FlightCode::RunStart, 1, 1);
         let start = Instant::now();
@@ -1587,6 +1556,16 @@ mod tests {
         assert!(ServeConfig::builder().devices_per_rank(0).build().is_err());
         assert!(ServeConfig::builder().sigma(0.0).build().is_err());
         assert!(ServeConfig::builder().queue_capacity(0).build().is_err());
+        // A device too small for one trie entry pair fails the engine's
+        // budget check.
+        let tiny = DeviceConfig {
+            global_mem_words: 1,
+            ..DeviceConfig::test_small()
+        };
+        assert!(matches!(
+            ServeConfig::builder().device_config(tiny).build(),
+            Err(CutsError::Config(ConfigError::Budget { .. }))
+        ));
     }
 
     #[test]

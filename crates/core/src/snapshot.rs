@@ -848,16 +848,6 @@ impl Snapshot {
         &self.tries
     }
 
-    /// Looks up a persisted result trie by key.
-    pub fn trie_for(&self, key: u64) -> Option<&Csf> {
-        self.tries.iter().find(|(k, _)| *k == key).map(|(_, c)| c)
-    }
-
-    /// Adds a plan to persist.
-    pub fn add_plan(&mut self, plan: Arc<QueryPlan>) {
-        self.plans.push(plan);
-    }
-
     /// Adds a CSF result trie to persist under `key`.
     pub fn add_trie(&mut self, key: u64, csf: Csf) {
         self.tries.push((key, csf));

@@ -25,6 +25,7 @@ use cuts_gpu_sim::Counters;
 use cuts_graph::{EdgeBatch, Graph};
 use cuts_obs::{Arg, EventKind};
 
+use crate::config::EngineConfig;
 use crate::dynamic::{DynamicError, DynamicSession, MatchDelta, StandingQueryId};
 use crate::error::{CutsError, EngineError};
 use crate::fault::CrashFault;
@@ -82,7 +83,7 @@ impl ServeTier {
         let replicas: Vec<DynamicSession<'_>> = self
             .rank_devices()
             .iter()
-            .map(|devs| DynamicSession::new(&devs[0], cfg.engine().clone(), graph.clone()))
+            .map(|devs| DynamicSession::new(&devs[0], EngineConfig::default(), graph.clone()))
             .collect();
         let ranks = replicas.len();
         WatchSession {
@@ -150,11 +151,6 @@ impl WatchSession<'_> {
     /// Ranks lost to the fault plan so far.
     pub fn lost_ranks(&self) -> u64 {
         self.lost_ranks
-    }
-
-    /// Batches applied so far.
-    pub fn batches_applied(&self) -> u64 {
-        self.applied
     }
 
     /// Per-class SLO quantiles over every delta committed so far.

@@ -6,11 +6,14 @@ use cuts_core::error::{ConfigError, CutsError};
 use cuts_core::fault::FaultPlan;
 use cuts_core::EngineConfig;
 use cuts_gpu_sim::DeviceConfig;
-use cuts_obs::{Registry, Trace};
+use cuts_obs::Trace;
 
 use crate::worker::Partition;
 
-/// Configuration for a distributed run.
+/// Configuration for a distributed run. Progressive deepening (the
+/// mid-trie donation of a lone heavy job, §4.2) is always on, heartbeats
+/// go out every 10 ms, and every run records into a fresh enabled metrics
+/// registry returned on [`crate::DistResult::telemetry`].
 #[derive(Clone)]
 pub struct DistConfig {
     /// Per-rank device (each node of the paper's cluster has one V100).
@@ -21,10 +24,6 @@ pub struct DistConfig {
     pub dist_chunk: usize,
     /// Root-candidate partitioning.
     pub partition: Partition,
-    /// When a peer is idle and the local queue holds a single heavy job,
-    /// expand it one level and re-chunk so part of its subtree can be
-    /// donated (the finer-granularity mid-trie donation of §4.2).
-    pub progressive_deepening: bool,
     /// Wall-clock pacing factor: after each job, sleep
     /// `sim_millis × pacing` milliseconds so the host timeline tracks the
     /// simulated device timeline. 0 disables. Without pacing, host wall
@@ -39,19 +38,10 @@ pub struct DistConfig {
     /// before idle peers treat it as unresponsive and reclaim its pending
     /// chunks. Also bounds how long a donor waits on an unresolved claim.
     pub rank_timeout: Duration,
-    /// Interval between heartbeat broadcasts from each worker's main
-    /// loop, refreshing peers' liveness views even when no protocol
-    /// traffic flows.
-    pub heartbeat_interval: Duration,
     /// Trace every rank's kernel launches, chunk lifecycle, donations,
     /// heartbeats, and injected faults are journalled into (rank-tagged).
     /// Disabled by default.
     pub trace: Trace,
-    /// Serving-metrics registry the run records per-rank busy gauges,
-    /// balance gauges, and recovery counters into; the same handle comes
-    /// back on [`crate::DistResult::telemetry`]. Enabled by default —
-    /// pass [`Registry::disabled`] to measure the zero-cost path.
-    pub telemetry: Registry,
 }
 
 impl std::fmt::Debug for DistConfig {
@@ -61,13 +51,10 @@ impl std::fmt::Debug for DistConfig {
             .field("engine", &self.engine)
             .field("dist_chunk", &self.dist_chunk)
             .field("partition", &self.partition)
-            .field("progressive_deepening", &self.progressive_deepening)
             .field("pacing", &self.pacing)
             .field("fault_plan", &self.fault_plan)
             .field("rank_timeout", &self.rank_timeout)
-            .field("heartbeat_interval", &self.heartbeat_interval)
             .field("trace_enabled", &self.trace.is_enabled())
-            .field("telemetry_enabled", &self.telemetry.is_enabled())
             .finish()
     }
 }
@@ -79,21 +66,18 @@ impl Default for DistConfig {
             engine: EngineConfig::default(),
             dist_chunk: 512,
             partition: Partition::RoundRobin,
-            progressive_deepening: true,
             pacing: 0.0,
             fault_plan: FaultPlan::default(),
             rank_timeout: Duration::from_millis(50),
-            heartbeat_interval: Duration::from_millis(10),
             trace: Trace::disabled(),
-            telemetry: Registry::enabled(),
         }
     }
 }
 
 impl DistConfig {
-    /// A validating builder: illegal values (zero ranks, a trie budget
-    /// that cannot fit the per-rank device, a fault plan naming ranks
-    /// outside the world) surface as typed [`ConfigError`] /
+    /// A validating builder: illegal values (zero ranks, an engine that
+    /// fails [`EngineConfig::validate`] on the per-rank device, a fault
+    /// plan naming ranks outside the world) surface as typed [`ConfigError`] /
     /// [`cuts_core::error::DistError`] conversions at
     /// [`DistConfigBuilder::build`] time
     /// instead of failing deep inside a run.
@@ -137,12 +121,6 @@ impl DistConfigBuilder {
         self
     }
 
-    /// Mid-trie donation of a lone heavy job.
-    pub fn progressive_deepening(mut self, on: bool) -> Self {
-        self.config.progressive_deepening = on;
-        self
-    }
-
     /// Wall-clock pacing factor (must be ≥ 0).
     pub fn pacing(mut self, p: f64) -> Self {
         self.config.pacing = p;
@@ -161,21 +139,9 @@ impl DistConfigBuilder {
         self
     }
 
-    /// Heartbeat broadcast interval (must be non-zero).
-    pub fn heartbeat_interval(mut self, d: Duration) -> Self {
-        self.config.heartbeat_interval = d;
-        self
-    }
-
     /// Attaches a trace every rank journals into.
     pub fn trace(mut self, t: Trace) -> Self {
         self.config.trace = t;
-        self
-    }
-
-    /// Explicit serving-metrics registry (default: a fresh enabled one).
-    pub fn telemetry(mut self, r: Registry) -> Self {
-        self.config.telemetry = r;
         self
     }
 
@@ -210,13 +176,6 @@ impl DistConfigBuilder {
             }
             .into());
         }
-        if c.heartbeat_interval.is_zero() {
-            return Err(ConfigError::Invalid {
-                field: "heartbeat_interval",
-                reason: "must be positive",
-            }
-            .into());
-        }
         if let Some(ranks) = self.ranks {
             if ranks == 0 {
                 return Err(ConfigError::Invalid {
@@ -227,16 +186,8 @@ impl DistConfigBuilder {
             }
             c.fault_plan.check_ranks(ranks)?;
         }
-        // The engine's trie budget must fit the per-rank device.
-        let budget_entries =
-            (c.device.global_mem_words as f64 * c.engine.trie_fraction) as usize / 2;
-        if budget_entries == 0 {
-            return Err(ConfigError::Budget {
-                required_words: 2,
-                device_words: c.device.global_mem_words,
-            }
-            .into());
-        }
+        // The engine's ranges, and its trie budget on the per-rank device.
+        c.engine.validate(c.device.global_mem_words)?;
         Ok(self.config)
     }
 }
@@ -250,11 +201,9 @@ mod tests {
         let c = DistConfig::default();
         assert_eq!(c.dist_chunk, 512);
         assert_eq!(c.partition, Partition::RoundRobin);
-        assert!(c.progressive_deepening);
         assert_eq!(c.pacing, 0.0);
         assert!(c.fault_plan.is_empty());
         assert_eq!(c.rank_timeout, Duration::from_millis(50));
-        assert_eq!(c.heartbeat_interval, Duration::from_millis(10));
     }
 
     #[test]
@@ -278,6 +227,19 @@ mod tests {
             DistConfig::builder().dist_chunk(0).build(),
             Err(CutsError::Config(ConfigError::Invalid {
                 field: "dist_chunk",
+                ..
+            }))
+        ));
+        // The engine's own ranges are checked, not only its budget.
+        assert!(matches!(
+            DistConfig::builder()
+                .engine(EngineConfig {
+                    chunk_size: 0,
+                    ..Default::default()
+                })
+                .build(),
+            Err(CutsError::Config(ConfigError::Invalid {
+                field: "chunk_size",
                 ..
             }))
         ));

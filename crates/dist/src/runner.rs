@@ -16,7 +16,7 @@ use std::time::Instant;
 use cuts_core::fault::FaultInjector;
 use cuts_graph::Graph;
 use cuts_obs::flight::{self, FlightCode};
-use cuts_obs::{Arg, EventKind};
+use cuts_obs::{Arg, EventKind, Registry};
 
 pub use crate::config::DistConfig;
 use crate::metrics::{DistResult, RankMetrics, RecoveryStats};
@@ -48,13 +48,12 @@ impl Drop for ExitGuard<'_> {
 /// count — including under any fault plan that leaves at least one rank
 /// alive; per-rank metrics feed Figures 4-5.
 ///
-/// Tracing and metrics are part of the configuration: set
-/// [`DistConfig::trace`] to journal every rank's kernel launches, chunk
-/// lifecycle, donations, heartbeats, and injected faults (rank-tagged,
-/// wrapped in one `distributed` span on the caller's lane), and
-/// [`DistConfig::telemetry`] to choose the registry receiving per-rank
-/// busy gauges, balance gauges, and recovery counters (the same handle
-/// comes back on [`DistResult::telemetry`]).
+/// Set [`DistConfig::trace`] to journal every rank's kernel launches,
+/// chunk lifecycle, donations, heartbeats, and injected faults
+/// (rank-tagged, wrapped in one `distributed` span on the caller's lane).
+/// Metrics are always on: each run records per-rank busy gauges, balance
+/// gauges, and recovery counters into a fresh registry returned on
+/// [`DistResult::telemetry`].
 ///
 /// For a *stream of jobs* over long-lived ranks, use the serving tier
 /// (`cuts_core::serve::ServeTier`) instead — it subsumes this path and
@@ -83,7 +82,7 @@ pub fn run(
 ) -> Result<DistResult, WorkerError> {
     assert!(ranks >= 1);
     let trace = &config.trace;
-    let registry = config.telemetry.clone();
+    let registry = Registry::enabled();
     let mut run_span = if trace.is_enabled() {
         let mut s = trace.span(EventKind::Run, "distributed");
         s.arg("ranks", Arg::U64(ranks as u64));
@@ -194,56 +193,54 @@ pub fn run(
         postmortem,
         telemetry: registry.clone(),
     };
-    if registry.is_enabled() {
-        let makespan = result.makespan_sim_millis();
-        for m in &result.per_rank {
-            let rs = m.rank.to_string();
-            let l = [("rank", rs.as_str())];
-            registry
-                .gauge(
-                    "cuts_rank_busy_sim_millis",
-                    &l,
-                    "Simulated device-busy milliseconds per rank",
-                )
-                .set(m.busy_sim_millis);
-            // Per-rank imbalance: how far this rank trails the slowest
-            // one (0 = it set the makespan).
-            registry
-                .gauge(
-                    "cuts_rank_imbalance",
-                    &l,
-                    "1 - busy/makespan per rank (0 = this rank set the makespan)",
-                )
-                .set(if makespan > 0.0 {
-                    1.0 - m.busy_sim_millis / makespan
-                } else {
-                    0.0
-                });
-        }
+    let makespan = result.makespan_sim_millis();
+    for m in &result.per_rank {
+        let rs = m.rank.to_string();
+        let l = [("rank", rs.as_str())];
         registry
             .gauge(
-                "cuts_dist_balance_ratio",
-                &[],
-                "min/max busy time over ranks (1.0 = perfect balance)",
+                "cuts_rank_busy_sim_millis",
+                &l,
+                "Simulated device-busy milliseconds per rank",
             )
-            .set(result.balance_ratio());
-        let c = |name, help, v: u64| registry.counter(name, &[], help).add(v);
-        c(
-            "cuts_dist_ranks_lost_total",
-            "Ranks that crashed during the run",
-            result.recovery.ranks_lost as u64,
-        );
-        c(
-            "cuts_dist_chunks_reassigned_total",
-            "Chunks re-homed from dead or silent ranks to survivors",
-            result.recovery.chunks_reassigned as u64,
-        );
-        c(
-            "cuts_dist_duplicate_chunks_total",
-            "Chunk results deduplicated by the at-least-once ledger",
-            result.recovery.duplicate_chunks as u64,
-        );
+            .set(m.busy_sim_millis);
+        // Per-rank imbalance: how far this rank trails the slowest
+        // one (0 = it set the makespan).
+        registry
+            .gauge(
+                "cuts_rank_imbalance",
+                &l,
+                "1 - busy/makespan per rank (0 = this rank set the makespan)",
+            )
+            .set(if makespan > 0.0 {
+                1.0 - m.busy_sim_millis / makespan
+            } else {
+                0.0
+            });
     }
+    registry
+        .gauge(
+            "cuts_dist_balance_ratio",
+            &[],
+            "min/max busy time over ranks (1.0 = perfect balance)",
+        )
+        .set(result.balance_ratio());
+    let c = |name, help, v: u64| registry.counter(name, &[], help).add(v);
+    c(
+        "cuts_dist_ranks_lost_total",
+        "Ranks that crashed during the run",
+        result.recovery.ranks_lost as u64,
+    );
+    c(
+        "cuts_dist_chunks_reassigned_total",
+        "Chunks re-homed from dead or silent ranks to survivors",
+        result.recovery.chunks_reassigned as u64,
+    );
+    c(
+        "cuts_dist_duplicate_chunks_total",
+        "Chunk results deduplicated by the at-least-once ledger",
+        result.recovery.duplicate_chunks as u64,
+    );
     if let Some(s) = &mut run_span {
         s.arg("matches", Arg::U64(result.total_matches));
     }
@@ -307,7 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn progressive_deepening_splits_single_heavy_job() {
+    fn deepening_splits_single_heavy_job() {
         // One root candidate only (a star hub): without deepening, rank 0
         // holds one indivisible job and peers idle; with deepening the
         // hub's subtree is split and donated.
@@ -317,7 +314,6 @@ mod tests {
         assert!(want > 0);
         let mut c = cfg();
         c.dist_chunk = 4;
-        c.progressive_deepening = true;
         let r = run(&data, &query, 2, &c).unwrap();
         assert_eq!(r.total_matches, want);
         // The hub job was split: both ranks processed something.
@@ -327,17 +323,6 @@ mod tests {
             r.per_rank
         );
         assert!(r.per_rank.iter().map(|m| m.donations_sent).sum::<usize>() > 0);
-    }
-
-    #[test]
-    fn deepening_off_still_correct() {
-        let data = barabasi_albert(60, 3, 3);
-        let query = clique(3);
-        let want = single_node_count(&data, &query);
-        let mut c = cfg();
-        c.progressive_deepening = false;
-        let r = run(&data, &query, 3, &c).unwrap();
-        assert_eq!(r.total_matches, want);
     }
 
     #[test]
@@ -383,9 +368,8 @@ mod tests {
         let query = clique(3);
         let mut c = cfg();
         c.fault_plan = FaultPlan::parse("crash:1@0").unwrap();
-        let reg = cuts_obs::Registry::enabled();
-        c.telemetry = reg.clone();
         let r = run(&data, &query, 2, &c).unwrap();
+        let reg = &r.telemetry;
         assert_eq!(r.recovery.lost_ranks, vec![1]);
         // The dump exists, parses, and holds the dead rank's last events.
         let path = r.postmortem.as_ref().expect("postmortem on rank death");

@@ -12,7 +12,7 @@
 //! ablation.
 
 use cuts_core::{ExecSession, MatchOrder};
-use cuts_gpu_sim::Device;
+use cuts_gpu_sim::{CounterSink, Device};
 use cuts_graph::Graph;
 use cuts_trie::HostTrie;
 
@@ -95,9 +95,9 @@ pub fn run_synchronous(
                 continue;
             }
             let seed = HostTrie::from_flat_paths(&frontiers[r]);
-            let scope = devices[r].counter_scope();
+            let sink = CounterSink::install();
             let expanded = sessions[r].expand_seed_once(data, query, &seed)?;
-            let counters = scope.elapsed(&devices[r]);
+            let counters = sink.snapshot();
             let t = cuts_gpu_sim::CostModel::default().millis(&counters, devices[r].config());
             level_times[r] = t;
             metrics[r].busy_sim_millis += t;

@@ -44,6 +44,11 @@ use crate::mpi::{Comm, Rank};
 use crate::protocol::{tag, DonatedChunk, Status, StatusBoard, WorkPayload};
 use crate::{AliveBoard, ChunkId, ChunkLedger};
 
+/// Interval between heartbeat broadcasts from each worker's main loop,
+/// refreshing peers' liveness views even when no protocol traffic flows
+/// (well inside the default 50 ms `rank_timeout`).
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(10);
+
 /// How root candidates are split across ranks at start-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Partition {
@@ -139,7 +144,6 @@ impl<'a> Worker<'a> {
     ) -> Self {
         let rank = comm.rank();
         let size = comm.size();
-        let heartbeat_interval = config.heartbeat_interval;
         let trace = shared.trace.with_rank(rank);
         Worker {
             comm,
@@ -156,7 +160,7 @@ impl<'a> Worker<'a> {
             chunks_done: 0,
             // Back-dated so the first tick fires immediately: every rank
             // announces itself even on runs shorter than one interval.
-            last_heartbeat: Instant::now() - heartbeat_interval,
+            last_heartbeat: Instant::now() - HEARTBEAT_INTERVAL,
         }
     }
 
@@ -264,8 +268,7 @@ impl<'a> Worker<'a> {
                 // (Not gated on observing a free peer: FREE broadcasts
                 // race with start-up, and the split is cheap relative to
                 // the subtree it unlocks for donation.)
-                if self.config.progressive_deepening
-                    && self.comm.size() > 1
+                if self.comm.size() > 1
                     && queue.is_empty()
                     && chunk.trie.depth() < self.query.num_vertices().saturating_sub(1)
                 {
@@ -379,9 +382,9 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Broadcasts a heartbeat when the configured interval has elapsed.
+    /// Broadcasts a heartbeat when [`HEARTBEAT_INTERVAL`] has elapsed.
     fn heartbeat_tick(&mut self, status: Status) {
-        if self.last_heartbeat.elapsed() >= self.config.heartbeat_interval {
+        if self.last_heartbeat.elapsed() >= HEARTBEAT_INTERVAL {
             self.comm
                 .broadcast_others(tag::HEARTBEAT, Bytes::from(vec![status.to_byte()]));
             flight::record_rank(

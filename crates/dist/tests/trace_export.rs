@@ -127,10 +127,7 @@ fn disabled_tracing_is_free_and_changes_nothing() {
     let plain = ExecSession::new(&plain_dev, EngineConfig::default())
         .run(&data, &query)
         .unwrap();
-    let traced = Trace::with_config(TraceConfig {
-        per_block: true,
-        ..Default::default()
-    });
+    let traced = Trace::with_config(TraceConfig { per_block: true });
     let mut traced_dev = Device::new(DeviceConfig::test_small());
     traced_dev.set_trace(traced.clone());
     let t = ExecSession::new(&traced_dev, EngineConfig::default())

@@ -364,11 +364,6 @@ impl ArenaStats {
         self.classes.iter().map(|c| c.acquires).sum()
     }
 
-    /// Slabs currently held across all classes.
-    pub fn slabs_in_use(&self) -> usize {
-        self.classes.iter().map(|c| c.in_use).sum()
-    }
-
     /// Peak words concurrently held (per-class peaks summed — an upper
     /// bound on the true cross-class peak).
     pub fn high_water_words(&self) -> usize {

@@ -133,13 +133,6 @@ impl GlobalBuffer {
         range.map(|i| self.get(i)).collect()
     }
 
-    /// Host-side exclusive view of the committed prefix.
-    pub fn as_mut_slice(&mut self) -> &mut [u32] {
-        let len = self.len();
-        // SAFETY: &mut self guarantees no concurrent device access.
-        unsafe { std::slice::from_raw_parts_mut(self.data.as_ptr() as *mut u32, len) }
-    }
-
     /// Truncates the committed length (host-side; used when a chunk's
     /// scratch levels are discarded during hybrid BFS-DFS).
     pub fn truncate(&self, len: usize) {

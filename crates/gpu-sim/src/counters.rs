@@ -1,7 +1,7 @@
 //! Hardware metric counters (the simulated Nsight Compute).
 
 use std::cell::RefCell;
-use std::ops::{AddAssign, Sub};
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -82,49 +82,6 @@ impl From<Counters> for CounterDelta {
 impl ToJson for Counters {
     fn to_json(&self) -> Json {
         CounterDelta::from(*self).to_json()
-    }
-}
-
-impl Sub for Counters {
-    type Output = Counters;
-
-    /// Field-wise saturating difference — the delta between two snapshots
-    /// of a monotonically increasing aggregate (saturation guards against
-    /// a `reset_counters` call racing between the two snapshots).
-    fn sub(self, rhs: Self) -> Counters {
-        Counters {
-            dram_reads: self.dram_reads.saturating_sub(rhs.dram_reads),
-            dram_writes: self.dram_writes.saturating_sub(rhs.dram_writes),
-            shmem_reads: self.shmem_reads.saturating_sub(rhs.shmem_reads),
-            shmem_writes: self.shmem_writes.saturating_sub(rhs.shmem_writes),
-            atomics: self.atomics.saturating_sub(rhs.atomics),
-            instructions: self.instructions.saturating_sub(rhs.instructions),
-            divergent_branches: self
-                .divergent_branches
-                .saturating_sub(rhs.divergent_branches),
-            kernel_launches: self.kernel_launches.saturating_sub(rhs.kernel_launches),
-        }
-    }
-}
-
-/// A window over the device's monotonically increasing counter aggregate:
-/// opened with [`crate::Device::counter_scope`], closed by reading
-/// [`CounterScope::elapsed`]. Scoped accounting replaces the old
-/// reset-then-read pattern, which destroyed any other run's view of the
-/// same device.
-#[derive(Debug, Clone, Copy)]
-pub struct CounterScope {
-    start: Counters,
-}
-
-impl CounterScope {
-    pub(crate) fn new(start: Counters) -> Self {
-        CounterScope { start }
-    }
-
-    /// Counters accumulated on `device` since this scope was opened.
-    pub fn elapsed(&self, device: &crate::device::Device) -> Counters {
-        device.counters() - self.start
     }
 }
 
@@ -288,15 +245,14 @@ thread_local! {
     /// Stack of per-thread counter sinks. Kernel launches merge their exact
     /// launch total into the top of the *calling* thread's stack, so two
     /// runs on different threads sharing one device each see only their own
-    /// work — something the snapshot-delta [`CounterScope`] cannot offer
-    /// once launches interleave.
+    /// work, even when launches interleave.
     static SINKS: RefCell<Vec<Arc<AtomicCounters>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A per-thread counter accumulator: while installed, every kernel launch
 /// issued from this thread also merges its counter total here. RAII — the
-/// sink uninstalls itself on drop. Unlike [`CounterScope`] this is exact
-/// under concurrency: launches from *other* threads never leak in.
+/// sink uninstalls itself on drop. It is exact under concurrency:
+/// launches from *other* threads never leak in.
 #[derive(Debug)]
 pub struct CounterSink {
     cell: Arc<AtomicCounters>,

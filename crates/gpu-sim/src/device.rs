@@ -9,7 +9,7 @@ use rayon::prelude::*;
 
 use crate::buffer::GlobalBuffer;
 use crate::config::DeviceConfig;
-use crate::counters::{AtomicCounters, BlockCounters, CounterScope, Counters};
+use crate::counters::{AtomicCounters, BlockCounters, Counters};
 use crate::error::DeviceError;
 
 /// A simulated GPU. Cheap to share by reference; all state is internally
@@ -99,14 +99,6 @@ impl Device {
     /// the value before and after.
     pub fn alloc_calls(&self) -> u64 {
         self.alloc_calls.load(Ordering::Relaxed)
-    }
-
-    /// Opens a counter scope: a snapshot against which
-    /// [`CounterScope::elapsed`] later reports the delta. Unlike
-    /// [`Device::reset_counters`], scopes do not clobber device-global
-    /// state, so runs sharing one device can each account their own work.
-    pub fn counter_scope(&self) -> CounterScope {
-        CounterScope::new(self.counters.snapshot())
     }
 
     /// Allocates a capacity-accounted buffer; fails like `cudaMalloc` when
@@ -303,11 +295,6 @@ impl BlockCtx {
         self.shared_used += words;
         Ok(vec![0u32; words])
     }
-
-    /// Shared-memory words still free in this block.
-    pub fn shared_remaining(&self) -> usize {
-        self.shared_capacity - self.shared_used
-    }
 }
 
 #[cfg(test)]
@@ -396,10 +383,7 @@ mod tests {
     #[test]
     fn per_block_tracing_adds_sm_lane_spans() {
         let mut d = Device::new(DeviceConfig::test_small());
-        let trace = Trace::with_config(cuts_obs::TraceConfig {
-            per_block: true,
-            ..Default::default()
-        });
+        let trace = Trace::with_config(cuts_obs::TraceConfig { per_block: true });
         d.set_trace(trace.clone());
         d.launch_named("expand", 8, |_| Ok(())).unwrap();
         let events = trace.journal().unwrap().drain_sorted();

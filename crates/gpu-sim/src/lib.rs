@@ -41,14 +41,12 @@ pub mod cost;
 pub mod counters;
 pub mod device;
 pub mod error;
-pub mod occupancy;
 pub mod primitives;
 
 pub use arena::{Arena, ArenaStats, ClassSpec, ClassStats, Slab};
 pub use buffer::GlobalBuffer;
 pub use config::DeviceConfig;
 pub use cost::{Bound, CostBreakdown, CostModel, SimTime};
-pub use counters::{BlockCounters, CounterScope, CounterSink, Counters};
+pub use counters::{BlockCounters, CounterSink, Counters};
 pub use device::{BlockCtx, Device};
 pub use error::DeviceError;
-pub use occupancy::occupancy;

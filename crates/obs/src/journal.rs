@@ -5,12 +5,8 @@
 //! (rayon kernel blocks, rank worker threads) almost never contend on a
 //! lock. A thread's events always land in *its* shard in program order;
 //! a global `seq` (fetch-add) plus the monotonic timestamp gives a total
-//! order at drain time. By default nothing is sampled or dropped — the
-//! journal is lossless by construction, which the stress test asserts.
-//! A journal built with [`Journal::with_capacity`] trades losslessness
-//! for bounded memory: once the cap is hit, further events are counted
-//! in [`Journal::dropped`] instead of stored, so a long `--trace-out`
-//! run degrades loudly rather than growing without bound.
+//! order at drain time. Nothing is sampled or dropped — the journal is
+//! lossless by construction, which the stress test asserts.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -40,13 +36,6 @@ pub struct Journal {
     shards: Vec<Mutex<Vec<Event>>>,
     seq: AtomicU64,
     epoch: Instant,
-    /// Stored-event cap; `usize::MAX` means unbounded (lossless).
-    cap: usize,
-    /// Events accepted against the cap since the last drain.
-    accepted: AtomicU64,
-    /// Events discarded because the cap was hit (cumulative — survives
-    /// drains so exporters can warn loudly).
-    dropped: AtomicU64,
 }
 
 impl Default for Journal {
@@ -56,34 +45,13 @@ impl Default for Journal {
 }
 
 impl Journal {
-    /// An empty, unbounded (lossless) journal; its epoch (timestamp
-    /// zero) is now.
+    /// An empty journal; its epoch (timestamp zero) is now.
     pub fn new() -> Self {
-        Self::with_capacity(usize::MAX)
-    }
-
-    /// An empty journal that stores at most `cap` events between
-    /// drains; beyond that, events are dropped and counted in
-    /// [`Journal::dropped`].
-    pub fn with_capacity(cap: usize) -> Self {
         Journal {
             shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
             seq: AtomicU64::new(0),
             epoch: Instant::now(),
-            cap,
-            accepted: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
         }
-    }
-
-    /// The stored-event cap, when bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        (self.cap != usize::MAX).then_some(self.cap)
-    }
-
-    /// Events dropped because the cap was hit (0 on unbounded journals).
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Microseconds since the journal epoch (monotonic).
@@ -92,15 +60,8 @@ impl Journal {
     }
 
     /// Records an event. The journal assigns the global sequence number;
-    /// everything else is the caller's. On a bounded journal that has
-    /// hit its cap, the event is dropped and counted instead.
+    /// everything else is the caller's.
     pub fn record(&self, mut event: Event) {
-        if self.cap != usize::MAX
-            && self.accepted.fetch_add(1, Ordering::Relaxed) >= self.cap as u64
-        {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let shard = (lane() as usize) % SHARDS;
         self.shards[shard].lock().unwrap().push(event);
@@ -117,15 +78,12 @@ impl Journal {
     }
 
     /// Removes and returns every event, ordered by `(ts_us, seq)`.
-    /// Resets the capacity budget (recording resumes on bounded
-    /// journals); the dropped count is cumulative and survives.
     pub fn drain_sorted(&self) -> Vec<Event> {
         let mut all: Vec<Event> = self
             .shards
             .iter()
             .flat_map(|s| std::mem::take(&mut *s.lock().unwrap()))
             .collect();
-        self.accepted.store(0, Ordering::Relaxed);
         all.sort_by_key(|e| (e.ts_us, e.seq));
         all
     }
@@ -190,31 +148,6 @@ mod tests {
         j.record(ev(&j, "x"));
         assert_eq!(j.snapshot_sorted().len(), 1);
         assert_eq!(j.len(), 1);
-    }
-
-    #[test]
-    fn capacity_cap_drops_loudly() {
-        let j = Journal::with_capacity(2);
-        assert_eq!(j.capacity(), Some(2));
-        for i in 0..5 {
-            j.record(ev(&j, &format!("e{i}")));
-        }
-        assert_eq!(j.len(), 2);
-        assert_eq!(j.dropped(), 3);
-        // Draining frees the budget; the dropped count is cumulative.
-        let drained = j.drain_sorted();
-        assert_eq!(drained.len(), 2);
-        j.record(ev(&j, "after"));
-        assert_eq!(j.len(), 1);
-        assert_eq!(j.dropped(), 3);
-        // Unbounded journals never drop.
-        let unbounded = Journal::new();
-        assert_eq!(unbounded.capacity(), None);
-        for i in 0..100 {
-            unbounded.record(ev(&unbounded, &format!("u{i}")));
-        }
-        assert_eq!(unbounded.len(), 100);
-        assert_eq!(unbounded.dropped(), 0);
     }
 
     #[test]

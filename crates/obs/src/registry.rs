@@ -275,16 +275,6 @@ impl HistSnapshot {
             self.sum as f64 / n as f64
         }
     }
-
-    /// `(bucket_upper, count)` for every non-empty bucket, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_upper(i), c))
-            .collect()
-    }
 }
 
 /// A lane-sharded log2 histogram. Recording is two relaxed

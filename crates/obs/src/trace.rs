@@ -21,10 +21,6 @@ pub struct TraceConfig {
     /// (`chrome://tracing` shows one track per SM). Off by default: grids
     /// can be large and this multiplies event volume by the block count.
     pub per_block: bool,
-    /// Bound the journal to this many stored events (see
-    /// [`Journal::with_capacity`]); `None` (the default) keeps the
-    /// journal lossless and unbounded.
-    pub journal_capacity: Option<usize>,
 }
 
 /// A cloneable tracing handle; disabled unless built via
@@ -49,12 +45,8 @@ impl Trace {
 
     /// A recording handle with explicit configuration.
     pub fn with_config(config: TraceConfig) -> Self {
-        let journal = match config.journal_capacity {
-            Some(cap) => Journal::with_capacity(cap),
-            None => Journal::new(),
-        };
         Trace {
-            journal: Some(Arc::new(journal)),
+            journal: Some(Arc::new(Journal::new())),
             rank: None,
             config,
         }

@@ -17,15 +17,12 @@
 //! * [`HostTrie`] — a heap-side copy (donations, verification, tests).
 //! * [`csf`] — the Compressed Sparse Fibre representation of the same
 //!   path set (the two-pass alternative of Figure 3(B)).
-//! * [`naive`] — the flat full-path table (Figure 3's "traditional"
-//!   layout, used by the GSI-style baseline).
 //! * [`space`] — word-exact storage accounting (Table 1, Figure 2(C)) and
 //!   the closed-form model of Equations 1–5.
 //! * [`serial`] — the wire format used when a busy node donates work.
 
 pub mod chunk;
 pub mod csf;
-pub mod naive;
 pub mod serial;
 pub mod space;
 pub mod table;

@@ -136,23 +136,6 @@ impl PairTable {
         })
     }
 
-    /// Builds a single-segment table over two existing buffers of equal
-    /// capacity. Both are cleared: a recycled buffer's stale contents must
-    /// never masquerade as committed entries.
-    pub fn from_buffers(pa: GlobalBuffer, ca: GlobalBuffer) -> Self {
-        assert_eq!(
-            pa.capacity(),
-            ca.capacity(),
-            "PA and CA buffers must pair exactly"
-        );
-        pa.clear();
-        ca.clear();
-        PairTable::from_segment(Segment {
-            pa: SegStore::Buffer(pa),
-            ca: SegStore::Buffer(ca),
-        })
-    }
-
     /// Builds a chained table over slab class `class` of `arena`. Each
     /// segment holds `slab_words` entries (one PA slab + one CA slab);
     /// enough segments for `initial_entries` are acquired up front, and
@@ -228,25 +211,6 @@ impl PairTable {
                 .store(committed * self.seg_entries, Ordering::Release);
         }
         Ok(self.capacity.load(Ordering::Acquire))
-    }
-
-    /// Decomposes a single-segment table back into its `(PA, CA)` buffers
-    /// so they can be returned to a pool.
-    ///
-    /// # Panics
-    /// On chained tables — their storage belongs to the arena and is
-    /// released by dropping the table.
-    pub fn into_buffers(self) -> (GlobalBuffer, GlobalBuffer) {
-        assert!(self.single, "into_buffers requires a single-segment table");
-        let mut segs = self.segs.into_vec();
-        let seg = segs
-            .remove(0)
-            .into_inner()
-            .expect("single-segment table always has its segment");
-        match (seg.pa, seg.ca) {
-            (SegStore::Buffer(pa), SegStore::Buffer(ca)) => (pa, ca),
-            _ => unreachable!("single-segment tables are buffer-backed"),
-        }
     }
 
     /// True when the table grows by chaining arena slabs.
@@ -520,27 +484,6 @@ mod tests {
                 "torn pair at {i}"
             );
         }
-    }
-
-    #[test]
-    fn from_buffers_clears_and_into_buffers_returns() {
-        let pa = GlobalBuffer::new(8);
-        let ca = GlobalBuffer::new(8);
-        pa.reserve(3).unwrap();
-        let t = PairTable::from_buffers(pa, ca);
-        assert!(t.is_empty(), "stale contents must be discarded");
-        let r = t.reserve(2).unwrap();
-        r.write(0, 1, 2);
-        r.write(1, 3, 4);
-        let (pa, ca) = t.into_buffers();
-        assert_eq!(pa.capacity(), 8);
-        assert_eq!((pa.get(1), ca.get(1)), (3, 4));
-    }
-
-    #[test]
-    #[should_panic(expected = "pair exactly")]
-    fn from_buffers_rejects_mismatched_capacities() {
-        let _ = PairTable::from_buffers(GlobalBuffer::new(8), GlobalBuffer::new(4));
     }
 
     #[test]

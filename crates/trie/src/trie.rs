@@ -167,16 +167,6 @@ impl Trie {
         self.table.clear();
     }
 
-    /// Sizes the trie the way the paper does: "we first allocate two big
-    /// arrays whose size equals half of the free space available in the
-    /// GPU". `fraction` of the device's free words go to the table
-    /// (half to PA, half to CA).
-    pub fn sized_from_free(device: &Device, fraction: f64) -> Result<Self, DeviceError> {
-        assert!(fraction > 0.0 && fraction <= 1.0);
-        let entries = ((device.free_words() as f64 * fraction) / 2.0) as usize;
-        Trie::on_device(device, entries.max(1))
-    }
-
     /// The underlying pair table (kernels append through this).
     #[inline]
     pub fn table(&self) -> &PairTable {
@@ -206,12 +196,6 @@ impl Trie {
     #[inline]
     pub fn level(&self, l: usize) -> Range<usize> {
         self.levels[l].clone()
-    }
-
-    /// Number of entries in sealed level `l` (the paper's `|P_{l+1}|`).
-    #[inline]
-    pub fn level_len(&self, l: usize) -> usize {
-        self.levels[l].len()
     }
 
     /// Sizes of all sealed levels.
@@ -728,16 +712,5 @@ mod tests {
         assert_eq!(t2.num_levels(), 0);
         assert_eq!(t2.capacity(), 24, "grown chain survives the round-trip");
         assert!(t2.table().is_chained());
-    }
-
-    #[test]
-    fn sized_from_free_respects_budget() {
-        use cuts_gpu_sim::DeviceConfig;
-        let d = Device::new(DeviceConfig::test_small().with_global_mem_words(1000));
-        let _g = d.alloc_buffer(200).unwrap();
-        let t = Trie::sized_from_free(&d, 0.5).unwrap();
-        // free = 800, fraction 0.5 => 400 words => 200 entries.
-        assert_eq!(t.table().capacity(), 200);
-        assert_eq!(d.allocated_words(), 600);
     }
 }

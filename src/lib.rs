@@ -6,7 +6,7 @@
 //!
 //! * [`graph`] — CSR graphs, dataset generators, query-set enumeration.
 //! * [`gpu`] — the simulated GPU substrate (devices, counters, memory).
-//! * [`trie`] — the PA/CA trie, CSF and naive representations.
+//! * [`trie`] — the PA/CA trie, CSF, and the Table 1 storage-space model.
 //! * [`engine`] — the cuTS matching engine.
 //! * [`baseline`] — GSI-style / Gunrock-style / CPU baselines.
 //! * [`dist`] — the distributed runtime and Algorithm-3 scheduler.
