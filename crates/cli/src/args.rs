@@ -56,7 +56,8 @@ PARTITION:     how root candidates split across ranks (default round-robin;
 TRACING:       --trace-out writes the run's event journal: chrome format
                loads in chrome://tracing or https://ui.perfetto.dev, jsonl
                is one event object per line; --trace-per-block adds one
-               kernel span per simulated block on per-SM tracks;
+               kernel span per simulated block on per-SM tracks (every
+               grid then runs on the calling thread alone);
                --metrics-out writes a Prometheus-style text snapshot
 FAULT PLANS:   comma-separated clauses injected into the distributed run:
                crash:R@C panic:R@C drop:A->B@N delay:A->B@N+MS seed:S
@@ -70,7 +71,8 @@ SERVING:       --jobs is a manifest: one `<data> <query> [key=val...]` job
                multi-GPU ranks (placement by per-rank memory ledgers,
                idle ranks migrate whole jobs, a crashed rank's jobs are
                re-admitted by survivors); --fault-plan injects
-               crash:R@C / panic:R@C mid-stream (needs --ranks > 1);
+               crash:R@C / panic:R@C mid-stream (rank R dies once C
+               jobs are admitted; needs --ranks > 1);
                --queue bounds admission, --submit-timeout bounds the wait
                for queue space (0 = fail fast; full queue exits 3 on
                busy, 4 on timeout), --aging tunes anti-starvation,
@@ -149,7 +151,8 @@ pub struct MatchOpts {
     pub trace_out: Option<String>,
     /// Journal format: `chrome` (trace_event JSON) or `jsonl`.
     pub trace_format: String,
-    /// Emit one kernel span per simulated block (per-SM tracks).
+    /// Emit one kernel span per simulated block (per-SM tracks); every
+    /// grid then runs on the calling thread.
     pub trace_per_block: bool,
     /// Write a Prometheus-style metrics snapshot here.
     pub metrics_out: Option<String>,

@@ -218,24 +218,22 @@ fn run_match(opts: &MatchOpts, profile: bool) -> Result<(), CmdError> {
         if opts.engine != "cuts" {
             return Err(invalid("engine for --ranks > 1 (cuts only)", &opts.engine));
         }
-        let mut config = DistConfig {
-            device: dev_cfg,
-            engine: engine_cfg,
-            dist_chunk: opts.chunk,
-            ..Default::default()
-        };
+        let mut builder = DistConfig::builder()
+            .device(dev_cfg)
+            .engine(engine_cfg)
+            .dist_chunk(opts.chunk)
+            .trace(trace.clone())
+            .for_ranks(opts.ranks);
         if let Some(spec) = &opts.partition {
-            config.partition = partition_of(spec)?;
+            builder = builder.partition(partition_of(spec)?);
         }
         if let Some(spec) = &opts.fault_plan {
-            config.fault_plan = FaultPlan::parse(spec)?;
-            config.fault_plan.check_ranks(opts.ranks)?;
+            builder = builder.fault_plan(FaultPlan::parse(spec)?);
         }
         if let Some(ms) = opts.rank_timeout_ms {
-            config.rank_timeout = std::time::Duration::from_millis(ms);
+            builder = builder.rank_timeout(std::time::Duration::from_millis(ms));
         }
-        config.trace = trace.clone();
-        let r = dist_run(&data, &query, opts.ranks, &config)?;
+        let r = dist_run(&data, &query, opts.ranks, &builder.build()?)?;
         if opts.output == "json" {
             println!("{}", r.to_json().render());
             return finish_trace(&trace, opts, profile, r.total_matches);
@@ -1793,7 +1791,7 @@ mod tests {
 
     #[test]
     fn end_to_end_match_with_fault_plan() {
-        let opts = MatchOpts {
+        let mut opts = MatchOpts {
             data: DataSource::Dataset {
                 name: "enron".into(),
                 scale: "tiny".into(),
@@ -1819,5 +1817,18 @@ mod tests {
             no_prefilter: false,
         };
         run_match(&opts, false).unwrap();
+        // The distributed config goes through its validating builder:
+        // values it refuses never reach a run.
+        opts.rank_timeout_ms = Some(0);
+        assert!(matches!(
+            run_match(&opts, false),
+            Err(CutsError::Config(ConfigError::Invalid {
+                field: "rank_timeout",
+                ..
+            }))
+        ));
+        opts.rank_timeout_ms = Some(40);
+        opts.fault_plan = Some("crash:2@0".into());
+        assert!(run_match(&opts, false).is_err(), "rank 2 of 2 is refused");
     }
 }

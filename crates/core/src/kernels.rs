@@ -21,8 +21,9 @@ const WALK_BATCH: usize = 8;
 /// Back edges per query vertex that fit the stack-resident list array.
 const STACK_LISTS: usize = 16;
 
-/// Per-thread kernel scratch, reused by every block the thread runs, so a
-/// launch allocates nothing once the buffers have grown.
+/// Per-thread kernel scratch, reused by every block the thread runs, so
+/// the launching thread allocates nothing once its buffers have grown (a
+/// helper thread grows its own for the launch it joins).
 #[derive(Default)]
 struct Scratch {
     /// `WALK_BATCH` cached paths of `pos` vertices each, root first.
@@ -64,7 +65,7 @@ pub fn init_candidates(
     let q_in = plan.q_in[0];
     let q_label = plan.q_label[0];
     let blocks = max_blocks.min(n).max(1);
-    device.launch_named("init_candidates", blocks, |ctx| {
+    device.launch_ordered("init_candidates", blocks, trie.table(), |ctx, out| {
         SCRATCH.with_borrow_mut(|s| {
             let local = &mut s.keep;
             local.clear();
@@ -96,8 +97,7 @@ pub fn init_candidates(
             if !local.is_empty() {
                 // One atomic claims the block's whole output range.
                 ctx.counters.atomic();
-                let r = trie.table().reserve(local.len())?;
-                r.write_children(NO_PARENT, local);
+                out.append(NO_PARENT, local)?;
                 ctx.counters.dram_write(2 * local.len());
             }
             Ok(())
@@ -146,7 +146,7 @@ pub fn expand_range(
     let total = frontier.len();
     let blocks = p.max_blocks.min(total).max(1);
 
-    device.launch_named(p.method.kernel_name(), blocks, |ctx| {
+    device.launch_ordered(p.method.kernel_name(), blocks, trie.table(), |ctx, out| {
         // Constraint lists live on the stack unless the query vertex has
         // an unusually large number of back edges.
         let mut stack_lists = [&[][..]; STACK_LISTS];
@@ -245,8 +245,7 @@ pub fn expand_range(
                         // One atomic finds the write location for this
                         // path's children (§4.1.1).
                         ctx.counters.atomic();
-                        let r = trie.table().reserve(keep.len())?;
-                        r.write_children(entry, keep);
+                        out.append(entry, keep)?;
                         ctx.counters.dram_write(2 * keep.len());
                     }
                 }

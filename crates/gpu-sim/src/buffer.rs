@@ -26,8 +26,9 @@ pub struct GlobalBuffer {
 // SAFETY: concurrent access is mediated by the reservation protocol — every
 // write goes through a `Reservation` whose range was claimed by a unique
 // fetch-add, so no two threads ever write the same word; reads of committed
-// prefixes happen after kernel joins (happens-before via rayon) or target
-// ranges disjoint from in-flight reservations.
+// prefixes happen after the launch returns (its helper threads are joined
+// by `std::thread::scope`, and its commits are ordered by the launch's
+// lock) or target ranges disjoint from in-flight reservations.
 unsafe impl Sync for GlobalBuffer {}
 unsafe impl Send for GlobalBuffer {}
 

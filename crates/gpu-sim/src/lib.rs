@@ -12,9 +12,12 @@
 //!   out-of-memory behaviour reproduces in shape.
 //! * [`Device`] — owns capacity accounting and aggregated counters; its
 //!   [`Device::launch`] runs a grid of thread blocks, one closure
-//!   activation per block. Blocks run one after another on the calling
-//!   thread: `vendor/rayon` is a sequential stand-in, so block order is
-//!   deterministic and host wall time does not scale with cores.
+//!   activation per block, in block-id order on the calling thread.
+//!   [`Device::launch_ordered`] runs the blocks of a grid that appends
+//!   `(parent, children)` runs to a table (the search kernel's trie
+//!   writes) on up to the device's host-thread budget: blocks stage their
+//!   runs and commit them in block-id order, so the table layout and
+//!   every counter equal the in-order launch's at any thread count.
 //! * [`Counters`] — Nsight-Compute-style hardware metrics: DRAM reads and
 //!   writes, shared-memory traffic, atomics, executed instructions, warp
 //!   divergence. §6 of the paper argues its speedup *through* these
@@ -41,6 +44,7 @@ pub mod cost;
 pub mod counters;
 pub mod device;
 pub mod error;
+pub mod ordered;
 pub mod primitives;
 
 pub use arena::{Arena, ArenaStats, ClassSpec, ClassStats, Slab};
@@ -50,3 +54,4 @@ pub use cost::{Bound, CostBreakdown, CostModel, SimTime};
 pub use counters::{BlockCounters, CounterSink, Counters};
 pub use device::{BlockCtx, Device};
 pub use error::DeviceError;
+pub use ordered::{RunOut, RunTarget, StagedRuns};

@@ -2,7 +2,7 @@
 //!
 //! Concurrency design: events are appended to one of [`SHARDS`] mutexed
 //! vectors, chosen by the calling thread's lane, so unrelated threads
-//! (rayon kernel blocks, rank worker threads) almost never contend on a
+//! (serve lanes, rank worker threads) almost never contend on a
 //! lock. A thread's events always land in *its* shard in program order;
 //! a global `seq` (fetch-add) plus the monotonic timestamp gives a total
 //! order at drain time. Nothing is sampled or dropped — the journal is
@@ -15,7 +15,8 @@ use std::time::Instant;
 use crate::event::Event;
 
 /// Number of lock shards. A power of two comfortably above the worker
-/// thread counts in play (ranks × rayon pool).
+/// thread counts in play (ranks × lanes; kernel helper threads emit no
+/// events).
 pub const SHARDS: usize = 16;
 
 static NEXT_LANE: AtomicU32 = AtomicU32::new(0);

@@ -20,6 +20,8 @@ pub struct TraceConfig {
     /// Emit one kernel span per simulated thread block, on a per-SM lane
     /// (`chrome://tracing` shows one track per SM). Off by default: grids
     /// can be large and this multiplies event volume by the block count.
+    /// A traced grid runs every block on the launching thread, in block
+    /// order, so the block spans nest inside its kernel span.
     pub per_block: bool,
 }
 

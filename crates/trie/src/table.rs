@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use cuts_gpu_sim::{Arena, Device, DeviceError, GlobalBuffer, Slab};
+use cuts_gpu_sim::{Arena, Device, DeviceError, GlobalBuffer, RunTarget, Slab, StagedRuns};
 
 /// One array's worth of segment storage: a flat buffer (single-segment
 /// tables) or an arena slab (chained tables).
@@ -337,6 +337,28 @@ impl std::fmt::Debug for PairTable {
     }
 }
 
+/// Kernels append to the table through ordered launches
+/// ([`cuts_gpu_sim::Device::launch_ordered`]).
+impl RunTarget for PairTable {
+    fn append(&self, parent: u32, children: &[u32]) -> Result<(), DeviceError> {
+        self.reserve(children.len())?
+            .write_children(0, parent, children);
+        Ok(())
+    }
+
+    fn append_all(&self, runs: &StagedRuns) -> bool {
+        let Ok(r) = self.reserve(runs.len()) else {
+            return false;
+        };
+        let mut at = 0;
+        for (parent, children) in runs.iter() {
+            r.write_children(at, parent, children);
+            at += children.len();
+        }
+        true
+    }
+}
+
 /// An exclusively-owned range of a [`PairTable`].
 pub struct PairRange<'a> {
     table: &'a PairTable,
@@ -376,12 +398,17 @@ impl PairRange<'_> {
         }
     }
 
-    /// Writes `children[k]` under `parent` at offset `k` of the claimed
-    /// range. The segment is located once per run of entries and the run
-    /// splits only where it crosses a segment boundary.
-    pub fn write_children(&self, parent: u32, children: &[u32]) {
-        assert!(children.len() <= self.len, "write past pair reservation");
-        let mut at = self.start;
+    /// Writes `children[k]` under `parent` at offset `offset + k` of the
+    /// claimed range. The segment is located once per run of entries and
+    /// the run splits only where it crosses a segment boundary.
+    pub fn write_children(&self, offset: usize, parent: u32, children: &[u32]) {
+        assert!(
+            offset
+                .checked_add(children.len())
+                .is_some_and(|end| end <= self.len),
+            "write past pair reservation"
+        );
+        let mut at = self.start + offset;
         let mut rest = children;
         while !rest.is_empty() {
             let (seg, off) = self.table.locate(at);
@@ -526,11 +553,11 @@ mod tests {
         let t = PairTable::chained_on_arena(&arena, 0, 24, 24).unwrap();
         t.reserve(5)
             .unwrap()
-            .write_children(1, &[10, 11, 12, 13, 14]);
+            .write_children(0, 1, &[10, 11, 12, 13, 14]);
         // 5..23 crosses both the 8- and the 16-entry boundary.
         let kids: Vec<u32> = (100..118).collect();
         let r = t.reserve(19).unwrap();
-        r.write_children(7, &kids);
+        r.write_children(0, 7, &kids);
         for i in 0..5 {
             assert_eq!(t.pair(i), (1, 10 + i as u32));
         }
@@ -539,16 +566,20 @@ mod tests {
         }
         // A short run fills only the front of its range.
         let t = PairTable::on_host(4);
-        t.reserve(4).unwrap().write_children(3, &[9]);
+        let r = t.reserve(4).unwrap();
+        r.write_children(0, 3, &[9]);
         assert_eq!(t.pair(0), (3, 9));
         assert_eq!(t.pair(1), (0, 0));
+        // A run at an offset starts there.
+        r.write_children(2, 5, &[6, 7]);
+        assert_eq!((t.pair(1), t.pair(2), t.pair(3)), ((0, 0), (5, 6), (5, 7)));
     }
 
     #[test]
     #[should_panic(expected = "write past pair reservation")]
     fn run_writes_past_the_reservation_panic() {
         let t = PairTable::on_host(8);
-        t.reserve(2).unwrap().write_children(0, &[1, 2, 3]);
+        t.reserve(3).unwrap().write_children(1, 0, &[1, 2, 3]);
     }
 
     #[test]
