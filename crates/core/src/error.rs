@@ -151,7 +151,9 @@ pub enum DistError {
     InjectedCrash {
         /// The rank that crashed.
         rank: usize,
-        /// Chunks the rank completed before crashing.
+        /// Chunks the rank completed before crashing. In the serving tier,
+        /// the jobs the rank completed: its crash clock counts jobs admitted
+        /// tier-wide, so this can differ from the plan's `C`.
         after_chunks: usize,
     },
     /// A rank's thread panicked.

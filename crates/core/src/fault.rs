@@ -366,16 +366,16 @@ impl FaultInjector {
             .map(|c| c.kind)
     }
 
-    /// Like [`Self::should_crash`], but fires once `rank` has completed
-    /// *at least* the scheduled count. A rank whose boundary checks and
-    /// completions happen on different threads (the serving tier runs
-    /// several lanes per rank) can skip past the exact count between two
-    /// checks; the `<=` form cannot miss its trigger.
-    pub fn should_crash_by(&self, rank: usize, chunks_done: usize) -> Option<CrashKind> {
+    /// Like [`Self::should_crash`], but fires once `clock` has reached
+    /// *at least* the scheduled count. The serving tier's clock is the
+    /// number of jobs admitted tier-wide, not `rank`'s own completions:
+    /// several admissions can land between two of the rank's boundary
+    /// checks, and the `<=` form cannot miss its trigger.
+    pub fn should_crash_by(&self, rank: usize, clock: usize) -> Option<CrashKind> {
         self.plan
             .crashes
             .iter()
-            .find(|c| c.rank == rank && c.after_chunks <= chunks_done)
+            .find(|c| c.rank == rank && c.after_chunks <= clock)
             .map(|c| c.kind)
     }
 
