@@ -285,6 +285,28 @@ fn take_value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&
         .ok_or_else(|| format!("{flag} requires a value"))
 }
 
+/// Takes a flag's value and parses it; a value that does not parse is
+/// `"{flag}: bad {what}"`.
+fn take_parsed<T: std::str::FromStr>(
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+    what: &str,
+) -> Result<T, String> {
+    take_value(flag, it)?
+        .parse()
+        .map_err(|_| format!("{flag}: bad {what}"))
+}
+
+/// The single positional path of `cmd` (no flags).
+fn one_path(cmd: &str, rest: &[String]) -> Result<String, String> {
+    match rest {
+        [] => Err(format!("{cmd} requires a path")),
+        [flag, ..] if flag.starts_with("--") => Err(format!("{cmd} takes one path, got {flag}")),
+        [path] => Ok(path.clone()),
+        [_, extra, ..] => Err(format!("{cmd} takes one path, got {extra}")),
+    }
+}
+
 /// Parses argv (without the program name).
 pub fn parse(argv: &[String]) -> Result<Command, String> {
     let Some((sub, rest)) = argv.split_first() else {
@@ -298,16 +320,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let mut it = rest.iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--n" => {
-                        n = take_value("--n", &mut it)?
-                            .parse()
-                            .map_err(|_| "--n: bad number")?
-                    }
-                    "--top" => {
-                        top = take_value("--top", &mut it)?
-                            .parse()
-                            .map_err(|_| "--top: bad number")?
-                    }
+                    "--n" => n = take_parsed("--n", &mut it, "number")?,
+                    "--top" => top = take_parsed("--top", &mut it, "number")?,
                     other => return Err(format!("unknown flag {other}")),
                 }
             }
@@ -319,13 +333,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         "stats" => {
             let (data, extra) = parse_source(rest)?;
             let mut directed = false;
-            let mut it = extra.iter();
-            while let Some(a) = it.next() {
+            for a in &extra {
                 match a.as_str() {
                     "--directed" => directed = true,
-                    "--scale" => {
-                        let _ = take_value("--scale", &mut it)?; // consumed by parse_source normally
-                    }
                     other => return Err(format!("unknown flag {other}")),
                 }
             }
@@ -354,55 +364,31 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--jobs" => opts.jobs = take_value("--jobs", &mut it)?.to_string(),
-                    "--ranks" => {
-                        opts.ranks = take_value("--ranks", &mut it)?
-                            .parse()
-                            .map_err(|_| "--ranks: bad number")?
-                    }
+                    "--ranks" => opts.ranks = take_parsed("--ranks", &mut it, "number")?,
                     "--fault-plan" => {
                         opts.fault_plan = Some(take_value("--fault-plan", &mut it)?.to_string())
                     }
                     "--submit-timeout" => {
-                        opts.submit_timeout_ms = Some(
-                            take_value("--submit-timeout", &mut it)?
-                                .parse()
-                                .map_err(|_| "--submit-timeout: bad number of milliseconds")?,
-                        )
+                        opts.submit_timeout_ms = Some(take_parsed(
+                            "--submit-timeout",
+                            &mut it,
+                            "number of milliseconds",
+                        )?)
                     }
-                    "--devices" => {
-                        opts.devices = take_value("--devices", &mut it)?
-                            .parse()
-                            .map_err(|_| "--devices: bad number")?
-                    }
-                    "--lanes" => {
-                        opts.lanes = take_value("--lanes", &mut it)?
-                            .parse()
-                            .map_err(|_| "--lanes: bad number")?
-                    }
-                    "--queue" => {
-                        opts.queue = take_value("--queue", &mut it)?
-                            .parse()
-                            .map_err(|_| "--queue: bad number")?
-                    }
+                    "--devices" => opts.devices = take_parsed("--devices", &mut it, "number")?,
+                    "--lanes" => opts.lanes = take_parsed("--lanes", &mut it, "number")?,
+                    "--queue" => opts.queue = take_parsed("--queue", &mut it, "number")?,
                     "--aging" => {
-                        opts.aging_ms = take_value("--aging", &mut it)?
-                            .parse()
-                            .map_err(|_| "--aging: bad number of milliseconds")?
+                        opts.aging_ms = take_parsed("--aging", &mut it, "number of milliseconds")?
                     }
-                    "--pacing" => {
-                        opts.pacing = take_value("--pacing", &mut it)?
-                            .parse()
-                            .map_err(|_| "--pacing: bad number")?
-                    }
+                    "--pacing" => opts.pacing = take_parsed("--pacing", &mut it, "number")?,
                     "--device" => opts.device = take_value("--device", &mut it)?.to_string(),
                     "--output" => opts.output = take_value("--output", &mut it)?.to_string(),
                     "--snapshot" => {
                         opts.snapshot = Some(take_value("--snapshot", &mut it)?.to_string())
                     }
                     "--stats-every" => {
-                        opts.stats_every = take_value("--stats-every", &mut it)?
-                            .parse()
-                            .map_err(|_| "--stats-every: bad number of jobs")?
+                        opts.stats_every = take_parsed("--stats-every", &mut it, "number of jobs")?
                     }
                     "--stats-out" => {
                         opts.stats_out = Some(take_value("--stats-out", &mut it)?.to_string())
@@ -453,11 +439,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                             .collect()
                     }
                     "--batches" => opts.batches = take_value("--batches", &mut it)?.to_string(),
-                    "--ranks" => {
-                        opts.ranks = take_value("--ranks", &mut it)?
-                            .parse()
-                            .map_err(|_| "--ranks: bad number")?
-                    }
+                    "--ranks" => opts.ranks = take_parsed("--ranks", &mut it, "number")?,
                     "--directed" => opts.directed = true,
                     "--device" => opts.device = take_value("--device", &mut it)?.to_string(),
                     "--output" => opts.output = take_value("--output", &mut it)?.to_string(),
@@ -485,16 +467,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             Ok(Command::Watch(opts))
         }
         "top" | "flight" => {
-            let mut path: Option<String> = None;
-            for a in rest {
-                if a.starts_with("--") || path.is_some() {
-                    return Err(format!("{sub} takes one path, got {a}"));
-                }
-                path = Some(a.clone());
-            }
-            let Some(path) = path else {
-                return Err(format!("{sub} requires a path"));
-            };
+            let path = one_path(sub, rest)?;
             Ok(if sub == "top" {
                 Command::Top { path }
             } else {
@@ -546,19 +519,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     }
                     Ok(Command::SnapshotBuild(opts))
                 }
-                "inspect" => {
-                    let mut path: Option<String> = None;
-                    for a in rest {
-                        if a.starts_with("--") || path.is_some() {
-                            return Err(format!("snapshot inspect takes one path, got {a}"));
-                        }
-                        path = Some(a.clone());
-                    }
-                    let Some(path) = path else {
-                        return Err("snapshot inspect requires a path".into());
-                    };
-                    Ok(Command::SnapshotInspect { path })
-                }
+                "inspect" => Ok(Command::SnapshotInspect {
+                    path: one_path("snapshot inspect", rest)?,
+                }),
                 other => Err(format!("unknown snapshot verb {other} (build|inspect)")),
             }
         }
@@ -593,25 +556,13 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     "--directed" => opts.directed = true,
                     "--device" => opts.device = take_value("--device", &mut it)?.to_string(),
                     "--engine" => opts.engine = take_value("--engine", &mut it)?.to_string(),
-                    "--ranks" => {
-                        opts.ranks = take_value("--ranks", &mut it)?
-                            .parse()
-                            .map_err(|_| "--ranks: bad number")?
-                    }
+                    "--ranks" => opts.ranks = take_parsed("--ranks", &mut it, "number")?,
                     "--enumerate" => {
-                        opts.enumerate = take_value("--enumerate", &mut it)?
-                            .parse()
-                            .map_err(|_| "--enumerate: bad number")?
+                        opts.enumerate = take_parsed("--enumerate", &mut it, "number")?
                     }
-                    "--chunk" => {
-                        opts.chunk = take_value("--chunk", &mut it)?
-                            .parse()
-                            .map_err(|_| "--chunk: bad number")?
-                    }
+                    "--chunk" => opts.chunk = take_parsed("--chunk", &mut it, "number")?,
                     "--plan-cache" => {
-                        opts.plan_cache = take_value("--plan-cache", &mut it)?
-                            .parse()
-                            .map_err(|_| "--plan-cache: bad number")?
+                        opts.plan_cache = take_parsed("--plan-cache", &mut it, "number")?
                     }
                     "--labels" => opts.labels = Some(take_value("--labels", &mut it)?.to_string()),
                     "--output" => opts.output = take_value("--output", &mut it)?.to_string(),
@@ -619,11 +570,11 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                         opts.fault_plan = Some(take_value("--fault-plan", &mut it)?.to_string())
                     }
                     "--rank-timeout" => {
-                        opts.rank_timeout_ms = Some(
-                            take_value("--rank-timeout", &mut it)?
-                                .parse()
-                                .map_err(|_| "--rank-timeout: bad number of milliseconds")?,
-                        )
+                        opts.rank_timeout_ms = Some(take_parsed(
+                            "--rank-timeout",
+                            &mut it,
+                            "number of milliseconds",
+                        )?)
                     }
                     "--partition" => {
                         opts.partition = Some(take_value("--partition", &mut it)?.to_string())
@@ -1150,6 +1101,66 @@ mod tests {
     fn help_variants() {
         for h in ["help", "--help", "-h"] {
             assert_eq!(parse(&argv(h)).unwrap(), Command::Help);
+        }
+    }
+
+    /// Every numeric flag names itself and what it expected.
+    #[test]
+    fn bad_numbers_name_their_flag() {
+        for (cmd, msg) in [
+            ("queries --n x", "--n: bad number"),
+            ("queries --top x", "--top: bad number"),
+            ("serve --jobs j --ranks x", "--ranks: bad number"),
+            ("serve --jobs j --devices x", "--devices: bad number"),
+            ("serve --jobs j --lanes x", "--lanes: bad number"),
+            ("serve --jobs j --queue x", "--queue: bad number"),
+            ("serve --jobs j --pacing x", "--pacing: bad number"),
+            (
+                "serve --jobs j --aging x",
+                "--aging: bad number of milliseconds",
+            ),
+            (
+                "serve --jobs j --submit-timeout x",
+                "--submit-timeout: bad number of milliseconds",
+            ),
+            (
+                "serve --jobs j --stats-every x",
+                "--stats-every: bad number of jobs",
+            ),
+            ("watch g --query clique:3 --ranks x", "--ranks: bad number"),
+            ("match g --query clique:3 --ranks x", "--ranks: bad number"),
+            (
+                "match g --query clique:3 --enumerate x",
+                "--enumerate: bad number",
+            ),
+            ("match g --query clique:3 --chunk x", "--chunk: bad number"),
+            (
+                "match g --query clique:3 --plan-cache x",
+                "--plan-cache: bad number",
+            ),
+            (
+                "match g --query clique:3 --rank-timeout x",
+                "--rank-timeout: bad number of milliseconds",
+            ),
+            ("queries --n", "--n requires a value"),
+        ] {
+            assert_eq!(parse(&argv(cmd)).unwrap_err(), msg, "{cmd}");
+        }
+    }
+
+    #[test]
+    fn path_commands_name_the_offending_argument() {
+        for (cmd, msg) in [
+            ("top", "top requires a path"),
+            ("flight a b", "flight takes one path, got b"),
+            ("top --flag p", "top takes one path, got --flag"),
+            ("snapshot inspect", "snapshot inspect requires a path"),
+            (
+                "snapshot inspect a --x",
+                "snapshot inspect takes one path, got --x",
+            ),
+        ] {
+            assert_eq!(parse(&argv(cmd)).unwrap_err(), msg, "{cmd}");
         }
     }
 

@@ -10,14 +10,12 @@ use cuts_graph::labels::{degree_band_labels, random_labels, zipf_labels};
 use cuts_graph::stats::{degree_histogram, stats};
 use cuts_graph::{edgelist, query_set, Dataset, EdgeBatch, Graph, Scale, VertexId};
 use cuts_obs::flight::{self, FlightCode};
-use cuts_obs::{
-    chrome_trace, jsonl, Arg, Event, EventKind, Json, MetricsSnapshot, ToJson, Trace, TraceConfig,
-};
+use cuts_obs::{chrome_trace, jsonl, reuse_pct, JournalSummary, Json, ToJson, Trace, TraceConfig};
 
 use crate::args::{Command, DataSource, MatchOpts, ServeOpts, SnapshotBuildOpts, WatchOpts, USAGE};
-use cuts_core::Snapshot;
 use cuts_trie::csf::Csf;
 use cuts_trie::HostTrie;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Top-level command error: the workspace's unified [`CutsError`].
@@ -90,15 +88,10 @@ fn load(src: &DataSource, directed: bool) -> Result<Graph, CmdError> {
             edgelist::load_undirected(path)?
         }),
         DataSource::Dataset { name, scale } => {
-            let ds = match name.to_lowercase().as_str() {
-                "enron" => Dataset::Enron,
-                "gowalla" => Dataset::Gowalla,
-                "roadnet-pa" => Dataset::RoadNetPA,
-                "roadnet-tx" => Dataset::RoadNetTX,
-                "roadnet-ca" => Dataset::RoadNetCA,
-                "wikitalk" => Dataset::WikiTalk,
-                other => return Err(invalid("dataset", other)),
-            };
+            let ds = Dataset::ALL
+                .into_iter()
+                .find(|d| d.name().eq_ignore_ascii_case(name))
+                .ok_or_else(|| invalid("dataset", name.to_lowercase()))?;
             let sc = match scale.as_str() {
                 "tiny" => Scale::Tiny,
                 "small" => Scale::Small,
@@ -184,22 +177,43 @@ fn intersect_of(spec: &str) -> Result<IntersectStrategy, CmdError> {
     })
 }
 
+/// `cuts match` / `cuts profile`. With `--snapshot` the container
+/// supplies the data graph (its profile installed, so ingestion and
+/// profiling are skipped) and its persisted plans seed the session's
+/// cache, so a query planned at build time runs with zero plan builds.
 fn run_match(opts: &MatchOpts, profile: bool) -> Result<(), CmdError> {
-    if let DataSource::Snapshot(path) = &opts.data {
-        return run_match_warm(path, opts, profile);
-    }
-    let mut data = load(&opts.data, opts.directed)?;
-    let mut query = load_query(&opts.query, opts.directed)?;
-    if let Some(spec) = &opts.labels {
-        (data, query) = apply_labels(spec, data, query)?;
-    }
-    println!(
-        "data: {} vertices / {} arcs; query: {} vertices / {} arcs",
-        data.num_vertices(),
-        data.num_edges(),
-        query.num_vertices(),
-        query.num_edges()
-    );
+    let snap = match &opts.data {
+        DataSource::Snapshot(path) => Some((path, Snapshot::read_from(path)?)),
+        _ => None,
+    };
+    let (data, query) = match &snap {
+        Some((path, snap)) => {
+            let query = load_query(&opts.query, false)?;
+            println!(
+                "snapshot: {} vertices / {} arcs, {} plan(s), {} trie(s) from {path}",
+                snap.graph().num_vertices(),
+                snap.graph().num_edges(),
+                snap.plans().len(),
+                snap.tries().len()
+            );
+            (Cow::Borrowed(snap.graph()), query)
+        }
+        None => {
+            let mut data = load(&opts.data, opts.directed)?;
+            let mut query = load_query(&opts.query, opts.directed)?;
+            if let Some(spec) = &opts.labels {
+                (data, query) = apply_labels(spec, data, query)?;
+            }
+            println!(
+                "data: {} vertices / {} arcs; query: {} vertices / {} arcs",
+                data.num_vertices(),
+                data.num_edges(),
+                query.num_vertices(),
+                query.num_edges()
+            );
+            (Cow::Owned(data), query)
+        }
+    };
     let dev_cfg = device_config(&opts.device)?;
     let engine_cfg = EngineConfig::default()
         .with_chunk_size(opts.chunk)
@@ -283,19 +297,24 @@ fn run_match(opts: &MatchOpts, profile: bool) -> Result<(), CmdError> {
         return finish_trace(&trace, opts, profile, r.total_matches);
     }
 
-    let matches: u64 = match opts.engine.as_str() {
-        "vf2" => {
-            let start = std::time::Instant::now();
-            let count = vf2::count(&data, &query);
-            println!("matches: {count}");
-            println!("cpu wall: {:.3} ms", start.elapsed().as_secs_f64() * 1e3);
-            count
-        }
+    // The distributed builder validates its engine config; this path
+    // has no builder, so a bad value is a typed error here.
+    engine_cfg.validate(dev_cfg.global_mem_words)?;
+    if opts.engine == "vf2" {
+        let start = std::time::Instant::now();
+        let count = vf2::count(&data, &query);
+        println!("matches: {count}");
+        println!("cpu wall: {:.3} ms", start.elapsed().as_secs_f64() * 1e3);
+        return finish_trace(&trace, opts, profile, count);
+    }
+    let mut device = Device::new(dev_cfg);
+    device.set_trace(trace.clone());
+    let (r, stats) = match opts.engine.as_str() {
         "cuts" => {
-            let mut device = Device::new(dev_cfg);
-            device.set_trace(trace.clone());
-            let session =
-                ExecSession::with_cache_capacity(&device, engine_cfg.clone(), opts.plan_cache);
+            let session = match &snap {
+                Some((_, snap)) => ExecSession::from_snapshot(&device, engine_cfg, snap),
+                None => ExecSession::with_cache_capacity(&device, engine_cfg, opts.plan_cache),
+            };
             let r = if opts.enumerate > 0 {
                 let mut shown = 0usize;
                 session.run_enumerate(&data, &query, &mut |m| {
@@ -307,70 +326,13 @@ fn run_match(opts: &MatchOpts, profile: bool) -> Result<(), CmdError> {
             } else {
                 session.run(&data, &query)?
             };
-            report(&r, Some(&session.stats()), &opts.output)?;
-            r.num_matches
+            (r, Some(session.stats()))
         }
-        "gsi" => {
-            let mut device = Device::new(dev_cfg);
-            device.set_trace(trace.clone());
-            let r = GsiEngine::new(&device).run(&data, &query)?;
-            report(&r, None, &opts.output)?;
-            r.num_matches
-        }
-        "gunrock" => {
-            let mut device = Device::new(dev_cfg);
-            device.set_trace(trace.clone());
-            let r = GunrockEngine::new(&device).run(&data, &query)?;
-            report(&r, None, &opts.output)?;
-            r.num_matches
-        }
+        "gsi" => (GsiEngine::new(&device).run(&data, &query)?, None),
+        "gunrock" => (GunrockEngine::new(&device).run(&data, &query)?, None),
         other => return Err(invalid("engine", other)),
     };
-    finish_trace(&trace, opts, profile, matches)
-}
-
-/// `cuts match --snapshot`: warm-start from a container. Ingestion and
-/// profiling are skipped entirely — the graph arrives with its profile
-/// installed — and persisted plans seed the session's cache, so a query
-/// planned at build time runs with zero plan builds here.
-fn run_match_warm(path: &str, opts: &MatchOpts, profile: bool) -> Result<(), CmdError> {
-    let snap = Snapshot::read_from(path)?;
-    let query = load_query(&opts.query, false)?;
-    println!(
-        "snapshot: {} vertices / {} arcs, {} plan(s), {} trie(s) from {path}",
-        snap.graph().num_vertices(),
-        snap.graph().num_edges(),
-        snap.plans().len(),
-        snap.tries().len()
-    );
-    let dev_cfg = device_config(&opts.device)?;
-    let engine_cfg = EngineConfig::default()
-        .with_chunk_size(opts.chunk)
-        .with_intersect(intersect_of(&opts.intersect)?)
-        .with_signature_prefilter(!opts.no_prefilter);
-    let trace = if profile || opts.trace_out.is_some() || opts.metrics_out.is_some() {
-        Trace::with_config(TraceConfig {
-            per_block: opts.trace_per_block,
-        })
-    } else {
-        Trace::disabled()
-    };
-    let mut device = Device::new(dev_cfg);
-    device.set_trace(trace.clone());
-    let session = ExecSession::from_snapshot(&device, engine_cfg, &snap);
-    let data = snap.graph();
-    let r = if opts.enumerate > 0 {
-        let mut shown = 0usize;
-        session.run_enumerate(data, &query, &mut |m| {
-            if shown < opts.enumerate {
-                println!("  {m:?}");
-                shown += 1;
-            }
-        })?
-    } else {
-        session.run(data, &query)?
-    };
-    report(&r, Some(&session.stats()), &opts.output)?;
+    report(&r, stats.as_ref(), &opts.output)?;
     finish_trace(&trace, opts, profile, r.num_matches)
 }
 
@@ -651,7 +613,10 @@ fn run_serve(opts: &ServeOpts) -> Result<(), CmdError> {
             );
         }
         if let Some(journal) = trace.journal() {
-            print_profile(&journal.snapshot_sorted());
+            print!(
+                "{}",
+                JournalSummary::from_events(&journal.snapshot_sorted())
+            );
         }
     }
     // One exposition from both registries: per-run job SLO metrics and
@@ -969,16 +934,6 @@ fn run_flight(path: &str) -> Result<(), CmdError> {
     Ok(())
 }
 
-/// Renders a match result as a single JSON tree; session stats, when
-/// available, are attached as a `"session"` object.
-fn to_json(r: &cuts_core::MatchResult, stats: Option<&SessionStats>) -> String {
-    let mut root = r.to_json();
-    if let Some(s) = stats {
-        root.set("session", s.to_json());
-    }
-    root.render()
-}
-
 /// Drains the journal and writes the requested artifacts: the trace file
 /// (`--trace-out`), the metrics snapshot (`--metrics-out`), and — for the
 /// `profile` subcommand — a per-kernel / per-level breakdown on stdout.
@@ -1000,312 +955,33 @@ fn finish_trace(
         std::fs::write(path, text).map_err(|e| CutsError::io(path, e))?;
         println!("trace: {} event(s) written to {path}", events.len());
     }
+    let summary = JournalSummary::from_events(&events);
     if let Some(path) = &opts.metrics_out {
-        std::fs::write(path, metrics_snapshot(&events, matches).render())
+        std::fs::write(path, summary.metrics(matches).render())
             .map_err(|e| CutsError::io(path, e))?;
         println!("metrics: written to {path}");
     }
     if profile {
-        print_profile(&events);
+        print!("{summary}");
     }
     Ok(())
 }
 
-/// Sum of a `u64` argument over events, by key.
-fn arg_u64(e: &Event, key: &str) -> u64 {
-    match e.arg(key) {
-        Some(Arg::U64(v)) => *v,
-        _ => 0,
-    }
-}
-
-/// An `f64` argument of an event, by key.
-fn arg_f64(e: &Event, key: &str) -> f64 {
-    match e.arg(key) {
-        Some(Arg::F64(v)) => *v,
-        _ => 0.0,
-    }
-}
-
-/// Aggregates the journal into a Prometheus-style snapshot.
-fn metrics_snapshot(events: &[Event], matches: u64) -> MetricsSnapshot {
-    use std::collections::BTreeMap;
-    let mut snap = MetricsSnapshot::new();
-    snap.push_help("cuts_matches_total", matches as f64, "embeddings found");
-    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
-    // name -> (count, micros, instructions, dram reads)
-    let mut kernels: BTreeMap<String, (u64, u64, u64, u64)> = BTreeMap::new();
-    let (mut arena_carves, mut arena_acquires, mut arena_releases) = (0u64, 0u64, 0u64);
-    let (mut arena_grows, mut arena_high_water) = (0u64, 0u64);
-    for e in events {
-        *by_kind.entry(e.kind.as_str()).or_default() += 1;
-        match e.kind {
-            EventKind::Kernel if e.dur_us.is_some() && e.counters.is_some() => {
-                let c = e.counters.unwrap();
-                let k = kernels.entry(e.name.clone()).or_default();
-                k.0 += 1;
-                k.1 += e.dur_us.unwrap_or(0);
-                k.2 += c.instructions;
-                k.3 += c.dram_reads;
-            }
-            EventKind::Arena => match e.name.as_str() {
-                "carve" => arena_carves += 1,
-                "acquire" => arena_acquires += 1,
-                "release" => arena_releases += 1,
-                "chain_grow" => arena_grows += 1,
-                "high_water" => {
-                    arena_high_water = arena_high_water.max(arg_u64(e, "slabs"));
-                }
-                _ => {}
-            },
-            _ => {}
-        }
-    }
-    for (kind, n) in &by_kind {
-        snap.push_labeled("cuts_events_total", &[("kind", kind)], *n as f64);
-    }
-    for (name, (count, micros, instructions, dram_reads)) in &kernels {
-        snap.push_labeled("cuts_kernel_launches", &[("kernel", name)], *count as f64);
-        snap.push_labeled("cuts_kernel_micros", &[("kernel", name)], *micros as f64);
-        snap.push_labeled(
-            "cuts_kernel_instructions",
-            &[("kernel", name)],
-            *instructions as f64,
-        );
-        snap.push_labeled(
-            "cuts_kernel_dram_reads",
-            &[("kernel", name)],
-            *dram_reads as f64,
-        );
-    }
-    snap.push_help(
-        "cuts_arena_carves_total",
-        arena_carves as f64,
-        "device allocations backing an arena (one per session)",
-    );
-    snap.push_help(
-        "cuts_arena_slab_acquires_total",
-        arena_acquires as f64,
-        "slabs handed out by arena classes",
-    );
-    snap.push_help(
-        "cuts_arena_slab_releases_total",
-        arena_releases as f64,
-        "slabs returned to arena classes",
-    );
-    snap.push_help(
-        "cuts_arena_chain_grows_total",
-        arena_grows as f64,
-        "in-place trie chain growth steps",
-    );
-    snap.push_help(
-        "cuts_arena_high_water_slabs",
-        arena_high_water as f64,
-        "peak concurrently-held slabs in any class",
-    );
-    snap
-}
-
-/// Prints the [`profile_report`] for a drained journal.
-fn print_profile(events: &[Event]) {
-    print!("{}", profile_report(events));
-}
-
-/// The `cuts profile` report: per-kernel and per-level aggregates plus an
-/// event census, from one journal drain. An empty journal renders a
-/// clean one-line report instead of a skeleton of empty sections.
-fn profile_report(events: &[Event]) -> String {
-    use std::collections::BTreeMap;
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    if events.is_empty() {
-        let _ = writeln!(out, "profile: no events recorded");
-        let _ = writeln!(
-            out,
-            "  (the run emitted no journal events; nothing to aggregate)"
-        );
-        return out;
-    }
-    // kernel name -> (launches, micros, instructions, dram reads)
-    let mut kernels: BTreeMap<String, (u64, u64, u64, u64)> = BTreeMap::new();
-    // level name -> (steps, micros, paths)
-    let mut levels: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-    let mut census: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut ranks = std::collections::BTreeSet::new();
-    // job lifecycle: event name -> count, plus queue/exec time sums
-    let mut job_counts: BTreeMap<String, u64> = BTreeMap::new();
-    let (mut queue_ms, mut exec_ms) = (0.0f64, 0.0f64);
-    // plan-time kernel policy: level pos -> (method, chi, est first, times)
-    let mut policy: BTreeMap<u64, (String, u64, u64, u64)> = BTreeMap::new();
-    let (mut prefilter_on, mut prefilter_off) = (0u64, 0u64);
-    let (mut plan_hits, mut plan_builds) = (0u64, 0u64);
-    // arena event name -> count, plus the slab high-water mark
-    let mut arena_counts: BTreeMap<String, u64> = BTreeMap::new();
-    let mut arena_high_water = 0u64;
-    for e in events {
-        *census.entry(e.kind.as_str()).or_default() += 1;
-        if let Some(r) = e.rank {
-            ranks.insert(r);
-        }
-        match e.kind {
-            // Per-block spans (SM lanes) carry block counters; skip them
-            // here so launch totals are not double counted.
-            EventKind::Kernel if e.arg("blocks").is_some() => {
-                let c = e.counters.unwrap_or_default();
-                let k = kernels.entry(e.name.clone()).or_default();
-                k.0 += 1;
-                k.1 += e.dur_us.unwrap_or(0);
-                k.2 += c.instructions;
-                k.3 += c.dram_reads;
-            }
-            EventKind::Level => {
-                let l = levels.entry(e.name.clone()).or_default();
-                l.0 += 1;
-                l.1 += e.dur_us.unwrap_or(0);
-                l.2 += arg_u64(e, "paths");
-            }
-            EventKind::Plan => match e.name.as_str() {
-                "hit" => plan_hits += 1,
-                "miss" => plan_builds += 1,
-                _ => {}
-            },
-            EventKind::Job => {
-                *job_counts.entry(e.name.clone()).or_default() += 1;
-                if e.name == "complete" {
-                    queue_ms += arg_f64(e, "queue_ms");
-                    exec_ms += arg_f64(e, "exec_ms");
-                }
-            }
-            EventKind::Arena => {
-                *arena_counts.entry(e.name.clone()).or_default() += 1;
-                if e.name == "high_water" {
-                    arena_high_water = arena_high_water.max(arg_u64(e, "slabs"));
-                }
-            }
-            EventKind::Policy => match e.name.as_str() {
-                "prefilter_on" => prefilter_on += 1,
-                "prefilter_off" => prefilter_off += 1,
-                method => {
-                    let p = policy.entry(arg_u64(e, "pos")).or_insert_with(|| {
-                        (
-                            method.to_string(),
-                            arg_u64(e, "constraints"),
-                            arg_u64(e, "est_first_len"),
-                            0,
-                        )
-                    });
-                    p.3 += 1;
-                }
-            },
-            _ => {}
-        }
-    }
-    let _ = writeln!(
-        out,
-        "profile: {} event(s), {} rank(s)",
-        events.len(),
-        ranks.len()
-    );
-    let _ = writeln!(out, "  per kernel:");
-    for (name, (launches, micros, instructions, dram_reads)) in &kernels {
-        let _ = writeln!(
-            out,
-            "    {name:<16} {launches:>6} launch(es) {:>9.3} ms  {instructions:>10} instr  {dram_reads:>10} dram reads",
-            *micros as f64 / 1e3
-        );
-    }
-    let _ = writeln!(out, "  per level:");
-    for (name, (steps, micros, paths)) in &levels {
-        let _ = writeln!(
-            out,
-            "    {name:<16} {steps:>6} step(s)    {:>9.3} ms  {paths:>10} paths",
-            *micros as f64 / 1e3
-        );
-    }
-    if plan_hits + plan_builds > 0 {
-        // Guarded: a warm-started session can report hits with zero
-        // builds, and a snapshot-seeded run can even skip lookups
-        // entirely — never divide by the build count.
-        let _ = writeln!(
-            out,
-            "  plans:   {plan_builds} built, {plan_hits} cache hit(s) ({} reused)",
-            reuse_pct(plan_hits, plan_builds)
-        );
-    }
-    if !job_counts.is_empty() {
-        let _ = writeln!(out, "  scheduler jobs:");
-        for (name, n) in &job_counts {
-            let _ = writeln!(out, "    {name:<16} {n:>6}");
-        }
-        let completed = *job_counts.get("complete").unwrap_or(&0);
-        if completed > 0 {
-            let _ = writeln!(
-            out,
-                "    queue vs exec:   {:.3} ms queued, {:.3} ms executing (mean {:.3} / {:.3} ms per job)",
-                queue_ms,
-                exec_ms,
-                queue_ms / completed as f64,
-                exec_ms / completed as f64
-            );
-        }
-    }
-    if !arena_counts.is_empty() {
-        let _ = writeln!(out, "  arena slabs:");
-        for (name, n) in &arena_counts {
-            let _ = writeln!(out, "    {name:<16} {n:>6}");
-        }
-        if arena_high_water > 0 {
-            let _ = writeln!(
-                out,
-                "    high water:      {arena_high_water:>6} slab(s) held at once"
-            );
-        }
-    }
-    if !policy.is_empty() || prefilter_on + prefilter_off > 0 {
-        let _ = writeln!(out, "  kernel policy:");
-        for (pos, (method, chi, est, times)) in &policy {
-            let _ = writeln!(
-            out,
-                "    level {pos:<2} chi={chi:<2} -> {method:<9} (est first {est}, decided {times}x)"
-            );
-        }
-        if prefilter_on + prefilter_off > 0 {
-            let _ = writeln!(
-                out,
-                "    signature prefilter: {} (on {prefilter_on}x / off {prefilter_off}x)",
-                if prefilter_on > 0 {
-                    "active"
-                } else {
-                    "disabled"
-                }
-            );
-        }
-    }
-    let _ = writeln!(out, "  events by kind:");
-    for (kind, n) in &census {
-        let _ = writeln!(out, "    {kind:<16} {n:>6}");
-    }
-    out
-}
-
-fn report(
-    r: &cuts_core::MatchResult,
-    stats: Option<&SessionStats>,
-    output: &str,
-) -> Result<(), CmdError> {
+/// Prints a match result: as one JSON tree (session stats, when
+/// available, attached as a `"session"` object) or as text.
+fn report(r: &MatchResult, stats: Option<&SessionStats>, output: &str) -> Result<(), CmdError> {
     match output {
         "json" => {
-            println!("{}", to_json(r, stats));
+            let mut root = r.to_json();
+            if let Some(s) = stats {
+                root.set("session", s.to_json());
+            }
+            println!("{}", root.render());
             return Ok(());
         }
         "text" => {}
         other => return Err(invalid("output format", other)),
     }
-    report_text(r, stats);
-    Ok(())
-}
-
-fn report_text(r: &cuts_core::MatchResult, stats: Option<&SessionStats>) {
     println!("matches: {}", r.num_matches);
     println!("paths/depth: {:?}", r.level_counts);
     println!(
@@ -1340,17 +1016,7 @@ fn report_text(r: &cuts_core::MatchResult, stats: Option<&SessionStats>) {
             ),
         }
     }
-}
-
-/// Cache-reuse percentage as text. A session that never planned — a warm
-/// start whose every query was seeded from a snapshot — has zero lookups
-/// and renders `-` instead of dividing by zero.
-fn reuse_pct(hits: u64, misses: u64) -> String {
-    let total = hits + misses;
-    if total == 0 {
-        return "-".into();
-    }
-    format!("{:.0}%", 100.0 * hits as f64 / total as f64)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1616,15 +1282,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_report_handles_empty_trace() {
-        let report = profile_report(&[]);
-        assert!(report.contains("no events recorded"));
-        // No skeleton sections on an empty journal.
-        assert!(!report.contains("per kernel"));
-        assert!(!report.contains("events by kind"));
-    }
-
-    #[test]
     fn parse_batches_splits_on_separators_and_rejects_garbage() {
         let text = "\
 # warm-up edits
@@ -1698,13 +1355,6 @@ mod tests {
         assert!(table.contains("gold"));
         assert!(table.contains("10/20/30"));
         assert!(table.contains("100/200/300"));
-    }
-
-    #[test]
-    fn reuse_pct_guards_zero_lookups() {
-        assert_eq!(reuse_pct(0, 0), "-");
-        assert_eq!(reuse_pct(3, 1), "75%");
-        assert_eq!(reuse_pct(5, 0), "100%");
     }
 
     #[test]
@@ -1786,6 +1436,44 @@ mod tests {
         assert!(matches!(
             run_snapshot_inspect(&bad),
             Err(CutsError::Snapshot(_))
+        ));
+    }
+
+    /// The single-device path has no config builder; a bad engine value
+    /// is a typed error, not a panic inside `EngineConfig`.
+    #[test]
+    fn single_device_match_validates_engine_config() {
+        let opts = MatchOpts {
+            data: DataSource::Dataset {
+                name: "enron".into(),
+                scale: "tiny".into(),
+            },
+            query: "clique:3".into(),
+            directed: false,
+            device: "test".into(),
+            engine: "cuts".into(),
+            ranks: 1,
+            enumerate: 0,
+            chunk: 0,
+            labels: None,
+            output: "text".into(),
+            plan_cache: 16,
+            fault_plan: None,
+            rank_timeout_ms: None,
+            partition: None,
+            trace_out: None,
+            trace_format: "chrome".into(),
+            trace_per_block: false,
+            metrics_out: None,
+            intersect: "auto".into(),
+            no_prefilter: false,
+        };
+        assert!(matches!(
+            run_match(&opts, false),
+            Err(CutsError::Config(ConfigError::Invalid {
+                field: "chunk_size",
+                ..
+            }))
         ));
     }
 

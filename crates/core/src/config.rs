@@ -126,9 +126,8 @@ impl EngineConfig {
         Ok(())
     }
 
-    /// Builder-style chunk size.
+    /// Builder-style chunk size (`validate` checks it).
     pub fn with_chunk_size(mut self, n: usize) -> Self {
-        assert!(n > 0);
         self.chunk_size = n;
         self
     }
@@ -163,9 +162,8 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style trie memory fraction.
+    /// Builder-style trie memory fraction (`validate` checks it).
     pub fn with_trie_fraction(mut self, f: f64) -> Self {
-        assert!(f > 0.0 && f <= 1.0);
         self.trie_fraction = f;
         self
     }

@@ -37,6 +37,7 @@ struct LedgerInner<T> {
     pending: usize,
     total_matches: u64,
     reassigned: usize,
+    transferred: usize,
     first_loss_at: Option<Instant>,
     recovered_at: Option<Instant>,
 }
@@ -48,6 +49,7 @@ impl<T> Default for LedgerInner<T> {
             pending: 0,
             total_matches: 0,
             reassigned: 0,
+            transferred: 0,
             first_loss_at: None,
             recovered_at: None,
         }
@@ -105,6 +107,7 @@ impl<T: Clone> WorkLedger<T> {
         match inner.units.get_mut(&id) {
             Some(WorkState::Pending { owner, .. }) => {
                 *owner = new_owner;
+                inner.transferred += 1;
                 true
             }
             _ => false,
@@ -238,6 +241,11 @@ impl<T: Clone> WorkLedger<T> {
         self.inner.lock().unwrap().reassigned
     }
 
+    /// Units re-homed by successful [`WorkLedger::transfer`] calls so far.
+    pub fn transferred(&self) -> usize {
+        self.inner.lock().unwrap().transferred
+    }
+
     /// Wall milliseconds from the first rank loss until the last pending
     /// unit committed; 0.0 when no loss occurred or recovery never
     /// finished.
@@ -328,6 +336,7 @@ mod tests {
         assert!(l.transfer(id, 1));
         l.commit(id, 3);
         assert!(!l.transfer(id, 2));
+        assert_eq!(l.transferred(), 1, "a refused transfer is not counted");
     }
 
     #[test]

@@ -1200,8 +1200,8 @@ impl ServeTier {
             submitted: shared.submitted.load(Ordering::Relaxed),
             completed,
             failed,
-            migrated: shared.migrations.get(),
-            readmitted: shared.readmissions.get(),
+            migrated: shared.ledger.transferred() as u64,
+            readmitted: shared.ledger.reassigned() as u64,
             lost_ranks: (0..cfg.ranks)
                 .filter(|&r| !shared.alive.is_alive(r))
                 .collect(),
@@ -1771,6 +1771,41 @@ mod tests {
                 b.result.as_ref().unwrap().canonical_bytes()
             );
         }
+    }
+
+    /// `migrated` and `readmitted` come from the work ledger, so a tier
+    /// with telemetry off still reports them: each equals the count of
+    /// its lifecycle event in the journal.
+    #[test]
+    fn migration_stats_survive_telemetry_off() {
+        let jobs: Vec<Job> = (0..4).flat_map(|_| demo_jobs()).collect();
+        let trace = Trace::enabled();
+        let tier = ServeTier::new(
+            ServeConfig::builder()
+                .ranks(3)
+                .lanes(2)
+                .device_config(DeviceConfig::test_small())
+                .pacing(50.0)
+                .fault_plan(FaultPlan::parse("crash:1@8").unwrap())
+                .trace(trace.clone())
+                .telemetry(false)
+                .build()
+                .unwrap(),
+        );
+        let report = tier.run_stream(&jobs).unwrap();
+        assert_eq!(report.stats.lost_ranks, vec![1]);
+        assert_eq!(report.stats.completed, jobs.len() as u64);
+        let events = trace.journal().unwrap().snapshot_sorted();
+        let count = |kind, name| {
+            events
+                .iter()
+                .filter(|e| e.kind == kind && e.name == name)
+                .count() as u64
+        };
+        let readmits = count(EventKind::Job, "readmit");
+        assert!(readmits > 0, "the crashed rank's queued jobs re-admit");
+        assert_eq!(report.stats.readmitted, readmits);
+        assert_eq!(report.stats.migrated, count(EventKind::Donation, "migrate"));
     }
 
     #[test]

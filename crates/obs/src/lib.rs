@@ -20,6 +20,9 @@
 //!   thread track per lane and per SM), flat JSONL, and a structural
 //!   validator for tests.
 //! * [`metrics`] — a Prometheus-style text snapshot.
+//! * [`summary`] — [`JournalSummary`], the one pass over a drained
+//!   journal that `cuts profile`, `--metrics-out` and the serve report
+//!   render (kernel totals count launch spans only).
 //! * [`registry`] — always-on serving metrics: lock-free lane-sharded
 //!   counters, gauges, and log2-bucketed latency histograms with a
 //!   zero-cost disabled path (the journal answers "what happened in
@@ -38,6 +41,7 @@ pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod registry;
+pub mod summary;
 pub mod trace;
 
 pub use event::{Arg, CounterDelta, Event, EventKind};
@@ -47,4 +51,5 @@ pub use journal::{lane, Journal};
 pub use json::{Json, SchemaError, ToJson};
 pub use metrics::{validate_exposition, Metric, MetricKind, MetricsSnapshot};
 pub use registry::{Counter, Gauge, Hist, HistSnapshot, Registry};
+pub use summary::{reuse_pct, JournalSummary, SpanTotals};
 pub use trace::{Span, Trace, TraceConfig};
