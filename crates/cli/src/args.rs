@@ -608,6 +608,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if opts.fault_plan.is_some() && opts.ranks < 2 {
                 return Err("--fault-plan requires --ranks > 1".into());
             }
+            if !matches!(opts.output.as_str(), "text" | "json") {
+                return Err("--output must be text or json".into());
+            }
             if !matches!(opts.trace_format.as_str(), "chrome" | "jsonl") {
                 return Err("--trace-format must be chrome or jsonl".into());
             }
@@ -783,6 +786,18 @@ mod tests {
                 assert_eq!(o.output, "json");
             }
             other => panic!("{other:?}"),
+        }
+        // Unknown formats fail at parse time, on one rank or many.
+        for cmd in [
+            "match g.txt --query clique:3 --output xml",
+            "match g.txt --query clique:3 --ranks 2 --output xml",
+            "profile g.txt --query clique:3 --output yaml",
+        ] {
+            assert_eq!(
+                parse(&argv(cmd)).unwrap_err(),
+                "--output must be text or json",
+                "{cmd}"
+            );
         }
     }
 

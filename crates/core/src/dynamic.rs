@@ -15,7 +15,8 @@
 //!    anchored on every query arc `(a, b)`: `[u, v]` joins a depth-2 seed
 //!    trie under a plan whose order starts `[a, b]`, and the device
 //!    expands only those seeds ([`ExecSession::run_seeded_enumerate`]).
-//! 2. The graph applies the batch ([`Graph::apply_batch`]).
+//! 2. The graph applies the batch ([`Graph::apply_batch`], which patches
+//!    the cached data profile rather than rebuilding it).
 //! 3. **Gained.** The same anchored expansion runs on the *new* graph
 //!    from the inserted arcs.
 //!
@@ -25,6 +26,20 @@
 //! symmetric, each undirected query edge anchors once (`a < b`): its twin
 //! `(b, a)` lands on an updated arc exactly when `(a, b)` does.
 //!
+//! Anchors a query automorphism maps onto each other would repeat one
+//! expansion, so they are grouped into orbits
+//! ([`cuts_graph::canonical::automorphisms`]) and only each orbit's
+//! representative (its first anchor) launches. Every anchor `c` keeps an
+//! automorphism `σ_c` mapping the representative's arc onto its own; an
+//! embedding `m` the representative finds stands for `e = m∘σ_c⁻¹` at
+//! each member `c`, which lands `c` where `m` lands the representative,
+//! and `e` is kept only if `c` is its first landing anchor. Every
+//! embedding using an updated arc arises that way from exactly one
+//! `(m, c)` pair, so the exactly-once rule needs no dedup set here either
+//! (DESIGN.md §16 has the argument). Queries over
+//! [`cuts_graph::canonical::MAX_SMALL`] vertices keep one orbit per
+//! anchor.
+//!
 //! The composition of emitted deltas is exactly the full-recompute
 //! match set (`tests/dynamic_equivalence.rs` checks this byte for byte
 //! across randomized insert/delete schedules).
@@ -32,6 +47,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use cuts_gpu_sim::Device;
+use cuts_graph::canonical::{automorphisms, MAX_SMALL};
 use cuts_graph::{BatchError, EdgeBatch, Graph, GraphDelta, VertexId};
 use cuts_obs::{Arg, EventKind};
 use cuts_trie::HostTrie;
@@ -62,11 +78,12 @@ pub struct MatchDelta {
     /// Updated data arcs anchored: the deleted arcs the graph had plus
     /// the inserted arcs.
     pub dirty_roots: usize,
-    /// Seed paths (anchor × updated arc pairs passing the host filter)
-    /// launched for device expansion.
+    /// Seed paths (orbit representative × updated arc pairs passing the
+    /// host filter) launched for device expansion; the other anchors of
+    /// an orbit launch none.
     pub reseeded: usize,
-    /// Trie entries the anchored runs built (seeds included) and
-    /// returned to the arena.
+    /// Trie entries the representatives' anchored runs built (seeds
+    /// included) and returned to the arena.
     pub released_entries: usize,
     /// Simulated device milliseconds the anchored runs cost.
     pub sim_millis: f64,
@@ -128,17 +145,30 @@ impl From<EngineError> for DynamicError {
     }
 }
 
-/// A query arc `(a, b)` and the plan whose matching order starts `[a, b]`.
+/// A query arc `(a, b)` an embedding can land on an updated arc with,
+/// and the query automorphism `sigma` (`sigma[x]` is the image of query
+/// vertex `x`) that maps its orbit representative's arc onto it — the
+/// identity on a representative.
 struct Anchor {
     arc: (VertexId, VertexId),
+    sigma: Vec<VertexId>,
+}
+
+/// The anchors one query automorphism orbit groups: `members` indexes
+/// the query's anchor list in order, `members[0]` is the representative,
+/// and `plan` (matching order starting with the representative's arc) is
+/// the only one the orbit launches.
+struct Orbit {
+    members: Vec<usize>,
     plan: QueryPlan,
 }
 
-/// One registered standing query: its graph, one anchor per query arc it
-/// is anchored on (fixed at registration) and its current match set.
+/// One registered standing query: its graph, its anchors and their
+/// orbits (fixed at registration) and its current match set.
 struct StandingQuery {
     query: Graph,
     anchors: Vec<Anchor>,
+    orbits: Vec<Orbit>,
     matches: BTreeSet<Vec<VertexId>>,
 }
 
@@ -152,28 +182,60 @@ struct Anchored {
     sim_millis: f64,
 }
 
-/// The anchors of `query` over `data`: one per arc of the graph that is
-/// matched (the directed closure of a symmetric query over directed
-/// data), or one per undirected edge when that graph is symmetric, which
-/// it is exactly when the query and the data both are. Plans are built
-/// here rather than cached: their [`crate::PlanKey`] is the query's.
+/// The anchors of `query` over `data`, grouped into orbits. There is one
+/// anchor per arc of the graph that is matched (the directed closure of a
+/// symmetric query over directed data), or one per undirected edge when
+/// that graph is symmetric, which it is exactly when the query and the
+/// data both are. Each anchor joins the orbit of the first earlier
+/// representative an automorphism of that graph (arc direction and
+/// labels kept; an edge may land either way round when symmetric) maps
+/// onto it, or starts its own. Queries over [`MAX_SMALL`] vertices use
+/// the identity alone, one orbit per anchor. Plans are built here rather
+/// than cached: their [`crate::PlanKey`] is the query's.
 fn anchors(
     session: &ExecSession<'_>,
     data: &Graph,
     query: &Graph,
-) -> Result<Vec<Anchor>, EngineError> {
+) -> Result<(Vec<Anchor>, Vec<Orbit>), EngineError> {
     let matched = matched_query(data, query);
     let twins = matched.is_symmetric();
-    matched
-        .edges()
-        .filter(|&(a, b)| !twins || a < b)
-        .map(|(a, b)| {
-            let order = MatchOrder::grow_greedy(&matched, vec![a, b])?;
-            let order = MatchOrder::from_order(&matched, order)?;
-            let plan = QueryPlan::with_order(&matched, order, session.config(), session.class())?;
-            Ok(Anchor { arc: (a, b), plan })
-        })
-        .collect()
+    let n = matched.num_vertices();
+    let group = if n <= MAX_SMALL {
+        automorphisms(&matched)
+    } else {
+        vec![(0..n as VertexId).collect()]
+    };
+    let maps = |s: &[VertexId], (a, b): (VertexId, VertexId), (c, d): (VertexId, VertexId)| {
+        let (x, y) = (s[a as usize], s[b as usize]);
+        (x, y) == (c, d) || (twins && (y, x) == (c, d))
+    };
+    let mut anchors: Vec<Anchor> = Vec::new();
+    let mut orbits: Vec<Orbit> = Vec::new();
+    for arc in matched.edges().filter(|&(a, b)| !twins || a < b) {
+        let joined = orbits.iter_mut().find_map(|o| {
+            let rep = anchors[o.members[0]].arc;
+            group.iter().find(|s| maps(s, rep, arc)).map(|s| (o, s))
+        });
+        let sigma = match joined {
+            Some((orbit, sigma)) => {
+                orbit.members.push(anchors.len());
+                sigma.clone()
+            }
+            None => {
+                let order = MatchOrder::grow_greedy(&matched, vec![arc.0, arc.1])?;
+                let order = MatchOrder::from_order(&matched, order)?;
+                let plan =
+                    QueryPlan::with_order(&matched, order, session.config(), session.class())?;
+                orbits.push(Orbit {
+                    members: vec![anchors.len()],
+                    plan,
+                });
+                group[0].clone()
+            }
+        };
+        anchors.push(Anchor { arc, sigma });
+    }
+    Ok((anchors, orbits))
 }
 
 /// Host-side replica of the device filters on an anchored order's first
@@ -193,6 +255,10 @@ fn seed_passes(data: &Graph, o: &MatchOrder, u: VertexId, v: VertexId) -> bool {
 /// Enumerates every embedding of `sq` in `data` that maps a query arc
 /// onto one of `updated` (sorted, deduplicated arcs of `data`), each
 /// exactly once: at the first anchor whose arc lands on an updated arc.
+/// Only orbit representatives launch; each embedding `m` a
+/// representative's run finds stands for one embedding `e = m∘σ⁻¹` per
+/// member anchor (`e[σ[x]] = m[x]`), kept at the member that is its first
+/// landing anchor.
 fn anchored(
     session: &ExecSession<'_>,
     data: &Graph,
@@ -203,30 +269,36 @@ fn anchored(
     if updated.is_empty() {
         return Ok(out);
     }
-    for (i, anchor) in sq.anchors.iter().enumerate() {
+    let mut e = vec![0; sq.query.num_vertices()];
+    for orbit in &sq.orbits {
         let paths: Vec<Vec<VertexId>> = updated
             .iter()
-            .filter(|&&(u, v)| seed_passes(data, &anchor.plan.order, u, v))
+            .filter(|&&(u, v)| seed_passes(data, &orbit.plan.order, u, v))
             .map(|&(u, v)| vec![u, v])
             .collect();
         if paths.is_empty() {
             continue;
         }
         out.seeds += paths.len();
-        let earlier = &sq.anchors[..i];
         let embeddings = &mut out.embeddings;
         let mut sink = |m: &[u32]| {
-            let lands = |(a, b): (VertexId, VertexId)| {
-                updated
-                    .binary_search(&(m[a as usize], m[b as usize]))
-                    .is_ok()
-            };
-            if !earlier.iter().any(|e| lands(e.arc)) {
-                embeddings.push(m.to_vec());
+            for &c in &orbit.members {
+                for (&x, &y) in sq.anchors[c].sigma.iter().zip(m) {
+                    e[x as usize] = y;
+                }
+                let lands = |a: &Anchor| {
+                    let (p, q) = a.arc;
+                    updated
+                        .binary_search(&(e[p as usize], e[q as usize]))
+                        .is_ok()
+                };
+                if !sq.anchors[..c].iter().any(lands) {
+                    embeddings.push(e.clone());
+                }
             }
         };
         let seed = HostTrie::from_flat_paths(&paths);
-        let r = session.run_seeded_enumerate(&anchor.plan, data, &seed, &mut sink)?;
+        let r = session.run_seeded_enumerate(&orbit.plan, data, &seed, &mut sink)?;
         out.entries += r.level_counts.iter().sum::<u64>() as usize;
         out.sim_millis += r.sim_millis;
     }
@@ -301,17 +373,20 @@ impl<'d> DynamicSession<'d> {
 
     /// Registers `query` (which must be weakly connected, like every
     /// [`ExecSession::run`] input) as a standing query: runs the full
-    /// initial expansion, keeps its match set and plans one anchor per
-    /// query arc for incremental maintenance.
+    /// initial expansion, keeps its match set and groups its anchors
+    /// (one per query arc) into automorphism orbits, planning one
+    /// anchored run per orbit for incremental maintenance.
     pub fn register(&mut self, query: &Graph) -> Result<StandingQueryId, EngineError> {
         let mut matches = BTreeSet::new();
         self.session.run_enumerate(&self.graph, query, &mut |m| {
             matches.insert(m.to_vec());
         })?;
         let id = StandingQueryId(self.queries.len());
+        let (anchors, orbits) = anchors(&self.session, &self.graph, query)?;
         self.queries.push(StandingQuery {
             query: query.clone(),
-            anchors: anchors(&self.session, &self.graph, query)?,
+            anchors,
+            orbits,
             matches,
         });
         Ok(id)
@@ -517,8 +592,9 @@ mod tests {
         let out = dyn_s.apply_batch(&b).unwrap();
         let d = &out.deltas[0];
         assert_eq!(d.dirty_roots, 2, "both arcs of the inserted edge");
-        // Three undirected query edges anchor each of the two arcs.
-        assert!(d.reseeded > 0 && d.reseeded <= 6, "{} seeds", d.reseeded);
+        // The triangle's three edges form one automorphism orbit: only
+        // its representative seeds, once per arc of the inserted edge.
+        assert_eq!(d.reseeded, 2, "one orbit x two arcs");
         assert_eq!(d.added.len(), 12, "triangles 0-1-21 and 0-20-21");
         assert_eq!(dyn_s.match_set(q), dyn_s.recompute(q).unwrap());
     }
@@ -685,6 +761,58 @@ mod tests {
         assert_eq!(d.added.len(), 12, "triangles 2-3-7 and 2-6-7");
         assert_eq!(dyn_s.match_set(q), dyn_s.recompute(q).unwrap());
         check_schedule(data, &query, 6, 3, 40);
+    }
+
+    #[test]
+    fn anchors_group_into_automorphism_orbits() {
+        let orbits = |data: Graph, query: &Graph| {
+            let mut dyn_s = session(data);
+            dyn_s.register(query).unwrap();
+            let sq = &dyn_s.queries[0];
+            for o in &sq.orbits {
+                let (a, b) = sq.anchors[o.members[0]].arc;
+                for &c in &o.members {
+                    let s = &sq.anchors[c].sigma;
+                    let image = (s[a as usize], s[b as usize]);
+                    let arc = sq.anchors[c].arc;
+                    assert!(
+                        image == arc || image == (arc.1, arc.0),
+                        "{image:?} vs {arc:?}"
+                    );
+                }
+            }
+            sq.orbits
+                .iter()
+                .map(|o| o.members.clone())
+                .collect::<Vec<_>>()
+        };
+        let mesh = || mesh2d(3, 3);
+        assert_eq!(orbits(mesh(), &cycle(4)), [vec![0, 1, 2, 3]]);
+        assert_eq!(orbits(mesh(), &clique(3)), [vec![0, 1, 2]]);
+        // Chain 0-1-2-3: the end edges swap, the middle one is alone.
+        assert_eq!(orbits(mesh(), &chain(4)), [vec![0, 2], vec![1]]);
+        // One distinct label leaves only the reflection through it.
+        let labelled = mesh().with_labels(vec![0; 9]);
+        let query = cycle(4).with_labels(vec![1, 0, 0, 0]);
+        assert_eq!(orbits(labelled, &query).len(), 2);
+        // Directed data: the 4-cycle's eight arcs form one orbit.
+        assert_eq!(orbits(directed_data(12, 30, 1), &cycle(4)).len(), 1);
+        let triangle = Graph::directed(3, &[(0, 1), (1, 2), (2, 0)]);
+        assert_eq!(orbits(directed_data(12, 30, 1), &triangle), [vec![0, 1, 2]]);
+    }
+
+    #[test]
+    fn label_breaking_and_oversized_queries_track_recompute() {
+        let labels = (0..36).map(|v| u32::from(v % 3 == 0)).collect();
+        let data = erdos_renyi(36, 120, 8).with_labels(labels);
+        check_schedule(data, &cycle(4).with_labels(vec![1, 0, 0, 0]), 5, 4, 50);
+        // Over `MAX_SMALL` vertices: the identity group, one orbit per
+        // anchor.
+        let chain9 = chain(MAX_SMALL + 1);
+        check_schedule(mesh2d(3, 4), &chain9, 3, 2, 51);
+        let mut dyn_s = session(mesh2d(3, 4));
+        dyn_s.register(&chain9).unwrap();
+        assert_eq!(dyn_s.queries[0].orbits.len(), MAX_SMALL);
     }
 
     #[test]

@@ -630,20 +630,22 @@ impl<'e> ServeShared<'e, '_> {
     /// taken by the caller).
     fn admit_submission(&self, job: Job) -> JobId {
         let id = self.ledger.new_id();
-        let seed = Seed {
-            job,
-            submitted_at: Instant::now(),
-        };
         let r = self.place();
-        self.ledger.register(id, r, &seed);
-        let words = self.sizing_words(&seed.job);
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        flight::record(FlightCode::JobSubmit, id, r as u64);
+        // The `submit` event precedes the queue clock's start, so a job's
+        // queue + exec time never exceeds its journal span.
         self.trace.instant_with(
             EventKind::Job,
             "submit",
             &[("job", Arg::U64(id)), ("rank", Arg::U64(r as u64))],
         );
+        let seed = Seed {
+            job,
+            submitted_at: Instant::now(),
+        };
+        self.ledger.register(id, r, &seed);
+        let words = self.sizing_words(&seed.job);
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        flight::record(FlightCode::JobSubmit, id, r as u64);
         self.enqueue_to(
             r,
             Queued {
@@ -831,6 +833,8 @@ impl<'e> ServeShared<'e, '_> {
                 ("job", Arg::U64(q.id)),
                 ("rank", Arg::U64(r as u64)),
                 ("ok", Arg::U64(outcome.result.is_ok() as u64)),
+                ("queue_ms", Arg::F64(outcome.queue_millis)),
+                ("exec_ms", Arg::F64(outcome.exec_millis)),
             ],
         );
         self.telem.on_finish(
@@ -1769,6 +1773,56 @@ mod tests {
             assert_eq!(
                 a.result.as_ref().unwrap().canonical_bytes(),
                 b.result.as_ref().unwrap().canonical_bytes()
+            );
+        }
+    }
+
+    /// Every traced job's `complete` event carries its queue and exec
+    /// times, and they fit inside the job's journal span from `submit`
+    /// to `complete` (journal stamps are whole microseconds, hence the
+    /// one-microsecond slack).
+    #[test]
+    fn queue_plus_exec_fits_in_end_to_end() {
+        let jobs: Vec<Job> = (0..2).flat_map(|_| demo_jobs()).collect();
+        let trace = Trace::enabled();
+        let tier = ServeTier::new(
+            ServeConfig::builder()
+                .ranks(2)
+                .lanes(2)
+                .device_config(DeviceConfig::test_small())
+                .pacing(5.0)
+                .trace(trace.clone())
+                .build()
+                .unwrap(),
+        );
+        let report = tier.run_stream(&jobs).unwrap();
+        assert_eq!(report.stats.completed, jobs.len() as u64);
+        let events = trace.journal().unwrap().snapshot_sorted();
+        let event = |name: &str, job: u64| {
+            events
+                .iter()
+                .find(|e| {
+                    e.kind == EventKind::Job
+                        && e.name == name
+                        && matches!(e.arg("job"), Some(Arg::U64(j)) if *j == job)
+                })
+                .unwrap_or_else(|| panic!("job {job} has no {name} event"))
+        };
+        for job in 0..jobs.len() as u64 {
+            let (submit, complete) = (event("submit", job), event("complete", job));
+            let (Some(Arg::F64(queue)), Some(Arg::F64(exec))) =
+                (complete.arg("queue_ms"), complete.arg("exec_ms"))
+            else {
+                panic!("job {job}: complete event lacks queue_ms/exec_ms");
+            };
+            assert!(
+                *queue >= 0.0 && *exec > 0.0,
+                "job {job}: {queue} / {exec} ms"
+            );
+            let end_to_end = (complete.ts_us - submit.ts_us + 1) as f64 / 1e3;
+            assert!(
+                queue + exec <= end_to_end,
+                "job {job}: queue {queue} + exec {exec} ms > end-to-end {end_to_end} ms"
             );
         }
     }

@@ -8,8 +8,9 @@
 //!
 //! The headline number is gated: the geometric-mean ratio of simulated
 //! recompute time to simulated incremental time across all scenarios must
-//! be at least [`MIN_SPEEDUP`]. Simulated device time is deterministic,
-//! so the gate is runner-safe.
+//! be at least [`MIN_SPEEDUP`], on the small test preset and on the V100
+//! preset alike. Simulated device time is deterministic, so the gate is
+//! runner-safe.
 //!
 //! ```sh
 //! cargo test --release -p cuts-core --test dynamic_gate -- --nocapture
@@ -122,16 +123,17 @@ fn next_batch(
     batch
 }
 
-#[test]
-fn incremental_beats_recompute_and_matches_it() {
+/// Replays every scenario's schedule on a device built from `config`
+/// and gates the geometric-mean recompute/incremental ratio, printing
+/// per-batch simulated milliseconds for each scenario.
+fn gate(config: DeviceConfig) {
     // One traced device for the incremental sessions: its journal shows
-    // the anchored path ran. The small preset's modest bandwidth keeps
-    // the roofline memory-bound, so traversal traffic (not fixed launch
-    // overhead) decides the comparison.
+    // the anchored path ran.
     let trace = Trace::enabled();
-    let mut inc_device = Device::new(DeviceConfig::test_small());
+    let preset = config.name;
+    let mut inc_device = Device::new(config.clone());
     inc_device.set_trace(trace.clone());
-    let rec_device = Device::new(DeviceConfig::test_small());
+    let rec_device = Device::new(config);
     let rec_session = ExecSession::new(&rec_device, EngineConfig::default());
 
     let mut ln_sum = 0.0f64;
@@ -171,13 +173,16 @@ fn incremental_beats_recompute_and_matches_it() {
         }
         let speedup = rec_sim / inc_sim.max(f64::MIN_POSITIVE);
         ln_sum += speedup.ln();
+        let per_batch = |ms: f64| ms / BATCHES as f64;
         println!(
-            "{:<18} {inc_sim:>8.3} ms incremental vs {rec_sim:>8.3} ms recompute ({speedup:.1}x, {streamed} delta rows)",
-            sc.name
+            "{preset} {:<18} {:>7.4} ms/batch incremental vs {:>7.4} ms/batch recompute ({speedup:.2}x, {streamed} delta rows)",
+            sc.name,
+            per_batch(inc_sim),
+            per_batch(rec_sim),
         );
     }
     let geomean = (ln_sum / scenarios().len() as f64).exp();
-    println!("geomean speedup {geomean:.2}x (gate {MIN_SPEEDUP:.1}x)");
+    println!("{preset} geomean speedup {geomean:.2}x (gate {MIN_SPEEDUP:.1}x)");
 
     // Evidence the anchored path ran: every applied batch emits one
     // `delta` event per standing query, carrying the seeds it launched.
@@ -189,14 +194,29 @@ fn incremental_beats_recompute_and_matches_it() {
         .count();
     assert!(
         seeded > 0,
-        "no batch launched a seed: anchored path did not run"
+        "{preset}: no batch launched a seed: anchored path did not run"
     );
     assert!(
         diverged.is_empty(),
-        "incremental match sets diverged from recompute: {diverged:?}"
+        "{preset}: incremental match sets diverged from recompute: {diverged:?}"
     );
     assert!(
         geomean >= MIN_SPEEDUP,
-        "incremental speedup below the gate: {geomean:.2}x < {MIN_SPEEDUP:.1}x geomean"
+        "{preset}: incremental speedup below the gate: {geomean:.2}x < {MIN_SPEEDUP:.1}x geomean"
     );
+}
+
+/// The small preset's modest bandwidth keeps the roofline memory-bound,
+/// so traversal traffic (not fixed launch overhead) decides the
+/// comparison.
+#[test]
+fn incremental_beats_recompute_and_matches_it() {
+    gate(DeviceConfig::test_small());
+}
+
+/// On the V100 preset fixed launch costs weigh more, so the gate also
+/// bounds how many seeded launch sequences a batch pays for.
+#[test]
+fn incremental_beats_recompute_on_v100_preset() {
+    gate(DeviceConfig::v100_like());
 }

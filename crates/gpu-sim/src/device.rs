@@ -19,6 +19,26 @@ use crate::ordered::{self, RunOut, RunTarget};
 /// levels, never pay for spawning them.
 const HELP_AFTER: Duration = Duration::from_micros(100);
 
+/// Host time aimed for between two reads of the launch clock while an
+/// ordered launch runs on the calling thread alone: a read costs tens of
+/// nanoseconds, as much as a whole block of a small level.
+const CLOCK_EVERY: Duration = Duration::from_micros(1);
+
+/// Most blocks an ordered launch runs between two clock reads.
+const MAX_CLOCK_STRIDE: usize = 16;
+
+/// Blocks to run before the next clock read, after `blocks` blocks took
+/// `elapsed`: one before any block has run and while blocks are slower
+/// than [`CLOCK_EVERY`], so helpers still join within about a block of
+/// [`HELP_AFTER`], and up to [`MAX_CLOCK_STRIDE`] when they are faster.
+fn clock_stride(elapsed: Duration, blocks: usize) -> usize {
+    if blocks == 0 {
+        return 1;
+    }
+    let mean_ns = elapsed.as_nanos() / blocks as u128;
+    (CLOCK_EVERY.as_nanos() / mean_ns.max(1)).clamp(1, MAX_CLOCK_STRIDE as u128) as usize
+}
+
 /// Telemetry of one launch in flight.
 struct Tap {
     /// The kernel span, open from before the first block.
@@ -220,11 +240,17 @@ impl Device {
             })
         };
         // A launch that has already failed stays direct: its result is
-        // decided, and the caller will retry it anyway.
-        let mut next = 0;
-        while next < num_blocks
-            && (budget == 1 || result.is_err() || started.elapsed() < HELP_AFTER)
-        {
+        // decided, and the caller will retry it anyway. The clock is read
+        // only every `clock_stride` blocks.
+        let (mut next, mut read_at) = (0, 0);
+        while next < num_blocks {
+            if budget > 1 && result.is_ok() && next == read_at {
+                let elapsed = started.elapsed();
+                if elapsed >= HELP_AFTER {
+                    break;
+                }
+                read_at += clock_stride(elapsed, next);
+            }
             result = result.and(direct(next, &mut total));
             next += 1;
         }
@@ -405,6 +431,20 @@ impl BlockCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clock_stride_follows_the_mean_block_time() {
+        let us = Duration::from_micros;
+        // Nothing measured yet, or blocks of a microsecond and more:
+        // read before every block.
+        assert_eq!(clock_stride(us(0), 0), 1);
+        assert_eq!(clock_stride(us(1), 0), 1);
+        assert_eq!(clock_stride(us(50), 10), 1);
+        assert_eq!(clock_stride(us(10), 10), 1);
+        // 250 ns blocks: every fourth; a few ns each: every sixteenth.
+        assert_eq!(clock_stride(us(10), 40), 4);
+        assert_eq!(clock_stride(us(1), 1000), MAX_CLOCK_STRIDE);
+    }
 
     #[test]
     fn alloc_accounting_and_oom() {

@@ -9,15 +9,17 @@
 //! consumes to decide which trie subtrees are dirty.
 //!
 //! Every successful application bumps the graph's mutation
-//! [`Graph::version`] and invalidates both the cached [`DataProfile`]
-//! (degree/signature statistics are stale the moment an edge moves) and
-//! the content [`Graph::fingerprint`] — so cached plans, snapshots, and
-//! result tries keyed on the old state can never be silently reused.
+//! [`Graph::version`] and invalidates the content
+//! [`Graph::fingerprint`] — so cached plans, snapshots, and result tries
+//! keyed on the old state can never be silently reused. A cached
+//! [`DataProfile`] is patched in place rather than dropped: only the
+//! signatures around touched vertices are recomputed, so a live graph
+//! is profiled once, not once per batch.
 //!
 //! [`DataProfile`]: crate::profile::DataProfile
 
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::csr::Csr;
 use crate::graph::{Graph, VertexId};
@@ -232,10 +234,14 @@ impl Graph {
     /// unchanged. An empty batch is a no-op and does **not** bump the
     /// version.
     ///
-    /// On success the mutation [`Graph::version`] increments and both
-    /// the cached [`crate::profile::DataProfile`] and the
-    /// [`Graph::fingerprint`] are invalidated, so plans or snapshots
-    /// keyed against the previous state cannot be reused silently.
+    /// On success the mutation [`Graph::version`] increments and the
+    /// [`Graph::fingerprint`] is invalidated, so plans or snapshots
+    /// keyed against the previous state cannot be reused silently. A
+    /// cached [`crate::profile::DataProfile`] is patched in place
+    /// ([`crate::profile::DataProfile::patched`]): the new profile equals
+    /// a fresh build but recomputes only the signatures of touched
+    /// vertices and their neighbours, and does not count as a build. An
+    /// uncached profile stays uncached.
     pub fn apply_batch(&mut self, batch: &EdgeBatch) -> Result<GraphDelta, BatchError> {
         let n = self.num_vertices();
         // Canonical key per logical edge: sorted pair when symmetric
@@ -324,7 +330,9 @@ impl Graph {
         touched.dedup();
 
         self.version += 1;
-        self.profile = OnceLock::new();
+        if let Some(profile) = self.profile.take() {
+            let _ = self.profile.set(Arc::new(profile.patched(self, &touched)));
+        }
         self.fingerprint = OnceLock::new();
         Ok(GraphDelta {
             inserted: adds,
@@ -446,6 +454,7 @@ mod tests {
             !std::sync::Arc::ptr_eq(&p0, &p1),
             "stale profile must not survive a mutation"
         );
+        assert_eq!(*p1, crate::profile::DataProfile::build(&g));
     }
 
     #[test]

@@ -83,38 +83,52 @@ pub fn are_isomorphic(a: &Graph, b: &Graph) -> bool {
     canonicalize(a) == canonicalize(b)
 }
 
-/// Number of automorphisms of a small graph (relabellings fixing the
-/// adjacency matrix). Useful for relating embedding counts to
-/// subgraph-occurrence counts in tests.
-pub fn automorphism_count(g: &Graph) -> u64 {
+/// Every automorphism of a small graph: the relabellings `perm` (vertex
+/// `i` maps to `perm[i]`) that preserve every arc, direction included,
+/// and every vertex label. Enumerated by backtracking over vertices in id
+/// order, pruning a partial map as soon as a degree, a label or an arc
+/// between mapped vertices disagrees; the identity comes first and the
+/// rest follow in lexicographic order.
+pub fn automorphisms(g: &Graph) -> Vec<Vec<VertexId>> {
     let n = g.num_vertices();
-    assert!(n <= MAX_SMALL);
-    let bits = adjacency_bits(g);
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut count = 0u64;
-    if permute_bits(n, bits, &perm) == bits {
-        count += 1;
-    }
-    let mut c = vec![0usize; n];
-    let mut i = 0;
-    while i < n {
-        if c[i] < i {
-            if i % 2 == 0 {
-                perm.swap(0, i);
-            } else {
-                perm.swap(c[i], i);
+    assert!(
+        n <= MAX_SMALL,
+        "graph too large for automorphism enumeration"
+    );
+    fn rec(g: &Graph, map: &mut Vec<VertexId>, used: &mut [bool], out: &mut Vec<Vec<VertexId>>) {
+        let u = map.len() as VertexId;
+        if u as usize == used.len() {
+            out.push(map.clone());
+            return;
+        }
+        for w in 0..used.len() as VertexId {
+            let fits = !used[w as usize]
+                && g.out_degree(w) == g.out_degree(u)
+                && g.in_degree(w) == g.in_degree(u)
+                && g.label(w) == g.label(u)
+                && (0..u).all(|p| {
+                    let mp = map[p as usize];
+                    g.has_edge(u, p) == g.has_edge(w, mp) && g.has_edge(p, u) == g.has_edge(mp, w)
+                });
+            if fits {
+                used[w as usize] = true;
+                map.push(w);
+                rec(g, map, used, out);
+                map.pop();
+                used[w as usize] = false;
             }
-            if permute_bits(n, bits, &perm) == bits {
-                count += 1;
-            }
-            c[i] += 1;
-            i = 0;
-        } else {
-            c[i] = 0;
-            i += 1;
         }
     }
-    count
+    let mut out = Vec::new();
+    rec(g, &mut Vec::with_capacity(n), &mut vec![false; n], &mut out);
+    out
+}
+
+/// Number of automorphisms of a small graph ([`automorphisms`]).
+/// Useful for relating embedding counts to subgraph-occurrence counts in
+/// tests.
+pub fn automorphism_count(g: &Graph) -> u64 {
+    automorphisms(g).len() as u64
 }
 
 /// Backtracking isomorphism test with degree pruning — much faster than
@@ -221,6 +235,67 @@ mod tests {
         assert_eq!(automorphism_count(&clique(4)), 24);
         assert_eq!(automorphism_count(&cycle(5)), 10); // dihedral D5
         assert_eq!(automorphism_count(&chain(3)), 2);
+    }
+
+    /// Brute force over all n! relabellings of the bit matrix, labels
+    /// ignored: the reference the backtracking enumerator must agree
+    /// with on unlabelled graphs.
+    fn brute_force(g: &Graph) -> Vec<Vec<VertexId>> {
+        let n = g.num_vertices();
+        let bits = adjacency_bits(g);
+        let mut all = Vec::new();
+        let mut perm: Vec<usize> = (0..n).collect();
+        loop {
+            if permute_bits(n, bits, &perm) == bits {
+                all.push(perm.iter().map(|&p| p as VertexId).collect());
+            }
+            // Next permutation in lexicographic order.
+            let Some(i) = (1..n).rev().find(|&i| perm[i - 1] < perm[i]) else {
+                return all;
+            };
+            let j = (i..n).rev().find(|&j| perm[j] > perm[i - 1]).unwrap();
+            perm.swap(i - 1, j);
+            perm[i..].reverse();
+        }
+    }
+
+    #[test]
+    fn automorphisms_are_the_relabellings_fixing_the_graph() {
+        let directed = Graph::directed(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        for g in [clique(4), cycle(5), chain(3), star(5), cycle(4), directed] {
+            let auts = automorphisms(&g);
+            assert_eq!(auts, brute_force(&g), "{g:?}");
+            assert_eq!(
+                auts[0],
+                (0..g.num_vertices() as VertexId).collect::<Vec<_>>()
+            );
+        }
+        // A directed 4-cycle keeps only its rotations.
+        assert_eq!(
+            automorphisms(&Graph::directed(4, &[(0, 1), (1, 2), (2, 3), (3, 0)])).len(),
+            4
+        );
+    }
+
+    #[test]
+    fn labels_break_automorphisms() {
+        // Cycle 0-1-2-3-0 labelled a, b, a, b: rotations by two and the
+        // reflections through 0-2 and 1-3 keep the labels (4 of 8).
+        let alternating = cycle(4).with_labels(vec![0, 1, 0, 1]);
+        let auts = automorphisms(&alternating);
+        assert_eq!(auts.len(), 4);
+        for p in &auts {
+            assert!((0..4).all(|v| alternating.label(p[v]) == alternating.label(v as VertexId)));
+        }
+        // One distinct label leaves only the reflection fixing it.
+        assert_eq!(
+            automorphisms(&cycle(4).with_labels(vec![1, 0, 0, 0])).len(),
+            2
+        );
+        assert_eq!(
+            automorphisms(&cycle(4).with_labels(vec![0, 1, 2, 3])).len(),
+            1
+        );
     }
 
     #[test]

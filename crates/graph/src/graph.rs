@@ -35,8 +35,8 @@ pub struct Graph {
     /// state of this graph can be rejected even if a later batch happens
     /// to restore the original adjacency byte-for-byte.
     pub(crate) version: u64,
-    /// Lazily computed content+version fingerprint; invalidated together
-    /// with the profile on every mutation.
+    /// Lazily computed content+version fingerprint; invalidated on every
+    /// mutation.
     pub(crate) fingerprint: OnceLock<u64>,
 }
 

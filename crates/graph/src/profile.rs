@@ -2,7 +2,8 @@
 //! label+degree neighbourhood signature per vertex.
 //!
 //! The profile is computed once per data graph (lazily, cached on
-//! [`Graph`]) and consumed at plan time: the degree quantiles drive the
+//! [`Graph`], and patched in place by [`Graph::apply_batch`]) and
+//! consumed at plan time: the degree quantiles drive the
 //! per-level micro-kernel policy, and the signatures prefilter level-0
 //! candidates before the Definition 5 degree test — both pure data-graph
 //! properties, independent of any particular query.
@@ -119,22 +120,38 @@ pub struct DegreeBucketStats {
 }
 
 impl DegreeBucketStats {
-    fn from_degrees(mut degs: Vec<u32>) -> Self {
-        if degs.is_empty() {
-            return DegreeBucketStats {
-                deciles: [0; 11],
-                avg: 0.0,
-            };
+    /// Deciles and mean of `degs` from one counting pass: a histogram
+    /// indexed by degree stands in for sorting the array.
+    fn from_degrees(degs: impl IntoIterator<Item = u32>) -> Self {
+        let mut counts: Vec<u32> = Vec::new();
+        let (mut n, mut sum) = (0usize, 0u64);
+        for d in degs {
+            if d as usize >= counts.len() {
+                counts.resize(d as usize + 1, 0);
+            }
+            counts[d as usize] += 1;
+            n += 1;
+            sum += d as u64;
         }
-        degs.sort_unstable();
-        let n = degs.len();
         let mut deciles = [0u32; 11];
-        for (i, d) in deciles.iter_mut().enumerate() {
-            let idx = (i * (n - 1)).div_ceil(10);
-            *d = degs[idx.min(n - 1)];
+        if n == 0 {
+            return DegreeBucketStats { deciles, avg: 0.0 };
         }
-        let avg = degs.iter().map(|&d| d as u64).sum::<u64>() as f64 / n as f64;
-        DegreeBucketStats { deciles, avg }
+        // `le` counts the degrees ≤ `d`; decile `i` is the sorted
+        // array's element at `idx`, the first degree whose `le` passes it.
+        let (mut d, mut le) = (0usize, counts[0] as usize);
+        for (i, slot) in deciles.iter_mut().enumerate() {
+            let idx = (i * (n - 1)).div_ceil(10).min(n - 1);
+            while le <= idx {
+                d += 1;
+                le += counts[d] as usize;
+            }
+            *slot = d as u32;
+        }
+        DegreeBucketStats {
+            deciles,
+            avg: sum as f64 / n as f64,
+        }
     }
 
     /// Nearest-decile percentile lookup, `p` in `[0, 100]`.
@@ -183,15 +200,43 @@ impl DataProfile {
     /// Runs the profiling pass over `g`. O(V + E).
     pub fn build(g: &Graph) -> DataProfile {
         PROFILE_BUILDS.fetch_add(1, Ordering::Relaxed);
-        let n = g.num_vertices();
-        let out: Vec<u32> = (0..n as VertexId).map(|v| g.out_degree(v)).collect();
-        let inn: Vec<u32> = (0..n as VertexId).map(|v| g.in_degree(v)).collect();
-        let signatures = (0..n as VertexId).map(|v| vertex_signature(g, v)).collect();
+        let n = g.num_vertices() as VertexId;
+        DataProfile::with_signatures(g, (0..n).map(|v| vertex_signature(g, v)).collect())
+    }
+
+    /// The profile of `g` after a batch whose changed arcs all have an
+    /// endpoint in `touched`, given `self`, the profile of `g` before
+    /// it. Equal to [`DataProfile::build`] of `g` (not counted as a
+    /// build), but only the signatures that can have changed are
+    /// recomputed: a signature reads its vertex's own arcs and the
+    /// degrees of its neighbours, so it is stale only on a touched
+    /// vertex or a neighbour of one in `g`.
+    pub fn patched(&self, g: &Graph, touched: &[VertexId]) -> DataProfile {
+        let mut stale: Vec<VertexId> = touched
+            .iter()
+            .flat_map(|&t| {
+                std::iter::once(t)
+                    .chain(g.out_neighbors(t).iter().copied())
+                    .chain(g.in_neighbors(t).iter().copied())
+            })
+            .collect();
+        stale.sort_unstable();
+        stale.dedup();
+        let mut signatures = self.signatures.clone();
+        for v in stale {
+            signatures[v as usize] = vertex_signature(g, v);
+        }
+        DataProfile::with_signatures(g, signatures)
+    }
+
+    /// Degree statistics of `g` around already-computed signatures.
+    fn with_signatures(g: &Graph, signatures: Vec<u64>) -> DataProfile {
+        let n = g.num_vertices() as VertexId;
         DataProfile {
-            out_degrees: DegreeBucketStats::from_degrees(out),
-            in_degrees: DegreeBucketStats::from_degrees(inn),
+            out_degrees: DegreeBucketStats::from_degrees((0..n).map(|v| g.out_degree(v))),
+            in_degrees: DegreeBucketStats::from_degrees((0..n).map(|v| g.in_degree(v))),
             signatures,
-            vertices: n,
+            vertices: n as usize,
             labeled: g.is_labeled(),
         }
     }
@@ -206,6 +251,7 @@ impl DataProfile {
 mod tests {
     use super::*;
     use crate::generators::{chain, clique, star};
+    use proptest::prelude::*;
 
     #[test]
     fn dominance_is_per_byte() {
@@ -290,6 +336,67 @@ mod tests {
         let p = DataProfile::build(&g);
         assert_eq!(p.out_degrees.max(), 0);
         assert_eq!(p.signatures.len(), 0);
+    }
+
+    #[test]
+    fn counting_deciles_match_a_sort() {
+        let degs = [7u32, 0, 3, 3, 9, 1, 1, 4, 12, 2, 0, 5, 3];
+        let mut sorted = degs.to_vec();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        let stats = DegreeBucketStats::from_degrees(degs);
+        for (i, &d) in stats.deciles.iter().enumerate() {
+            assert_eq!(
+                d,
+                sorted[(i * (n - 1)).div_ceil(10).min(n - 1)],
+                "decile {i}"
+            );
+        }
+        assert_eq!(stats.avg, 50.0 / 13.0);
+    }
+
+    // After random insert/delete batches on symmetric, directed and
+    // labelled graphs, the patched profile equals a fresh profiling pass
+    // over the edited graph.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn patched_profile_equals_rebuild(
+            n in 2usize..24,
+            arcs in prop::collection::vec((0u32..24, 0u32..24), 0..120),
+            kind in 0u8..3,
+            ops in prop::collection::vec((any::<bool>(), 0u32..24, 0u32..24), 1..60),
+        ) {
+            use crate::batch::EdgeBatch;
+            use std::collections::BTreeSet;
+            let n32 = n as VertexId;
+            let arcs: Vec<_> = arcs.iter().map(|&(u, v)| (u % n32, v % n32)).collect();
+            let mut g = match kind {
+                0 => Graph::undirected(n, &arcs),
+                1 => Graph::directed(n, &arcs),
+                _ => Graph::directed(n, &arcs).with_labels((0..n as u32).map(|v| v * 7 % 6).collect()),
+            };
+            for chunk in ops.chunks(5) {
+                let before = g.profile();
+                let mut batch = EdgeBatch::new();
+                let mut named = BTreeSet::new();
+                for &(insert, u, v) in chunk {
+                    let (u, v) = (u % n32, v % n32);
+                    let key = if g.is_symmetric() { (u.min(v), u.max(v)) } else { (u, v) };
+                    if u == v || g.has_edge(u, v) == insert || !named.insert(key) {
+                        continue;
+                    }
+                    if insert { batch.insert(u, v); } else { batch.delete(u, v); }
+                }
+                g.apply_batch(&batch).unwrap();
+                let after = g.profile();
+                prop_assert_eq!(&*after, &DataProfile::build(&g));
+                if !batch.is_empty() {
+                    prop_assert!(!Arc::ptr_eq(&before, &after));
+                }
+            }
+        }
     }
 
     #[test]
