@@ -10,11 +10,13 @@
 //! cargo run -p cuts-bench --release --bin obs -- --quick
 //! ```
 //!
-//! `--quick` (equivalently `CUTS_QUICK=1`) shrinks the job stream and
-//! rep count so the CI smoke step finishes quickly.
+//! `--quick` (equivalently `CUTS_QUICK=1`) halves the job stream to
+//! about 3 ms per replay and takes 100 reps per arm: on a 2-core host
+//! the min of 3 such replays read anywhere from −7% to +8%, the min of
+//! 40 up to +8%, and the min of 100 mostly within ±2.5%.
 
+use cuts_core::job::parse_manifest;
 use cuts_core::prelude::*;
-use cuts_core::sched::parse_manifest;
 use cuts_obs::flight::{self, FlightCode};
 use cuts_obs::{Json, Registry};
 use std::time::Instant;
@@ -68,7 +70,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick")
         || std::env::var("CUTS_QUICK").is_ok_and(|v| v == "1");
     let jobs = manifest_jobs(quick);
-    let reps = if quick { 3 } else { 7 };
+    let reps = if quick { 100 } else { 7 };
     println!(
         "obs overhead: {} job(s) from the bundled manifest, {reps} rep(s)/arm (quick={quick})",
         jobs.len()

@@ -10,7 +10,8 @@
 //!
 //! A second section replays the same stream through the multi-rank
 //! [`cuts_core::serve::ServeTier`] at 1, 2, and 4 ranks (one lane each,
-//! so the sweep isolates rank scaling), at a higher pacing factor so
+//! so the sweep isolates rank scaling; every lane pulls from the tier's
+//! one job queue), at a higher pacing factor so
 //! simulated device time dominates host compute even on a single-core
 //! runner — the regime a real multi-GPU deployment lives in. Unlike the
 //! lane ratio, rank scaling is **gated**: the stream's makespan must
@@ -24,8 +25,8 @@
 //! `--quick` (equivalently `CUTS_QUICK=1`) halves the job stream so the
 //! CI smoke step finishes in under a second.
 
+use cuts_core::job::parse_manifest;
 use cuts_core::prelude::*;
-use cuts_core::sched::parse_manifest;
 use cuts_obs::{Json, ToJson};
 
 /// Host-seconds of simulated work per simulated millisecond; high enough
@@ -142,9 +143,9 @@ fn main() {
     // ranks, one lane each, so the sweep measures rank scaling alone.
     // The ideal makespan is the classic scheduling lower bound —
     // `max(total work / ranks, longest single job)`, taken from the
-    // 1-rank run's own per-job execution times — because no router can
-    // split one job across ranks. Rank scaling is gated: placement plus
-    // idle-lane migration must land within 30% of that bound.
+    // 1-rank run's own per-job execution times — because no rank can
+    // split one job with another. Rank scaling is gated: idle lanes
+    // pulling from the one queue must land within 30% of that bound.
     const SCALING_GATE: f64 = 0.7;
     let mut rank_runs: Vec<Json> = Vec::new();
     let mut min_eff = f64::INFINITY;
@@ -175,12 +176,11 @@ fn main() {
             min_eff = min_eff.min(eff);
         }
         println!(
-            "  {ranks} rank(s)  {:>8.2} jobs/s  ({:.1} ms wall vs {:.1} ideal, {:.0}%)  {} migrated",
+            "  {ranks} rank(s)  {:>8.2} jobs/s  ({:.1} ms wall vs {:.1} ideal, {:.0}%)",
             report.jobs_per_sec(),
             report.wall_millis,
             ideal_wall,
             100.0 * eff,
-            report.stats.migrated
         );
         let mut entry = report.to_json();
         entry.set("ranks", Json::U64(ranks as u64));

@@ -68,9 +68,9 @@ SERVING:       --jobs is a manifest: one `<data> <query> [key=val...]` job
                `#` comments). serve drains it through the serving tier
                and a serial baseline, reporting throughput and p50/p99
                latency; --ranks spreads the stream over simulated
-               multi-GPU ranks (placement by per-rank memory ledgers,
-               idle ranks migrate whole jobs, a crashed rank's jobs are
-               re-admitted by survivors); --fault-plan injects
+               multi-GPU ranks (idle lanes of every rank pull from one
+               queue, a crashed rank's jobs go back in it for the
+               survivors); --fault-plan injects
                crash:R@C / panic:R@C mid-stream (rank R dies once C
                jobs are admitted; needs --ranks > 1);
                --queue bounds admission, --submit-timeout bounds the wait

@@ -2,7 +2,7 @@
 
 use cuts_baseline::{vf2, GsiEngine, GunrockEngine};
 use cuts_core::prelude::*;
-use cuts_core::{sched, IntersectStrategy, SessionStats};
+use cuts_core::{job, IntersectStrategy, SessionStats};
 use cuts_dist::{run as dist_run, DistConfig, FaultPlan, Partition};
 use cuts_gpu_sim::{Device, DeviceConfig};
 use cuts_graph::generators::{chain, clique, cycle, star};
@@ -427,7 +427,7 @@ fn run_snapshot_inspect(path: &str) -> Result<(), CmdError> {
 /// verify the two executions are byte-identical per job.
 fn run_serve(opts: &ServeOpts) -> Result<(), CmdError> {
     let text = std::fs::read_to_string(&opts.jobs).map_err(|e| CutsError::io(&opts.jobs, e))?;
-    let mut jobs = sched::parse_manifest(&text)?;
+    let mut jobs = job::parse_manifest(&text)?;
     if opts.quick {
         jobs.truncate(jobs.len().div_ceil(2));
     }
@@ -451,7 +451,7 @@ fn run_serve(opts: &ServeOpts) -> Result<(), CmdError> {
             warm_plans.len()
         );
     }
-    // Job lifecycle events (submit/admit/migrate/readmit/complete) feed
+    // Job lifecycle events (submit/readmit/complete) feed
     // the queue-vs-execution breakdown at the end of the run.
     let trace = Trace::enabled();
     let mut builder = ServeConfig::builder()
@@ -575,12 +575,12 @@ fn run_serve(opts: &ServeOpts) -> Result<(), CmdError> {
         );
         let s = &report.stats;
         println!(
-            "stats:     {} completed / {} failed; {} migrated, {} readmitted",
-            s.completed, s.failed, s.migrated, s.readmitted
+            "stats:     {} completed / {} failed; {} readmitted",
+            s.completed, s.failed, s.readmitted
         );
         if !s.lost_ranks.is_empty() {
             println!(
-                "faults:    rank(s) {:?} lost mid-stream; their jobs were re-admitted",
+                "faults:    rank(s) {:?} lost mid-stream; the jobs they had claimed went back to the queue",
                 s.lost_ranks
             );
         }

@@ -37,7 +37,6 @@ struct LedgerInner<T> {
     pending: usize,
     total_matches: u64,
     reassigned: usize,
-    transferred: usize,
     first_loss_at: Option<Instant>,
     recovered_at: Option<Instant>,
 }
@@ -49,7 +48,6 @@ impl<T> Default for LedgerInner<T> {
             pending: 0,
             total_matches: 0,
             reassigned: 0,
-            transferred: 0,
             first_loss_at: None,
             recovered_at: None,
         }
@@ -99,15 +97,15 @@ impl<T: Clone> WorkLedger<T> {
         inner.pending += 1;
     }
 
-    /// Re-homes a pending unit to `new_owner` (donation / migration
-    /// hand-off). Returns `false` when the unit is already committed —
-    /// the signal for a receiver to discard an at-least-once duplicate.
+    /// Re-homes a pending unit to `new_owner` (a donation hand-off, or a
+    /// serving lane claiming a queued job). Returns `false` when the unit
+    /// is already committed — the signal for a receiver to discard an
+    /// at-least-once duplicate.
     pub fn transfer(&self, id: WorkId, new_owner: usize) -> bool {
         let mut inner = self.inner.lock().unwrap();
         match inner.units.get_mut(&id) {
             Some(WorkState::Pending { owner, .. }) => {
                 *owner = new_owner;
-                inner.transferred += 1;
                 true
             }
             _ => false,
@@ -202,9 +200,10 @@ impl<T: Clone> WorkLedger<T> {
 
     /// Like [`WorkLedger::reclaim`], but claims *only* units owned by
     /// ranks satisfying `orphaned` — never the claimant's own pending
-    /// units. The serving tier uses this: its hand-offs are in-process
-    /// moves that cannot be lost in transit, so re-materialising own
-    /// work would enqueue duplicates.
+    /// units. The serving tier uses this to move a dead rank's jobs back
+    /// to its queue: its hand-offs are in-process moves that cannot be
+    /// lost in transit, so re-materialising own work would enqueue
+    /// duplicates.
     pub fn reclaim_foreign<F: Fn(usize) -> bool>(
         &self,
         me: usize,
@@ -239,11 +238,6 @@ impl<T: Clone> WorkLedger<T> {
     /// Units re-homed by the reclaim calls so far.
     pub fn reassigned(&self) -> usize {
         self.inner.lock().unwrap().reassigned
-    }
-
-    /// Units re-homed by successful [`WorkLedger::transfer`] calls so far.
-    pub fn transferred(&self) -> usize {
-        self.inner.lock().unwrap().transferred
     }
 
     /// Wall milliseconds from the first rank loss until the last pending
@@ -336,7 +330,6 @@ mod tests {
         assert!(l.transfer(id, 1));
         l.commit(id, 3);
         assert!(!l.transfer(id, 2));
-        assert_eq!(l.transferred(), 1, "a refused transfer is not counted");
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod dynamic;
 pub mod error;
 pub mod fault;
 pub mod intersect;
+pub mod job;
 pub mod kernels;
 pub mod ledger;
 pub mod order;
@@ -38,7 +39,6 @@ pub mod policy;
 pub mod prelude;
 pub mod reference;
 pub mod result;
-pub mod sched;
 pub mod serve;
 pub mod session;
 pub mod snapshot;
@@ -49,12 +49,12 @@ pub use config::{EngineConfig, IntersectStrategy, VirtualWarpPolicy};
 pub use dynamic::{BatchOutcome, DynamicError, DynamicSession, MatchDelta, StandingQueryId};
 pub use error::{ConfigError, CutsError, DistError, EngineError, SchedError, SnapshotError};
 pub use fault::{CrashKind, FaultInjector, FaultPlan};
+pub use job::{ClassSlo, Job, JobId, JobOutcome, SloReport, StatsSink};
 pub use ledger::{AliveBoard, WorkId, WorkLedger};
 pub use order::{BackEdge, Dir, MatchOrder, OrderPolicy};
 pub use plan::{BudgetCheck, DeviceClass, LevelSchedule, PlanKey, QueryPlan};
 pub use policy::{KernelPolicy, LevelDecision, LevelMethod};
 pub use result::MatchResult;
-pub use sched::{ClassSlo, Job, JobId, JobOutcome, SloReport, StatsSink};
 pub use serve::{ServeConfig, ServeConfigBuilder, ServeReport, ServeStats, ServeTier};
 pub use session::{ExecSession, MatchSink, SessionStats};
 pub use snapshot::{Snapshot, SnapshotInfo, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

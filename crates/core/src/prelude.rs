@@ -10,9 +10,9 @@
 pub use crate::config::{EngineConfig, IntersectStrategy};
 pub use crate::error::{ConfigError, CutsError, EngineError, SchedError};
 pub use crate::fault::FaultPlan;
+pub use crate::job::{ClassSlo, Job, JobId, JobOutcome, SloReport};
 pub use crate::plan::QueryPlan;
 pub use crate::result::MatchResult;
-pub use crate::sched::{ClassSlo, Job, JobId, JobOutcome, SloReport};
 pub use crate::serve::{ServeConfig, ServeConfigBuilder, ServeReport, ServeStats, ServeTier};
 pub use crate::session::ExecSession;
 pub use crate::snapshot::Snapshot;

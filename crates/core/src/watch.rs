@@ -29,8 +29,8 @@ use crate::config::EngineConfig;
 use crate::dynamic::{DynamicError, DynamicSession, MatchDelta, StandingQueryId};
 use crate::error::{CutsError, EngineError};
 use crate::fault::CrashFault;
+use crate::job::{JobId, JobOutcome, SloReport, Telemetry};
 use crate::result::MatchResult;
-use crate::sched::{JobId, JobOutcome, SloReport, Telemetry};
 use crate::serve::ServeTier;
 
 /// One fanned-out delta as a subscriber sees it.

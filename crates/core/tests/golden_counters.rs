@@ -15,9 +15,9 @@
 
 use std::sync::Arc;
 
+use cuts_core::job::Job;
 use cuts_core::kernels::{expand_range, init_candidates, ExpandParams};
 use cuts_core::prelude::*;
-use cuts_core::sched::Job;
 use cuts_core::{IntersectStrategy, LevelMethod, MatchOrder};
 use cuts_gpu_sim::{Counters, Device, DeviceConfig};
 use cuts_graph::datasets::{Dataset, Scale};

@@ -5,8 +5,8 @@
 
 use std::time::Duration;
 
+use cuts_core::job::Job;
 use cuts_core::prelude::*;
-use cuts_core::sched::Job;
 use cuts_gpu_sim::DeviceConfig;
 use cuts_graph::generators;
 

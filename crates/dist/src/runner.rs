@@ -57,7 +57,8 @@ impl Drop for ExitGuard<'_> {
 ///
 /// For a *stream of jobs* over long-lived ranks, use the serving tier
 /// (`cuts_core::serve::ServeTier`) instead — it subsumes this path and
-/// adds placement, whole-job migration, and job re-admission.
+/// adds one job queue that every rank's idle lanes pull from, and job
+/// re-admission.
 ///
 /// ```
 /// use cuts_dist::{run, DistConfig};

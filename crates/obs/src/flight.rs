@@ -31,7 +31,7 @@ pub const FLIGHT_CAPACITY: usize = 512;
 /// coarse by design — the journal carries the full-fidelity story.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlightCode {
-    /// Serving tier accepted a job (`a` = job id, `b` = placed rank).
+    /// Serving tier accepted a job into its queue (`a` = job id).
     JobSubmit,
     /// Job admitted to a device lane (`a` = job id, `b` = device).
     JobAdmit,
@@ -69,17 +69,14 @@ pub enum FlightCode {
     ServeErr,
     /// Trie arena carved or grown (`a` = words).
     ArenaGrow,
-    /// Whole job migrated between serving ranks (`a` = job id,
-    /// `b` = destination rank).
-    JobMigrate,
-    /// Job re-admitted from a dead rank's ledger entry (`a` = job id,
-    /// `b` = claiming rank).
+    /// Job a dead rank had claimed, put back in the serving queue
+    /// (`a` = job id, `b` = the dead rank).
     JobReadmit,
 }
 
 impl FlightCode {
     /// Every code, for exhaustive reporting.
-    pub const ALL: [FlightCode; 20] = [
+    pub const ALL: [FlightCode; 19] = [
         FlightCode::JobSubmit,
         FlightCode::JobAdmit,
         FlightCode::JobComplete,
@@ -98,7 +95,6 @@ impl FlightCode {
         FlightCode::SchedErr,
         FlightCode::ServeErr,
         FlightCode::ArenaGrow,
-        FlightCode::JobMigrate,
         FlightCode::JobReadmit,
     ];
 
@@ -123,7 +119,6 @@ impl FlightCode {
             FlightCode::SchedErr => "sched_err",
             FlightCode::ServeErr => "serve_err",
             FlightCode::ArenaGrow => "arena_grow",
-            FlightCode::JobMigrate => "job_migrate",
             FlightCode::JobReadmit => "job_readmit",
         }
     }

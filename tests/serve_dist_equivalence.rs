@@ -1,14 +1,15 @@
-//! Serving-tier equivalence suite: routing a job stream across simulated
-//! multi-GPU ranks must be a pure throughput optimisation. Every
-//! rank × lane shape produces per-job results byte-identical to a serial
-//! drain, and a rank killed mid-stream loses no jobs — its in-flight and
-//! queued work is re-admitted and finished by the survivors.
+//! Serving-tier equivalence suite: serving a job stream from one queue
+//! shared by simulated multi-GPU ranks must be a pure throughput
+//! optimisation. Every rank × lane shape produces per-job results
+//! byte-identical to a serial drain, and a rank killed mid-stream loses
+//! no jobs — the jobs it had claimed go back in the queue and are
+//! finished by the survivors.
 
-use cuts::engine::sched::parse_manifest;
+use cuts::engine::job::parse_manifest;
 use cuts::prelude::*;
 
 /// A mixed stream: several query shapes, repeats, priorities, and
-/// classes, so placement and migration actually have choices to make.
+/// classes, so the lanes' claims actually have choices to make.
 const MANIFEST: &str = "\
 mesh:4x4 clique:3 repeat=3 class=gold
 mesh:4x4 chain:3 priority=2
