@@ -17,8 +17,8 @@
 
 use cuts_core::job::parse_manifest;
 use cuts_core::prelude::*;
-use cuts_obs::flight::{self, FlightCode};
-use cuts_obs::{Json, Registry};
+use cuts_obs::flight;
+use cuts_obs::{Arg, EventKind, Json, Registry};
 use std::time::Instant;
 
 fn manifest_jobs(quick: bool) -> Vec<Job> {
@@ -107,7 +107,9 @@ fn main() {
     let off = Registry::disabled();
     let dhist = off.histogram("bench_hist_ns", &[("arm", "off")], "microbench");
     let disabled_ns = ns_per(n, |i| dhist.record(i));
-    let flight_ns = ns_per(n, |i| flight::record(FlightCode::Heartbeat, i, 0));
+    let flight_ns = ns_per(n, |i| {
+        flight::record(EventKind::Heartbeat, "busy", None, &[("i", Arg::U64(i))])
+    });
     flight::set_enabled(true);
     println!("  hist.record     {hist_ns:>8.1} ns   counter.inc {counter_ns:>8.1} ns");
     println!("  disabled path   {disabled_ns:>8.1} ns   flight.record {flight_ns:>8.1} ns");

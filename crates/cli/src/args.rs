@@ -92,9 +92,9 @@ WATCHING:      `watch` serves standing queries over a live graph: each
                edge edits. One edit per line — `+ u v` inserts, `- u v`
                deletes, `---` commits the batch (`#` comments; a final
                unterminated batch commits too). Each batch is matched
-               incrementally (only trie subtrees near the edited
-               vertices are re-expanded) and the per-query match deltas
-               print as they stream; the final match sets are verified
+               incrementally (only embeddings that use an edited edge
+               are enumerated, seeded from those edges) and the
+               per-query match deltas print as they stream; the final match sets are verified
                against a full recompute. --ranks replicates the live
                state for failover and --fault-plan kills ranks on batch
                boundaries (crash:R@C = rank R dies before its (C+1)-th

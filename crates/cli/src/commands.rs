@@ -9,13 +9,16 @@ use cuts_graph::generators::{chain, clique, cycle, star};
 use cuts_graph::labels::{degree_band_labels, random_labels, zipf_labels};
 use cuts_graph::stats::{degree_histogram, stats};
 use cuts_graph::{edgelist, query_set, Dataset, EdgeBatch, Graph, Scale, VertexId};
-use cuts_obs::flight::{self, FlightCode};
-use cuts_obs::{chrome_trace, jsonl, reuse_pct, JournalSummary, Json, ToJson, Trace, TraceConfig};
+use cuts_obs::flight::{self, FlightEvent};
+use cuts_obs::{
+    chrome_trace, jsonl, reuse_pct, EventKind, JournalSummary, Json, ToJson, Trace, TraceConfig,
+};
 
 use crate::args::{Command, DataSource, MatchOpts, ServeOpts, SnapshotBuildOpts, WatchOpts, USAGE};
 use cuts_trie::csf::Csf;
 use cuts_trie::HostTrie;
 use std::borrow::Cow;
+use std::io::{self, Write};
 use std::sync::Arc;
 
 /// Top-level command error: the workspace's unified [`CutsError`].
@@ -64,7 +67,7 @@ pub fn run(cmd: Command) -> Result<(), CmdError> {
             Err(e) => {
                 // Any error escaping serve is a serving incident: freeze
                 // the recorder's last events for post-mortem analysis.
-                flight::record(FlightCode::ServeErr, 0, 0);
+                Trace::disabled().instant(EventKind::Fault, "serve_error");
                 if let Some(p) = flight::postmortem("serve_error") {
                     eprintln!("flight recorder: post-mortem written to {}", p.display());
                 }
@@ -900,38 +903,65 @@ fn run_top(path: &str) -> Result<(), CmdError> {
 }
 
 /// `cuts flight`: validate a post-mortem dump and summarise what the
-/// recorder saw — an event census plus the tail of the timeline.
+/// recorder saw — an event census by `kind/name` plus the tail of the
+/// timeline. A reader that closes stdout early (`| head`) ends the
+/// output quietly.
 fn run_flight(path: &str) -> Result<(), CmdError> {
     let text = std::fs::read_to_string(path).map_err(|e| CutsError::io(path, e))?;
     let (reason, mut events) = flight::parse_dump(&text)
         .map_err(|e| invalid("flight dump", format!("{path}: {}", e.message())))?;
     events.sort_by_key(|e| e.seq);
-    println!("flight dump: {path}");
-    println!("  reason:  {reason}");
-    println!("  events:  {}", events.len());
-    let mut census: std::collections::BTreeMap<&str, u64> = Default::default();
-    for e in &events {
-        *census.entry(e.code.as_str()).or_default() += 1;
+    until_closed(write_flight(
+        &mut io::stdout().lock(),
+        path,
+        &reason,
+        &events,
+    ))
+}
+
+fn write_flight(
+    out: &mut impl Write,
+    path: &str,
+    reason: &str,
+    events: &[FlightEvent<String>],
+) -> io::Result<()> {
+    writeln!(out, "flight dump: {path}")?;
+    writeln!(out, "  reason:  {reason}")?;
+    writeln!(out, "  events:  {}", events.len())?;
+    let what = |e: &FlightEvent<String>| format!("{}/{}", e.kind.as_str(), e.name);
+    let mut census: std::collections::BTreeMap<String, u64> = Default::default();
+    for e in events {
+        *census.entry(what(e)).or_default() += 1;
     }
-    println!("  by code:");
-    for (code, n) in &census {
-        println!("    {code:<16} {n:>6}");
+    writeln!(out, "  by kind/name:")?;
+    for (what, n) in &census {
+        writeln!(out, "    {what:<22} {n:>6}")?;
     }
     const TAIL: usize = 16;
-    println!("  last {} event(s):", events.len().min(TAIL));
-    for e in events.iter().rev().take(TAIL).rev() {
+    writeln!(out, "  last {} event(s):", events.len().min(TAIL))?;
+    for e in &events[events.len().saturating_sub(TAIL)..] {
         let rank = e.rank.map_or("-".to_string(), |r| r.to_string());
-        println!(
-            "    seq {:>6}  +{:>10} us  rank {rank:>2} lane {:>3}  {:<14} a={} b={}",
+        let args: Vec<String> = e.args().map(|(k, v)| format!("{k}={v}")).collect();
+        writeln!(
+            out,
+            "    seq {:>6}  +{:>10} us  rank {rank:>2} lane {:>3}  {:<20} {}",
             e.seq,
             e.ts_us,
             e.lane,
-            e.code.as_str(),
-            e.a,
-            e.b
-        );
+            what(e),
+            args.join(" ")
+        )?;
     }
     Ok(())
+}
+
+/// Maps a write to stdout: a closed reader (`BrokenPipe`) ends the
+/// output without an error, any other failure is one.
+fn until_closed(written: io::Result<()>) -> Result<(), CmdError> {
+    match written {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        other => other.map_err(|e| CutsError::io("stdout", e)),
+    }
 }
 
 /// Drains the journal and writes the requested artifacts: the trace file
@@ -1255,9 +1285,38 @@ mod tests {
         let text = std::fs::read_to_string(&dumps[0]).unwrap();
         let (reason, events) = flight::parse_dump(&text).unwrap();
         assert_eq!(reason, "job_failure");
-        assert!(events.iter().any(|e| e.code == FlightCode::JobFail));
+        assert!(events.iter().any(|e| {
+            (e.kind, e.name.as_str(), e.arg("ok")) == (EventKind::Job, "complete", Some(0))
+        }));
         run_flight(&dumps[0].to_string_lossy()).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A writer whose reader has gone away, or that fails otherwise.
+    struct Failing(io::ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn flight_output_ends_quietly_on_a_closed_pipe() {
+        let r = flight::FlightRecorder::new();
+        r.record(EventKind::Job, "submit", None, &[]);
+        let (_, events) = flight::parse_dump(&r.dump_json("test").render()).unwrap();
+        let mut text = Vec::new();
+        write_flight(&mut text, "d.json", "test", &events).unwrap();
+        let text = String::from_utf8(text).unwrap();
+        assert!(text.contains("job/submit"), "{text}");
+        let closed = write_flight(&mut Failing(io::ErrorKind::BrokenPipe), "d", "t", &events);
+        assert!(until_closed(closed).is_ok());
+        let full = write_flight(&mut Failing(io::ErrorKind::StorageFull), "d", "t", &events);
+        assert!(matches!(until_closed(full), Err(CutsError::Io { .. })));
     }
 
     #[test]

@@ -30,8 +30,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cuts_graph::{generators, Graph};
-use cuts_obs::flight::{self, FlightCode};
-use cuts_obs::{Counter, Json, Registry, ToJson};
+use cuts_obs::flight;
+use cuts_obs::{Arg, Counter, EventKind, Json, Registry, ToJson, Trace};
 
 use crate::error::CutsError;
 use crate::plan::QueryPlan;
@@ -354,9 +354,27 @@ impl Telemetry {
             .unwrap_or("default")
     }
 
-    /// Records one finished job: latency histograms, outcome and
-    /// deadline counters, flight events, and the first-failure dump.
-    pub(crate) fn on_finish(&self, class: &str, deadline: Option<Duration>, o: &JobOutcome) {
+    /// Records one finished job: its `complete` (and any `deadline_miss`)
+    /// event on `trace`, latency histograms, outcome and deadline
+    /// counters, and the first-failure dump, taken after the event so
+    /// the dump holds it.
+    pub(crate) fn on_finish(
+        &self,
+        trace: &Trace,
+        class: &str,
+        deadline: Option<Duration>,
+        o: &JobOutcome,
+    ) {
+        trace.instant_with(
+            EventKind::Job,
+            "complete",
+            &[
+                ("job", Arg::U64(o.id.0)),
+                ("ok", Arg::U64(o.result.is_ok() as u64)),
+                ("queue_ms", Arg::F64(o.queue_millis)),
+                ("exec_ms", Arg::F64(o.exec_millis)),
+            ],
+        );
         {
             let mut cs = self.classes.lock().unwrap();
             if !cs.iter().any(|c| c == class) {
@@ -370,23 +388,27 @@ impl Telemetry {
             .histogram(M_QUEUE.0, &l, M_QUEUE.1)
             .record(queue_us);
         self.reg.histogram(M_EXEC.0, &l, M_EXEC.1).record(exec_us);
-        match &o.result {
-            Ok(_) => {
-                self.reg.counter(M_COMPLETED.0, &l, M_COMPLETED.1).inc();
-                flight::record(FlightCode::JobComplete, o.id.0, exec_us);
-            }
-            Err(_) => {
-                self.reg.counter(M_FAILED.0, &l, M_FAILED.1).inc();
-                flight::record(FlightCode::JobFail, o.id.0, o.lane as u64);
-                self.dump_once("job_failure");
-            }
-        }
         if let Some(d) = deadline {
             if o.queue_millis + o.exec_millis <= d.as_secs_f64() * 1e3 {
                 self.reg.counter(M_DL_HIT.0, &l, M_DL_HIT.1).inc();
             } else {
                 self.reg.counter(M_DL_MISS.0, &l, M_DL_MISS.1).inc();
-                flight::record(FlightCode::DeadlineMiss, o.id.0, queue_us + exec_us);
+                trace.instant_with(
+                    EventKind::Job,
+                    "deadline_miss",
+                    &[
+                        ("job", Arg::U64(o.id.0)),
+                        ("latency_us", Arg::U64(queue_us + exec_us)),
+                        ("deadline_us", Arg::U64(d.as_micros() as u64)),
+                    ],
+                );
+            }
+        }
+        match &o.result {
+            Ok(_) => self.reg.counter(M_COMPLETED.0, &l, M_COMPLETED.1).inc(),
+            Err(_) => {
+                self.reg.counter(M_FAILED.0, &l, M_FAILED.1).inc();
+                self.dump_once("job_failure");
             }
         }
     }

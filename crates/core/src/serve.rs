@@ -39,7 +39,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use cuts_gpu_sim::{Device, DeviceConfig};
-use cuts_obs::flight::{self, FlightCode};
 use cuts_obs::{Arg, Counter, EventKind, Json, Registry, ToJson, Trace};
 
 use crate::config::EngineConfig;
@@ -520,6 +519,8 @@ impl GrowthLedger for LaneLedger<'_, '_> {
 }
 
 struct RankState<'e> {
+    /// The tier's trace, tagged with this rank.
+    trace: Trace,
     devs: Vec<ServeDev<'e>>,
     jobs_done: AtomicUsize,
 }
@@ -613,7 +614,6 @@ impl<'e> ServeShared<'e, '_> {
         };
         self.ledger.register(id, QUEUED, &q);
         self.submitted.fetch_add(1, Ordering::AcqRel);
-        flight::record(FlightCode::JobSubmit, id, 0);
         queue.jobs.push(q);
         drop(queue);
         self.work.notify_all();
@@ -705,7 +705,9 @@ impl<'e> ServeShared<'e, '_> {
     /// had claimed back in the queue (in one sweep under the queue lock,
     /// so no lane of `r` claims after it), records telemetry, and wakes
     /// every lane so survivors pick the jobs up and `r`'s lanes exit.
-    fn mark_rank_dead(&self, r: usize, cause: DistError) {
+    /// Only the winning call records the `injected` fault, so a crash
+    /// that several of `r`'s lanes find due is recorded once.
+    fn mark_rank_dead(&self, r: usize, cause: DistError, injected: Option<CrashKind>) {
         let requeued: Vec<u64> = {
             let mut queue = self.queue.lock().unwrap();
             if !self.alive.is_alive(r) {
@@ -727,18 +729,19 @@ impl<'e> ServeShared<'e, '_> {
         }
         self.ranks_lost.inc();
         let jobs_done = self.ranks[r].jobs_done.load(Ordering::Relaxed) as u64;
-        flight::record_rank(r as u32, FlightCode::RankDead, jobs_done, 0);
-        self.trace.instant_with(
-            EventKind::Fault,
-            "rank_dead",
-            &[
-                ("rank", Arg::U64(r as u64)),
-                ("jobs_done", Arg::U64(jobs_done)),
-            ],
-        );
+        let trace = &self.ranks[r].trace;
+        let args = [
+            ("rank", Arg::U64(r as u64)),
+            ("jobs_done", Arg::U64(jobs_done)),
+        ];
+        match injected {
+            Some(CrashKind::Error) => trace.instant_with(EventKind::Fault, "crash", &args),
+            Some(CrashKind::Panic) => trace.instant_with(EventKind::Fault, "panic", &args),
+            None => {}
+        }
+        trace.instant_with(EventKind::Fault, "rank_dead", &args);
         for id in requeued {
             self.readmissions.inc();
-            flight::record(FlightCode::JobReadmit, id, r as u64);
             self.trace.instant_with(
                 EventKind::Job,
                 "readmit",
@@ -757,19 +760,12 @@ impl<'e> ServeShared<'e, '_> {
             return;
         }
         self.ranks[r].jobs_done.fetch_add(1, Ordering::AcqRel);
-        self.trace.instant_with(
-            EventKind::Job,
-            "complete",
-            &[
-                ("job", Arg::U64(q.id)),
-                ("rank", Arg::U64(r as u64)),
-                ("ok", Arg::U64(outcome.result.is_ok() as u64)),
-                ("queue_ms", Arg::F64(outcome.queue_millis)),
-                ("exec_ms", Arg::F64(outcome.exec_millis)),
-            ],
+        self.telem.on_finish(
+            &self.ranks[r].trace,
+            Telemetry::class_of(&q.job),
+            q.job.deadline,
+            &outcome,
         );
-        self.telem
-            .on_finish(Telemetry::class_of(&q.job), q.job.deadline, &outcome);
         let finished = {
             let mut o = self.outcomes.lock().unwrap();
             o.push(outcome);
@@ -969,7 +965,9 @@ impl ServeTier {
         }
         let ranks: Vec<RankState<'_>> = sessions
             .iter()
-            .map(|per_rank| RankState {
+            .enumerate()
+            .map(|(r, per_rank)| RankState {
+                trace: self.trace.with_rank(r),
                 devs: per_rank
                     .iter()
                     .map(|session| ServeDev {
@@ -1019,7 +1017,7 @@ impl ServeTier {
             readmissions,
             ranks_lost,
         };
-        flight::record(FlightCode::RunStart, cfg.ranks as u64, cfg.lanes as u64);
+        stream_start(&self.trace, cfg.ranks, cfg.lanes);
         let start = Instant::now();
         let submit_result = std::thread::scope(|scope| {
             for r in 0..cfg.ranks {
@@ -1035,7 +1033,7 @@ impl ServeTier {
                                 lane_loop(shared, r, d, lane);
                             }));
                             if out.is_err() {
-                                shared.mark_rank_dead(r, DistError::Panicked { rank: r });
+                                shared.mark_rank_dead(r, DistError::Panicked { rank: r }, None);
                             }
                         });
                     }
@@ -1052,8 +1050,7 @@ impl ServeTier {
             // Scope exit joins every lane of every rank.
         });
         submit_result?;
-        let wall_millis = start.elapsed().as_secs_f64() * 1e3;
-        flight::record(FlightCode::RunEnd, wall_millis as u64, 0);
+        let wall_millis = stream_end(&self.trace, start);
 
         if !shared.ledger.all_completed() {
             // Only possible when every rank died (a survivable plan is
@@ -1157,7 +1154,11 @@ impl ServeTier {
         let cfg = &self.config;
         let session = cfg.session(&self.rank_devices[0][0])?;
         let telem = Telemetry::with(cfg.telemetry, cfg.stats_every, cfg.stats_sink.clone());
-        flight::record(FlightCode::RunStart, 1, 1);
+        // Not the tier's trace: its journal would count these jobs twice
+        // beside a `run` of the same stream. The flight ring still sees
+        // them, on rank 0 like the device's kernel launches.
+        let trace = Trace::disabled().with_rank(0);
+        stream_start(&trace, 1, 1);
         let start = Instant::now();
         let mut outcomes = Vec::with_capacity(jobs.len());
         let (mut completed, mut failed) = (0u64, 0u64);
@@ -1207,12 +1208,11 @@ impl ServeTier {
                 trie_entries: entries,
                 result,
             };
-            telem.on_finish(Telemetry::class_of(job), job.deadline, &outcome);
+            telem.on_finish(&trace, Telemetry::class_of(job), job.deadline, &outcome);
             telem.maybe_emit(i as u64 + 1);
             outcomes.push(outcome);
         }
-        let wall_millis = start.elapsed().as_secs_f64() * 1e3;
-        flight::record(FlightCode::RunEnd, wall_millis as u64, 0);
+        let wall_millis = stream_end(&trace, start);
         let slo = telem.slo();
         let postmortem = telem.postmortem.lock().unwrap().take();
         Ok(ServeReport {
@@ -1255,18 +1255,13 @@ fn crash_due(shared: &ServeShared<'_, '_>, r: usize) -> bool {
     };
     // The error reports the jobs the victim completed, not the clock.
     let jobs_done = shared.ranks[r].jobs_done.load(Ordering::Relaxed);
-    flight::record_rank(
-        r as u32,
-        FlightCode::Fault,
-        jobs_done as u64,
-        matches!(kind, CrashKind::Error) as u64,
-    );
     shared.mark_rank_dead(
         r,
         DistError::InjectedCrash {
             rank: r,
             after_chunks: jobs_done,
         },
+        Some(kind),
     );
     if kind == CrashKind::Panic {
         panic!("injected fault: rank {r} panics mid-stream");
@@ -1274,11 +1269,44 @@ fn crash_due(shared: &ServeShared<'_, '_>, r: usize) -> bool {
     true
 }
 
+/// Records a stream's start, with its shape, on `trace`.
+fn stream_start(trace: &Trace, ranks: usize, lanes: usize) {
+    trace.instant_with(
+        EventKind::Job,
+        "stream_start",
+        &[
+            ("ranks", Arg::U64(ranks as u64)),
+            ("lanes", Arg::U64(lanes as u64)),
+        ],
+    );
+}
+
+/// Records a stream's end on `trace`; returns its wall milliseconds.
+fn stream_end(trace: &Trace, start: Instant) -> f64 {
+    let wall = start.elapsed();
+    trace.instant_with(
+        EventKind::Job,
+        "stream_end",
+        &[("wall_us", Arg::U64(wall.as_micros() as u64))],
+    );
+    wall.as_secs_f64() * 1e3
+}
+
 fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
     let cfg = shared.cfg;
     let dev = &shared.ranks[r].devs[d];
     let global_device = r * cfg.devices_per_rank + d;
+    let trace = &shared.ranks[r].trace;
     while let Some(q) = shared.next_job(r, dev) {
+        trace.instant_with(
+            EventKind::Job,
+            "claim",
+            &[
+                ("job", Arg::U64(q.id)),
+                ("rank", Arg::U64(r as u64)),
+                ("device", Arg::U64(global_device as u64)),
+            ],
+        );
         let queue_millis = q.submitted_at.elapsed().as_secs_f64() * 1e3;
         let exec_start = Instant::now();
         let job = &q.job;
@@ -1291,7 +1319,6 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
                 let mut entries = job_entries_for(&plan, &job.data, cfg.sigma);
                 let budget_entries = plan.trie_entries_budget.max(1);
                 debug_assert_eq!(reserve_words, dev.session.chain_words(entries));
-                flight::record(FlightCode::JobAdmit, q.id, global_device as u64);
                 // The §5 estimate can undershoot: the chain then grows in
                 // place, each appended segment charged to this device's
                 // ledger. Only when the ledger has no room does the job
@@ -1323,7 +1350,14 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
                         Err(BudgetedRunError::GrowthDenied { target_entries }) => {
                             entries = target_entries;
                             shared.telem.growth_denials.inc();
-                            flight::record(FlightCode::GrowthDenied, q.id, target_entries as u64);
+                            trace.instant_with(
+                                EventKind::Job,
+                                "growth_denied",
+                                &[
+                                    ("job", Arg::U64(q.id)),
+                                    ("target_entries", Arg::U64(target_entries as u64)),
+                                ],
+                            );
                             dev.reserved
                                 .fetch_sub(reserve_words + granted, Ordering::AcqRel);
                             let grown_words = dev.session.chain_words(entries);
@@ -1370,6 +1404,7 @@ mod tests {
     use super::*;
     use cuts_graph::generators::{chain, clique, erdos_renyi, mesh2d, star};
     use cuts_graph::Graph;
+    use cuts_obs::{flight, Event};
 
     fn small_tier(ranks: usize, lanes: usize) -> ServeTier {
         ServeTier::new(
@@ -1656,6 +1691,91 @@ mod tests {
         }
     }
 
+    /// Every claim journals one `job`/`claim` event carrying the job id,
+    /// on the claiming rank's track. Each submitted job is claimed once,
+    /// and again per re-admission that reaches a lane: a re-queued job
+    /// its dead rank commits first is discarded unclaimed, so under a
+    /// crash the re-admissions bound the extra claims from above.
+    #[test]
+    fn every_claim_is_journalled_with_its_job() {
+        let jobs: Vec<Job> = (0..2).flat_map(|_| demo_jobs()).collect();
+        for plan in ["", "crash:1@6"] {
+            let trace = Trace::enabled();
+            let tier = ServeTier::new(
+                ServeConfig::builder()
+                    .ranks(3)
+                    .lanes(2)
+                    .device_config(DeviceConfig::test_small())
+                    .pacing(50.0)
+                    .fault_plan(FaultPlan::parse(plan).unwrap())
+                    .trace(trace.clone())
+                    .build()
+                    .unwrap(),
+            );
+            let stats = tier.run_stream(&jobs).unwrap().stats;
+            assert_eq!(stats.completed, jobs.len() as u64);
+            let events = trace.journal().unwrap().snapshot_sorted();
+            let claims: Vec<&Event> = events
+                .iter()
+                .filter(|e| e.kind == EventKind::Job && e.name == "claim")
+                .collect();
+            let arg = |e: &Event, key: &str| match e.arg(key) {
+                Some(Arg::U64(v)) => *v,
+                other => panic!("claim lacks {key}: {other:?}"),
+            };
+            for c in &claims {
+                assert_eq!(c.rank, Some(arg(c, "rank") as u32));
+                assert!(arg(c, "device") < 3);
+            }
+            for job in 0..stats.submitted {
+                assert!(
+                    claims.iter().any(|c| arg(c, "job") == job),
+                    "plan {plan:?}: job {job} has no claim"
+                );
+            }
+            let n = claims.len() as u64;
+            if plan.is_empty() {
+                assert_eq!(stats.readmitted, 0);
+                assert_eq!(n, stats.submitted + stats.readmitted);
+            } else {
+                assert!(
+                    n <= stats.submitted + stats.readmitted,
+                    "{n} claims, {stats:?}"
+                );
+            }
+        }
+    }
+
+    /// A crash that several lanes of the victim find due at once is
+    /// recorded once, by the winning `mark_rank_dead`.
+    #[test]
+    fn injected_crash_is_recorded_once() {
+        for _ in 0..5 {
+            let trace = Trace::enabled();
+            let tier = ServeTier::new(
+                ServeConfig::builder()
+                    .ranks(3)
+                    .lanes(2)
+                    .device_config(DeviceConfig::test_small())
+                    .pacing(50.0)
+                    .fault_plan(FaultPlan::parse("crash:1@1").unwrap())
+                    .trace(trace.clone())
+                    .build()
+                    .unwrap(),
+            );
+            let report = tier.run_stream(&demo_jobs()).unwrap();
+            assert_eq!(report.stats.lost_ranks, vec![1]);
+            let events = trace.journal().unwrap().snapshot_sorted();
+            let count = |name: &str| {
+                events
+                    .iter()
+                    .filter(|e| e.kind == EventKind::Fault && e.name == name && e.rank == Some(1))
+                    .count()
+            };
+            assert_eq!((count("crash"), count("rank_dead")), (1, 1), "{events:?}");
+        }
+    }
+
     /// `readmitted` comes from the work ledger, so a tier with telemetry
     /// off still reports it, equal to the journal's `readmit` events.
     /// Paced jobs last milliseconds and the two-job queue is refilled in
@@ -1861,10 +1981,20 @@ mod tests {
         let text = std::fs::read_to_string(path).expect("dump readable");
         let (reason, events) = flight::parse_dump(&text).expect("dump parses");
         assert_eq!(reason, "job_failure");
-        // The dump holds the failing job's typed lifecycle: at least its
-        // submission and the failure itself.
-        assert!(events.iter().any(|e| e.code == FlightCode::JobSubmit));
-        assert!(events.iter().any(|e| e.code == FlightCode::JobFail));
+        // The dump holds the failing job's lifecycle: its submission,
+        // its claim and the failure itself.
+        let failed = report.outcomes[0].id.0;
+        let has = |name: &str, ok: Option<u64>| {
+            events.iter().any(|e| {
+                e.kind == EventKind::Job
+                    && e.name == name
+                    && e.arg("job") == Some(failed)
+                    && (ok.is_none() || e.arg("ok") == ok)
+            })
+        };
+        assert!(has("submit", None), "{events:?}");
+        assert!(has("claim", None), "{events:?}");
+        assert!(has("complete", Some(0)), "{events:?}");
         let _ = std::fs::remove_file(path);
     }
 

@@ -33,7 +33,7 @@ use cuts_gpu_sim::{
 };
 use cuts_graph::components::{extract_component, weakly_connected_components};
 use cuts_graph::Graph;
-use cuts_obs::flight::{self, FlightCode};
+use cuts_obs::flight;
 use cuts_obs::{Arg, EventKind, Json, ToJson};
 use cuts_trie::{PairTable, Trie};
 
@@ -795,19 +795,20 @@ impl<'d> ExecSession<'d> {
                             match trie.grow_to(target_cap) {
                                 Ok(new_cap) => {
                                     growth.cur_entries = target;
+                                    let args = [
+                                        ("depth", Arg::U64(pos as u64)),
+                                        ("capacity", Arg::U64(new_cap as u64)),
+                                    ];
+                                    // Arena instants also cover per-slab
+                                    // traffic, which stays out of the
+                                    // ring: this one is pushed directly.
                                     flight::record(
-                                        FlightCode::ArenaGrow,
-                                        pos as u64,
-                                        new_cap as u64,
-                                    );
-                                    trace.instant_with(
                                         EventKind::Arena,
                                         "chain_grow",
-                                        &[
-                                            ("depth", Arg::U64(pos as u64)),
-                                            ("capacity", Arg::U64(new_cap as u64)),
-                                        ],
+                                        trace.rank(),
+                                        &args,
                                     );
+                                    trace.instant_with(EventKind::Arena, "chain_grow", &args);
                                     continue;
                                 }
                                 Err(_) => {

@@ -226,7 +226,7 @@ impl WatchSession<'_> {
                     order: Vec::new(),
                 }),
             };
-            self.telem.on_finish(&class, None, &outcome);
+            self.telem.on_finish(trace, &class, None, &outcome);
             if let Some(subs) = self.subs.get(d.query.0) {
                 for tx in subs {
                     let _ = tx.send(WatchUpdate {

@@ -11,9 +11,8 @@ use cuts_obs::Trace;
 use crate::worker::Partition;
 
 /// Configuration for a distributed run. Progressive deepening (the
-/// mid-trie donation of a lone heavy job, §4.2) is always on, heartbeats
-/// go out every 10 ms, and every run records into a fresh enabled metrics
-/// registry returned on [`crate::DistResult::telemetry`].
+/// mid-trie donation of a lone heavy job, §4.2) is always on, and
+/// heartbeats go out every 10 ms.
 #[derive(Clone)]
 pub struct DistConfig {
     /// Per-rank device (each node of the paper's cluster has one V100).

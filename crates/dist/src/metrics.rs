@@ -1,7 +1,7 @@
 //! Per-rank and aggregate metrics for the distributed runs (Figures 4-5).
 
 use cuts_gpu_sim::Counters;
-use cuts_obs::{Json, Registry, ToJson};
+use cuts_obs::{Json, ToJson};
 
 /// Metrics for one rank.
 #[derive(Debug, Clone, Default)]
@@ -150,10 +150,6 @@ pub struct DistResult {
     /// Path of the flight-recorder post-mortem written when the first
     /// rank died, if any did.
     pub postmortem: Option<String>,
-    /// The run's serving-metrics registry (per-rank busy/imbalance
-    /// gauges, balance ratio, recovery counters); feed its snapshot to
-    /// the Prometheus exporter.
-    pub telemetry: Registry,
 }
 
 impl DistResult {
@@ -222,7 +218,6 @@ mod tests {
             wall_millis: 0.0,
             recovery: RecoveryStats::default(),
             postmortem: None,
-            telemetry: Registry::disabled(),
         };
         assert!((r.makespan_sim_millis() - 10.0).abs() < 1e-12);
         assert!((r.balance_ratio() - 0.8).abs() < 1e-12);
@@ -236,7 +231,6 @@ mod tests {
             wall_millis: 0.0,
             recovery: RecoveryStats::default(),
             postmortem: None,
-            telemetry: Registry::disabled(),
         };
         assert_eq!(r.balance_ratio(), 1.0);
     }

@@ -15,8 +15,8 @@ use std::time::Instant;
 
 use cuts_core::fault::FaultInjector;
 use cuts_graph::Graph;
-use cuts_obs::flight::{self, FlightCode};
-use cuts_obs::{Arg, EventKind, Registry};
+use cuts_obs::flight;
+use cuts_obs::{Arg, EventKind};
 
 pub use crate::config::DistConfig;
 use crate::metrics::{DistResult, RankMetrics, RecoveryStats};
@@ -51,9 +51,8 @@ impl Drop for ExitGuard<'_> {
 /// Set [`DistConfig::trace`] to journal every rank's kernel launches,
 /// chunk lifecycle, donations, heartbeats, and injected faults
 /// (rank-tagged, wrapped in one `distributed` span on the caller's lane).
-/// Metrics are always on: each run records per-rank busy gauges, balance
-/// gauges, and recovery counters into a fresh registry returned on
-/// [`DistResult::telemetry`].
+/// The flight ring records their lifecycle instants and each rank death
+/// either way; the first death dumps it to [`DistResult::postmortem`].
 ///
 /// For a *stream of jobs* over long-lived ranks, use the serving tier
 /// (`cuts_core::serve::ServeTier`) instead — it subsumes this path and
@@ -83,14 +82,8 @@ pub fn run(
 ) -> Result<DistResult, WorkerError> {
     assert!(ranks >= 1);
     let trace = &config.trace;
-    let registry = Registry::enabled();
-    let mut run_span = if trace.is_enabled() {
-        let mut s = trace.span(EventKind::Run, "distributed");
-        s.arg("ranks", Arg::U64(ranks as u64));
-        Some(s)
-    } else {
-        None
-    };
+    let mut run_span = trace.span(EventKind::Run, "distributed");
+    run_span.arg("ranks", Arg::U64(ranks as u64));
     let injector = if config.fault_plan.is_empty() {
         None
     } else {
@@ -140,11 +133,16 @@ pub fn run(
             Ok((_, metrics)) => per_rank.push(metrics),
             Err(e) => {
                 lost_ranks.push(rank);
-                flight::record_rank(
-                    rank as u32,
-                    FlightCode::RankDead,
-                    matches!(e, WorkerError::Panicked { .. }) as u64,
-                    0,
+                trace.with_rank(rank).instant_with(
+                    EventKind::Fault,
+                    "rank_dead",
+                    &[
+                        ("rank", Arg::U64(rank as u64)),
+                        (
+                            "panicked",
+                            Arg::U64(matches!(e, WorkerError::Panicked { .. }) as u64),
+                        ),
+                    ],
                 );
                 // One post-mortem per run: the flight rings hold the
                 // typed events leading up to the first death.
@@ -192,59 +190,8 @@ pub fn run(
         wall_millis: start.elapsed().as_secs_f64() * 1e3,
         recovery,
         postmortem,
-        telemetry: registry.clone(),
     };
-    let makespan = result.makespan_sim_millis();
-    for m in &result.per_rank {
-        let rs = m.rank.to_string();
-        let l = [("rank", rs.as_str())];
-        registry
-            .gauge(
-                "cuts_rank_busy_sim_millis",
-                &l,
-                "Simulated device-busy milliseconds per rank",
-            )
-            .set(m.busy_sim_millis);
-        // Per-rank imbalance: how far this rank trails the slowest
-        // one (0 = it set the makespan).
-        registry
-            .gauge(
-                "cuts_rank_imbalance",
-                &l,
-                "1 - busy/makespan per rank (0 = this rank set the makespan)",
-            )
-            .set(if makespan > 0.0 {
-                1.0 - m.busy_sim_millis / makespan
-            } else {
-                0.0
-            });
-    }
-    registry
-        .gauge(
-            "cuts_dist_balance_ratio",
-            &[],
-            "min/max busy time over ranks (1.0 = perfect balance)",
-        )
-        .set(result.balance_ratio());
-    let c = |name, help, v: u64| registry.counter(name, &[], help).add(v);
-    c(
-        "cuts_dist_ranks_lost_total",
-        "Ranks that crashed during the run",
-        result.recovery.ranks_lost as u64,
-    );
-    c(
-        "cuts_dist_chunks_reassigned_total",
-        "Chunks re-homed from dead or silent ranks to survivors",
-        result.recovery.chunks_reassigned as u64,
-    );
-    c(
-        "cuts_dist_duplicate_chunks_total",
-        "Chunk results deduplicated by the at-least-once ledger",
-        result.recovery.duplicate_chunks as u64,
-    );
-    if let Some(s) = &mut run_span {
-        s.arg("matches", Arg::U64(result.total_matches));
-    }
+    run_span.arg("matches", Arg::U64(result.total_matches));
     Ok(result)
 }
 
@@ -364,38 +311,27 @@ mod tests {
     }
 
     #[test]
-    fn rank_death_writes_postmortem_and_imbalance_gauges() {
+    fn rank_death_writes_postmortem() {
         let data = erdos_renyi(60, 240, 17);
         let query = clique(3);
         let mut c = cfg();
         c.fault_plan = FaultPlan::parse("crash:1@0").unwrap();
         let r = run(&data, &query, 2, &c).unwrap();
-        let reg = &r.telemetry;
         assert_eq!(r.recovery.lost_ranks, vec![1]);
         // The dump exists, parses, and holds the dead rank's last events.
         let path = r.postmortem.as_ref().expect("postmortem on rank death");
         let text = std::fs::read_to_string(path).unwrap();
         let (reason, events) = cuts_obs::flight::parse_dump(&text).unwrap();
         assert_eq!(reason, "rank_death");
-        assert!(events
-            .iter()
-            .any(|e| e.code == cuts_obs::FlightCode::RankDead && e.rank == Some(1)));
-        assert!(events
-            .iter()
-            .any(|e| e.code == cuts_obs::FlightCode::ChunkCommit));
+        let has = |kind: EventKind, name: &str, rank: Option<u32>| {
+            events
+                .iter()
+                .any(|e| e.kind == kind && e.name == name && (rank.is_none() || e.rank == rank))
+        };
+        assert!(has(EventKind::Fault, "crash", Some(1)));
+        assert!(has(EventKind::Fault, "rank_dead", Some(1)));
+        assert!(has(EventKind::Chunk, "commit", None));
         let _ = std::fs::remove_file(path);
-        // Gauges and recovery counters landed in the registry.
-        assert_eq!(reg.counter("cuts_dist_ranks_lost_total", &[], "").get(), 1);
-        assert!(
-            reg.counter("cuts_dist_chunks_reassigned_total", &[], "")
-                .get()
-                > 0
-        );
-        let busy0 = reg.gauge("cuts_rank_busy_sim_millis", &[("rank", "0")], "");
-        assert!(busy0.get() > 0.0, "surviving rank did the work");
-        let prom = reg.snapshot().render();
-        assert!(prom.contains("cuts_rank_imbalance"));
-        cuts_obs::validate_exposition(&prom).expect("scrapeable");
     }
 
     #[test]
@@ -409,7 +345,6 @@ mod tests {
         assert_eq!(r.total_matches, want);
         assert!(r.recovery.is_clean());
         assert!(r.postmortem.is_none());
-        assert!(r.telemetry.is_enabled(), "observation is always-on");
     }
 
     #[test]

@@ -145,7 +145,6 @@ pub fn run_synchronous(
             wall_millis: start.elapsed().as_secs_f64() * 1e3,
             recovery: RecoveryStats::default(),
             postmortem: None,
-            telemetry: cuts_obs::Registry::disabled(),
         },
         barrier_makespan_sim_millis: barrier_makespan,
         barrier_idle_sim_millis: barrier_idle,

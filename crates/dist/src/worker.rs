@@ -33,7 +33,6 @@ use cuts_core::fault::{CrashKind, FaultInjector};
 use cuts_core::{ExecSession, MatchOrder};
 use cuts_gpu_sim::Device;
 use cuts_graph::Graph;
-use cuts_obs::flight::{self, FlightCode};
 use cuts_obs::{Arg, EventKind, Trace};
 use cuts_trie::serial::WireError;
 use cuts_trie::HostTrie;
@@ -346,12 +345,6 @@ impl<'a> Worker<'a> {
         };
         match inj.should_crash(self.comm.rank(), self.chunks_done) {
             Some(CrashKind::Panic) => {
-                flight::record_rank(
-                    self.comm.rank() as u32,
-                    FlightCode::Fault,
-                    self.chunks_done as u64,
-                    0,
-                );
                 self.trace.instant_with(
                     EventKind::Fault,
                     "panic",
@@ -364,12 +357,6 @@ impl<'a> Worker<'a> {
                 )
             }
             Some(CrashKind::Error) => {
-                flight::record_rank(
-                    self.comm.rank() as u32,
-                    FlightCode::Fault,
-                    self.chunks_done as u64,
-                    1,
-                );
                 self.trace.instant_with(
                     EventKind::Fault,
                     "crash",
@@ -389,12 +376,6 @@ impl<'a> Worker<'a> {
         if self.last_heartbeat.elapsed() >= HEARTBEAT_INTERVAL {
             self.comm
                 .broadcast_others(tag::HEARTBEAT, Bytes::from(vec![status.to_byte()]));
-            flight::record_rank(
-                self.comm.rank() as u32,
-                FlightCode::Heartbeat,
-                status.to_byte() as u64,
-                0,
-            );
             self.trace.instant(
                 EventKind::Heartbeat,
                 match status {
@@ -412,12 +393,6 @@ impl<'a> Worker<'a> {
         if self.shared.ledger.commit(id, matches) {
             *total += matches;
             self.chunks_done += 1;
-            flight::record_rank(
-                self.comm.rank() as u32,
-                FlightCode::ChunkCommit,
-                id,
-                matches,
-            );
             self.trace.instant_with(
                 EventKind::Chunk,
                 "commit",
@@ -563,12 +538,6 @@ impl<'a> Worker<'a> {
                     for dc in &jobs {
                         self.shared.ledger.transfer(dc.id, target);
                     }
-                    flight::record_rank(
-                        self.comm.rank() as u32,
-                        FlightCode::Donation,
-                        target as u64,
-                        jobs.len() as u64,
-                    );
                     self.trace.instant_with(
                         EventKind::Donation,
                         "send",
@@ -647,12 +616,6 @@ impl<'a> Worker<'a> {
                 last_reclaim = Instant::now();
                 if !claimed.is_empty() {
                     self.metrics.chunks_reassigned += claimed.len();
-                    flight::record_rank(
-                        me as u32,
-                        FlightCode::ChunkReclaim,
-                        claimed.len() as u64,
-                        0,
-                    );
                     self.trace.instant_with(
                         EventKind::Chunk,
                         "reclaim",

@@ -3,7 +3,7 @@
 //! `trace_event` JSON — balanced `B`/`E` pairs, required fields, one
 //! process track per rank — with a rich event-kind census and per-span
 //! hardware-counter deltas. And the whole layer must be free when off:
-//! a disabled `Trace` holds no journal, records nothing, and leaves the
+//! a disabled `Trace` holds no journal, journals nothing, and leaves the
 //! match results identical to an untraced run.
 
 use cuts_core::{EngineConfig, ExecSession};
@@ -119,7 +119,7 @@ fn disabled_tracing_is_free_and_changes_nothing() {
     let off = Trace::disabled();
     assert!(off.journal().is_none());
     assert!(!off.span(EventKind::Run, "run").is_recording());
-    off.instant(EventKind::Heartbeat, "free"); // no-op, nowhere to go
+    off.instant(EventKind::Heartbeat, "free"); // reaches the flight ring only
 
     // Single node: traced and untraced runs agree on every deterministic
     // output field (wall_millis is host time and may differ).

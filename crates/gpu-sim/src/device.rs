@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use cuts_obs::flight::{self, FlightCode};
+use cuts_obs::flight;
 use cuts_obs::{Arg, EventKind, Registry, Span, Trace, SM_LANE_BASE};
 
 use crate::buffer::GlobalBuffer;
@@ -109,7 +109,7 @@ impl Device {
 
     /// Attaches a serving-metrics registry: every subsequent launch
     /// records its wall time into a per-kernel `cuts_kernel_wall_us`
-    /// histogram and a [`FlightCode::KernelLaunch`] flight event. A
+    /// histogram and a `kernel`/`launch` flight record. A
     /// disabled registry (the default) keeps the launch path at one
     /// branch per launch.
     pub fn set_registry(&mut self, registry: Registry) {
@@ -375,7 +375,16 @@ impl Device {
                     "Host wall time per kernel launch, microseconds",
                 )
                 .record(wall_us);
-            flight::record(FlightCode::KernelLaunch, num_blocks as u64, wall_us);
+            // A span, so no trace instant feeds it to the ring.
+            flight::record(
+                EventKind::Kernel,
+                "launch",
+                self.trace.rank(),
+                &[
+                    ("blocks", Arg::U64(num_blocks as u64)),
+                    ("wall_us", Arg::U64(wall_us)),
+                ],
+            );
         }
     }
 

@@ -36,8 +36,8 @@ pub enum EventKind {
     /// Arena-slab allocator activity: carve / acquire / release /
     /// chain-grow / high-water.
     Arena,
-    /// Batch-dynamic lifecycle: graph edge-batch application, dirty-
-    /// subtree release, and per-subscription match-delta fan-out.
+    /// Batch-dynamic lifecycle: graph edge-batch application, per-query
+    /// match deltas, and replica loss in a watch session.
     Batch,
 }
 
@@ -78,6 +78,11 @@ impl EventKind {
             EventKind::Arena => "arena",
             EventKind::Batch => "batch",
         }
+    }
+
+    /// Parses a stable name back into its kind.
+    pub fn parse(s: &str) -> Option<EventKind> {
+        EventKind::ALL.iter().copied().find(|k| k.as_str() == s)
     }
 }
 
@@ -226,6 +231,10 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), EventKind::ALL.len());
+        for k in EventKind::ALL {
+            assert_eq!(EventKind::parse(k.as_str()), Some(k));
+        }
+        assert_eq!(EventKind::parse("nope"), None);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The crash flight recorder: a bounded, lossy, always-on ring of typed
-//! events, dumped to a post-mortem file when something dies.
+//! The crash flight recorder: a bounded, lossy, always-on ring of
+//! lifecycle events, dumped to a post-mortem file when something dies.
 //!
 //! The journal is lossless and opt-in; the flight recorder is the
 //! opposite trade: it records *always* (even with tracing off), holds
@@ -10,6 +10,12 @@
 //! a JSON file so the first production failure is debuggable without a
 //! re-run under `--trace-out`.
 //!
+//! The ring speaks the journal's vocabulary: a record is an
+//! [`EventKind`], a name and up to [`FLIGHT_ARGS`] integer arguments by
+//! key. [`crate::Trace`] feeds it: every instant of a [`LIFECYCLE`] kind
+//! lands here whether or not the journal is on, so one call per
+//! lifecycle event serves both recorders.
+//!
 //! Shards are keyed by the recording thread's [`lane`], so the dump
 //! preserves per-lane program order and a reader can ask "what were the
 //! last events on the lane/rank that failed".
@@ -18,6 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::event::{Arg, EventKind};
 use crate::journal::lane;
 use crate::json::{Json, SchemaError, ToJson};
 
@@ -27,141 +34,67 @@ pub const FLIGHT_SHARDS: usize = 16;
 /// Events retained per shard before overwrite-oldest kicks in.
 pub const FLIGHT_CAPACITY: usize = 512;
 
-/// What happened. One variant per serving-critical lifecycle point;
-/// coarse by design — the journal carries the full-fidelity story.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlightCode {
-    /// Serving tier accepted a job into its queue (`a` = job id).
-    JobSubmit,
-    /// Job admitted to a device lane (`a` = job id, `b` = device).
-    JobAdmit,
-    /// Job finished cleanly (`a` = job id, `b` = exec µs).
-    JobComplete,
-    /// Job finished with an error (`a` = job id).
-    JobFail,
-    /// In-place trie growth denied by the ledger (`a` = job id,
-    /// `b` = target entries).
-    GrowthDenied,
-    /// A deadline-carrying job missed it (`a` = job id, `b` = overrun µs).
-    DeadlineMiss,
-    /// Device kernel launch retired (`a` = blocks, `b` = wall µs).
-    KernelLaunch,
-    /// An engine run started (`a` = rank or 0).
-    RunStart,
-    /// An engine run ended (`a` = matches).
-    RunEnd,
-    /// Distributed chunk committed (`a` = chunk id, `b` = matches).
-    ChunkCommit,
-    /// Chunk reclaimed from a dead or unresponsive rank (`a` = chunk id,
-    /// `b` = dead rank).
-    ChunkReclaim,
-    /// Work donation (`a` = chunk id, `b` = peer rank).
-    Donation,
-    /// Liveness heartbeat.
-    Heartbeat,
-    /// An injected fault fired (`a` = fault-specific).
-    Fault,
-    /// A rank was declared dead (`a` = rank).
-    RankDead,
-    /// A scheduler-level error (`a` = job id when known).
-    SchedErr,
-    /// An error escaped the serving loop.
-    ServeErr,
-    /// Trie arena carved or grown (`a` = words).
-    ArenaGrow,
-    /// Job a dead rank had claimed, put back in the serving queue
-    /// (`a` = job id, `b` = the dead rank).
-    JobReadmit,
-}
+/// Integer arguments one record keeps (the first ones given).
+pub const FLIGHT_ARGS: usize = 3;
 
-impl FlightCode {
-    /// Every code, for exhaustive reporting.
-    pub const ALL: [FlightCode; 19] = [
-        FlightCode::JobSubmit,
-        FlightCode::JobAdmit,
-        FlightCode::JobComplete,
-        FlightCode::JobFail,
-        FlightCode::GrowthDenied,
-        FlightCode::DeadlineMiss,
-        FlightCode::KernelLaunch,
-        FlightCode::RunStart,
-        FlightCode::RunEnd,
-        FlightCode::ChunkCommit,
-        FlightCode::ChunkReclaim,
-        FlightCode::Donation,
-        FlightCode::Heartbeat,
-        FlightCode::Fault,
-        FlightCode::RankDead,
-        FlightCode::SchedErr,
-        FlightCode::ServeErr,
-        FlightCode::ArenaGrow,
-        FlightCode::JobReadmit,
-    ];
+/// The lifecycle kinds: [`crate::Trace`] instants of these kinds are
+/// recorded in the ring as well as the journal.
+pub const LIFECYCLE: [EventKind; 5] = [
+    EventKind::Job,
+    EventKind::Fault,
+    EventKind::Chunk,
+    EventKind::Donation,
+    EventKind::Heartbeat,
+];
 
-    /// Stable snake_case name used in dump files.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FlightCode::JobSubmit => "job_submit",
-            FlightCode::JobAdmit => "job_admit",
-            FlightCode::JobComplete => "job_complete",
-            FlightCode::JobFail => "job_fail",
-            FlightCode::GrowthDenied => "growth_denied",
-            FlightCode::DeadlineMiss => "deadline_miss",
-            FlightCode::KernelLaunch => "kernel_launch",
-            FlightCode::RunStart => "run_start",
-            FlightCode::RunEnd => "run_end",
-            FlightCode::ChunkCommit => "chunk_commit",
-            FlightCode::ChunkReclaim => "chunk_reclaim",
-            FlightCode::Donation => "donation",
-            FlightCode::Heartbeat => "heartbeat",
-            FlightCode::Fault => "fault",
-            FlightCode::RankDead => "rank_dead",
-            FlightCode::SchedErr => "sched_err",
-            FlightCode::ServeErr => "serve_err",
-            FlightCode::ArenaGrow => "arena_grow",
-            FlightCode::JobReadmit => "job_readmit",
-        }
-    }
-
-    /// Parses a dump-file code name.
-    pub fn parse(s: &str) -> Option<FlightCode> {
-        FlightCode::ALL.iter().copied().find(|c| c.as_str() == s)
-    }
-}
-
-/// One fixed-size recorded event. `a`/`b` are code-specific payloads
-/// (see [`FlightCode`]).
+/// One fixed-size recorded event. The ring holds `'static` names and
+/// keys (`S = &'static str`); [`parse_dump`] reads them back owned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlightEvent {
+pub struct FlightEvent<S = &'static str> {
     /// Global record order (fetch-add at record time).
     pub seq: u64,
     /// Microseconds since the recorder's epoch (process start of use).
     pub ts_us: u64,
-    /// What happened.
-    pub code: FlightCode,
+    /// Taxonomy bucket, as in the journal.
+    pub kind: EventKind,
+    /// Event name, as in the journal (e.g. `"claim"`, `"commit"`).
+    pub name: S,
     /// Distributed rank, when known.
     pub rank: Option<u32>,
     /// Recording thread's lane.
     pub lane: u32,
-    /// First payload word.
-    pub a: u64,
-    /// Second payload word.
-    pub b: u64,
+    /// Unsigned-integer arguments by key, in recording order.
+    pub args: [Option<(S, u64)>; FLIGHT_ARGS],
 }
 
-impl ToJson for FlightEvent {
+impl<S: AsRef<str>> FlightEvent<S> {
+    /// The recorded arguments, in order.
+    pub fn args(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.args.iter().flatten().map(|(k, v)| (k.as_ref(), *v))
+    }
+
+    /// The argument recorded under `key`.
+    pub fn arg(&self, key: &str) -> Option<u64> {
+        self.args().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+}
+
+impl<S: AsRef<str>> ToJson for FlightEvent<S> {
     fn to_json(&self) -> Json {
         let mut o = Json::obj([
             ("seq", Json::U64(self.seq)),
             ("ts_us", Json::U64(self.ts_us)),
-            ("code", Json::Str(self.code.as_str().into())),
+            ("kind", Json::Str(self.kind.as_str().into())),
+            ("name", Json::Str(self.name.as_ref().into())),
             ("lane", Json::U64(self.lane as u64)),
-            ("a", Json::U64(self.a)),
-            ("b", Json::U64(self.b)),
         ]);
         if let Some(r) = self.rank {
             o.set("rank", r);
         }
+        o.set(
+            "args",
+            Json::obj(self.args().map(|(k, v)| (k, Json::U64(v)))),
+        );
         o
     }
 }
@@ -184,6 +117,9 @@ impl Ring {
     fn push(&mut self, e: FlightEvent) {
         self.total += 1;
         if self.buf.len() < FLIGHT_CAPACITY {
+            // One allocation of the whole ring on first use: growing by
+            // doubling would leave about as much again resident.
+            self.buf.reserve_exact(FLIGHT_CAPACITY - self.buf.len());
             self.buf.push(e);
         } else {
             self.buf[self.next] = e;
@@ -227,27 +163,33 @@ impl FlightRecorder {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Whether records are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Records an event on the calling thread's shard. Fixed-size write,
-    /// no allocation once the ring is warm.
+    /// Records an event on the calling thread's shard, keeping the first
+    /// [`FLIGHT_ARGS`] unsigned-integer arguments. Fixed-size write, no
+    /// allocation after the shard's first record.
     #[inline]
-    pub fn record(&self, code: FlightCode, rank: Option<u32>, a: u64, b: u64) {
+    pub fn record(
+        &self,
+        kind: EventKind,
+        name: &'static str,
+        rank: Option<u32>,
+        args: &[(&'static str, Arg)],
+    ) {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
+        let mut ints = args.iter().filter_map(|(k, v)| match v {
+            Arg::U64(v) => Some((*k, *v)),
+            _ => None,
+        });
         let lane = lane();
         let e = FlightEvent {
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             ts_us: self.epoch.elapsed().as_micros() as u64,
-            code,
+            kind,
+            name,
             rank,
             lane,
-            a,
-            b,
+            args: std::array::from_fn(|_| ints.next()),
         };
         self.shards[lane as usize % FLIGHT_SHARDS]
             .lock()
@@ -293,20 +235,6 @@ impl FlightRecorder {
             ),
         ])
     }
-
-    /// Writes [`FlightRecorder::dump_json`] to `path`.
-    pub fn dump_to_file(&self, path: &std::path::Path, reason: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.dump_json(reason).render())
-    }
-}
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("enabled", &self.is_enabled())
-            .field("total_recorded", &self.total_recorded())
-            .finish()
-    }
 }
 
 static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
@@ -317,16 +245,17 @@ pub fn recorder() -> &'static FlightRecorder {
     GLOBAL.get_or_init(FlightRecorder::new)
 }
 
-/// Records on the process-wide recorder with no rank tag.
+/// Records on the process-wide recorder. [`crate::Trace`] instants of
+/// the [`LIFECYCLE`] kinds arrive here on their own; call this directly
+/// only for facts that are not such an instant.
 #[inline]
-pub fn record(code: FlightCode, a: u64, b: u64) {
-    recorder().record(code, None, a, b);
-}
-
-/// Records on the process-wide recorder with a rank tag.
-#[inline]
-pub fn record_rank(rank: u32, code: FlightCode, a: u64, b: u64) {
-    recorder().record(code, Some(rank), a, b);
+pub fn record(
+    kind: EventKind,
+    name: &'static str,
+    rank: Option<u32>,
+    args: &[(&'static str, Arg)],
+) {
+    recorder().record(kind, name, rank, args);
 }
 
 /// Turns the process-wide recorder on or off.
@@ -359,13 +288,13 @@ pub fn postmortem(reason: &str) -> Option<std::path::PathBuf> {
         DUMP_SEQ.fetch_add(1, Ordering::Relaxed),
         safe
     ));
-    recorder().dump_to_file(&path, reason).ok()?;
+    std::fs::write(&path, recorder().dump_json(reason).render()).ok()?;
     Some(path)
 }
 
-/// Parses a dump file produced by [`FlightRecorder::dump_to_file`] /
-/// [`postmortem`]: returns the reason and the retained events.
-pub fn parse_dump(text: &str) -> Result<(String, Vec<FlightEvent>), SchemaError> {
+/// Parses a dump file produced by [`postmortem`] (or the rendered
+/// [`FlightRecorder::dump_json`]): returns the reason and the retained events.
+pub fn parse_dump(text: &str) -> Result<(String, Vec<FlightEvent<String>>), SchemaError> {
     let doc = Json::parse(text)?;
     if doc.get("flight_recorder").and_then(Json::as_u64) != Some(1) {
         return Err(SchemaError::new("not a flight-recorder dump"));
@@ -386,20 +315,34 @@ pub fn parse_dump(text: &str) -> Result<(String, Vec<FlightEvent>), SchemaError>
                 .and_then(Json::as_u64)
                 .ok_or_else(|| SchemaError::new(format!("event {i}: missing {k}")))
         };
-        let code_name = e
-            .get("code")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SchemaError::new(format!("event {i}: missing code")))?;
-        let code = FlightCode::parse(code_name)
-            .ok_or_else(|| SchemaError::new(format!("event {i}: unknown code '{code_name}'")))?;
+        let text = |k: &str| {
+            e.get(k)
+                .and_then(Json::as_str)
+                .ok_or_else(|| SchemaError::new(format!("event {i}: missing {k}")))
+        };
+        let kind_name = text("kind")?;
+        let kind = EventKind::parse(kind_name)
+            .ok_or_else(|| SchemaError::new(format!("event {i}: unknown kind '{kind_name}'")))?;
+        let mut args: [Option<(String, u64)>; FLIGHT_ARGS] = Default::default();
+        if let Some(Json::Obj(pairs)) = e.get("args") {
+            if pairs.len() > FLIGHT_ARGS {
+                return Err(SchemaError::new(format!("event {i}: too many args")));
+            }
+            for (slot, (k, v)) in args.iter_mut().zip(pairs) {
+                let v = v.as_u64().ok_or_else(|| {
+                    SchemaError::new(format!("event {i}: arg {k} not an integer"))
+                })?;
+                *slot = Some((k.clone(), v));
+            }
+        }
         events.push(FlightEvent {
             seq: field("seq")?,
             ts_us: field("ts_us")?,
-            code,
+            kind,
+            name: text("name")?.to_string(),
             rank: e.get("rank").and_then(Json::as_u64).map(|r| r as u32),
             lane: field("lane")? as u32,
-            a: field("a")?,
-            b: field("b")?,
+            args,
         });
     }
     let declared = doc.get("retained").and_then(Json::as_u64);
@@ -413,16 +356,8 @@ pub fn parse_dump(text: &str) -> Result<(String, Vec<FlightEvent>), SchemaError>
 mod tests {
     use super::*;
 
-    #[test]
-    fn code_names_unique_and_parse_back() {
-        let mut names: Vec<_> = FlightCode::ALL.iter().map(|c| c.as_str()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), FlightCode::ALL.len());
-        for c in FlightCode::ALL {
-            assert_eq!(FlightCode::parse(c.as_str()), Some(c));
-        }
-        assert_eq!(FlightCode::parse("nope"), None);
+    fn beat(r: &FlightRecorder, i: u64) {
+        r.record(EventKind::Heartbeat, "busy", None, &[("i", Arg::U64(i))]);
     }
 
     #[test]
@@ -430,15 +365,18 @@ mod tests {
         let r = FlightRecorder::new();
         let n = (FLIGHT_CAPACITY + 100) as u64;
         for i in 0..n {
-            r.record(FlightCode::Heartbeat, None, i, 0);
+            beat(&r, i);
         }
         // Single thread → single shard: exactly FLIGHT_CAPACITY retained,
         // and they are the newest FLIGHT_CAPACITY records.
         let events = r.snapshot();
         assert_eq!(events.len(), FLIGHT_CAPACITY);
         assert_eq!(r.total_recorded(), n);
-        assert_eq!(events.first().unwrap().a, n - FLIGHT_CAPACITY as u64);
-        assert_eq!(events.last().unwrap().a, n - 1);
+        assert_eq!(
+            events.first().unwrap().arg("i"),
+            Some(n - FLIGHT_CAPACITY as u64)
+        );
+        assert_eq!(events.last().unwrap().arg("i"), Some(n - 1));
         // seq order is record order.
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
     }
@@ -447,46 +385,95 @@ mod tests {
     fn disabled_recorder_keeps_nothing() {
         let r = FlightRecorder::new();
         r.set_enabled(false);
-        r.record(FlightCode::Heartbeat, None, 1, 2);
+        beat(&r, 1);
         assert_eq!(r.total_recorded(), 0);
         assert!(r.snapshot().is_empty());
         r.set_enabled(true);
-        r.record(FlightCode::Heartbeat, None, 1, 2);
+        beat(&r, 1);
         assert_eq!(r.snapshot().len(), 1);
+    }
+
+    #[test]
+    fn full_rings_stay_under_a_mebibyte() {
+        let bytes = FLIGHT_SHARDS * FLIGHT_CAPACITY * std::mem::size_of::<FlightEvent>();
+        assert!(bytes < 1 << 20, "{bytes} bytes");
+    }
+
+    #[test]
+    fn keeps_the_first_integer_args() {
+        let r = FlightRecorder::new();
+        r.record(
+            EventKind::Job,
+            "complete",
+            Some(1),
+            &[
+                ("job", Arg::U64(7)),
+                ("queue_ms", Arg::F64(0.5)),
+                ("rank", Arg::U64(1)),
+                ("ok", Arg::U64(0)),
+                ("lane", Arg::U64(3)),
+            ],
+        );
+        let e = &r.snapshot()[0];
+        let args: Vec<_> = e.args().collect();
+        assert_eq!(args, [("job", 7), ("rank", 1), ("ok", 0)]);
     }
 
     #[test]
     fn dump_roundtrip() {
         let r = FlightRecorder::new();
-        r.record(FlightCode::JobSubmit, None, 7, 0);
-        r.record(FlightCode::JobFail, Some(2), 7, 0);
+        r.record(EventKind::Job, "submit", None, &[("job", Arg::U64(7))]);
+        r.record(
+            EventKind::Job,
+            "complete",
+            Some(2),
+            &[("job", Arg::U64(7)), ("ok", Arg::U64(0))],
+        );
         let text = r.dump_json("test-crash").render();
         let (reason, events) = parse_dump(&text).expect("dump parses");
         assert_eq!(reason, "test-crash");
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[1].code, FlightCode::JobFail);
+        // Every field survives the round trip.
+        let back: Vec<String> = events.iter().map(|e| e.to_json().render()).collect();
+        let kept: Vec<String> = r.snapshot().iter().map(|e| e.to_json().render()).collect();
+        assert_eq!(back, kept);
+        assert_eq!(events[1].kind, EventKind::Job);
+        assert_eq!(events[1].name, "complete");
         assert_eq!(events[1].rank, Some(2));
-        assert_eq!(events[1].a, 7);
+        assert_eq!(events[1].arg("ok"), Some(0));
     }
 
     #[test]
     fn parse_rejects_non_dumps() {
         assert!(parse_dump("{}").is_err());
         assert!(parse_dump("not json").is_err());
-        let bad = Json::obj([
-            ("flight_recorder", Json::U64(1)),
-            ("reason", Json::Str("x".into())),
-            (
-                "events",
-                Json::Arr(vec![Json::obj([("code", Json::Str("bogus".into()))])]),
-            ),
-        ]);
-        assert!(parse_dump(&bad.render()).is_err());
+        let dump = |event: Json| {
+            Json::obj([
+                ("flight_recorder", Json::U64(1)),
+                ("reason", Json::Str("x".into())),
+                ("events", Json::Arr(vec![event])),
+            ])
+            .render()
+        };
+        let event = |kind: &str, args: Json| {
+            Json::obj([
+                ("seq", Json::U64(0)),
+                ("ts_us", Json::U64(0)),
+                ("kind", Json::Str(kind.into())),
+                ("name", Json::Str("n".into())),
+                ("lane", Json::U64(0)),
+                ("args", args),
+            ])
+        };
+        assert!(parse_dump(&dump(event("job", Json::obj([("a", 1u64)])))).is_ok());
+        assert!(parse_dump(&dump(event("bogus", Json::obj([("a", 1u64)])))).is_err());
+        assert!(parse_dump(&dump(event("job", Json::obj([("a", "x")])))).is_err());
+        let four = Json::obj([("a", 1u64), ("b", 2), ("c", 3), ("d", 4)]);
+        assert!(parse_dump(&dump(event("job", four))).is_err());
     }
 
     #[test]
     fn postmortem_writes_parseable_file() {
-        record(FlightCode::Heartbeat, 1, 2);
+        record(EventKind::Heartbeat, "busy", None, &[]);
         let path = postmortem("unit-test").expect("dump written");
         let text = std::fs::read_to_string(&path).unwrap();
         let (reason, _) = parse_dump(&text).expect("file parses");

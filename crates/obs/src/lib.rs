@@ -28,8 +28,9 @@
 //!   zero-cost disabled path (the journal answers "what happened in
 //!   this run"; the registry answers "what are my p99s right now").
 //! * [`flight`] — the crash flight recorder: a bounded, lossy,
-//!   overwrite-oldest ring of typed events that records even when the
-//!   journal is off, dumped to a post-mortem file on failure paths.
+//!   overwrite-oldest ring in the journal's vocabulary, fed by every
+//!   [`Trace`] instant of a lifecycle kind even when the journal is off,
+//!   dumped to a post-mortem file on failure paths.
 //! * [`json`] — the workspace's serde stand-in ([`ToJson`]) plus a small
 //!   parser, so structured output is built from trees rather than
 //!   hand-formatted strings.
@@ -46,7 +47,7 @@ pub mod trace;
 
 pub use event::{Arg, CounterDelta, Event, EventKind};
 pub use export::{chrome_trace, jsonl, validate_chrome, ChromeSummary, SM_LANE_BASE};
-pub use flight::{FlightCode, FlightEvent, FlightRecorder};
+pub use flight::{FlightEvent, FlightRecorder};
 pub use journal::{lane, Journal};
 pub use json::{Json, SchemaError, ToJson};
 pub use metrics::{validate_exposition, Metric, MetricKind, MetricsSnapshot};

@@ -158,24 +158,6 @@ impl Gauge {
         }
     }
 
-    /// Raises the gauge to `v` if `v` is larger (high-water tracking).
-    pub fn set_max(&self, v: f64) {
-        if let Some(g) = &self.0 {
-            let mut cur = g.bits.load(Ordering::Relaxed);
-            while v > f64::from_bits(cur) {
-                match g.bits.compare_exchange_weak(
-                    cur,
-                    v.to_bits(),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
-            }
-        }
-    }
-
     /// Current value (0.0 when disabled).
     pub fn get(&self) -> f64 {
         self.0
@@ -670,10 +652,6 @@ mod tests {
         let g = r.gauge("cuts_test_gauge", &[], "test");
         g.set(2.5);
         assert_eq!(g.get(), 2.5);
-        g.set_max(1.0);
-        assert_eq!(g.get(), 2.5);
-        g.set_max(9.0);
-        assert_eq!(g.get(), 9.0);
     }
 
     #[test]

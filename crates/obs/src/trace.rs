@@ -2,16 +2,20 @@
 //!
 //! A `Trace` is a cheap, cloneable handle that is either **disabled**
 //! (the default — it holds no journal, and every emission method returns
-//! immediately without allocating) or **enabled** (it holds an
-//! `Arc<Journal>` and stamps events with an optional rank tag). The
-//! disabled fast path is a single `Option` check; names and argument
-//! vectors are only materialised on the enabled branch, so instrumented
-//! hot paths cost nothing when tracing is off — a property the overhead
-//! test in `cuts-dist/tests/trace_export.rs` pins down.
+//! without allocating) or **enabled** (it holds an `Arc<Journal>`).
+//! Either way it stamps events with an optional rank tag. Names and
+//! argument vectors are only materialised on the enabled branch, so
+//! instrumented hot paths allocate nothing when tracing is off — a
+//! property the test in `cuts-dist/tests/trace_export.rs` pins down.
+//!
+//! Instants of the [`flight::LIFECYCLE`] kinds (job, fault, chunk,
+//! donation, heartbeat) also land in the always-on flight ring, enabled
+//! journal or not: one call records a lifecycle event in both places.
 
 use std::sync::Arc;
 
 use crate::event::{Arg, CounterDelta, Event, EventKind};
+use crate::flight;
 use crate::journal::{lane, Journal};
 
 /// Tracing configuration.
@@ -84,13 +88,17 @@ impl Trace {
     }
 
     /// Records an instant event.
-    pub fn instant(&self, kind: EventKind, name: &str) {
+    pub fn instant(&self, kind: EventKind, name: &'static str) {
         self.instant_with(kind, name, &[]);
     }
 
     /// Records an instant event with arguments. `args` is borrowed so the
-    /// disabled path copies nothing.
-    pub fn instant_with(&self, kind: EventKind, name: &str, args: &[(&'static str, Arg)]) {
+    /// disabled path copies nothing. A [`flight::LIFECYCLE`] kind is also
+    /// recorded in the flight ring, with this handle's rank tag.
+    pub fn instant_with(&self, kind: EventKind, name: &'static str, args: &[(&'static str, Arg)]) {
+        if flight::LIFECYCLE.contains(&kind) {
+            flight::record(kind, name, self.rank, args);
+        }
         let Some(journal) = &self.journal else {
             return;
         };

@@ -1,8 +1,9 @@
 //! Wire format for work donation (§4.2).
 //!
-//! A busy node donating work ships either a whole trie or a batch of
-//! extracted flat paths; the receiver re-roots them into its own local
-//! trie. Encoding is little-endian `u32` words over [`bytes`] buffers.
+//! A busy node donating work ships whole tries; the receiver re-roots
+//! them into its own local trie. Snapshots store tries and CSF layouts
+//! with the same codecs. Encoding is little-endian `u32` words over
+//! [`bytes`] buffers.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -28,10 +29,6 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// Cap on `count` in a zero-depth path batch, where the payload length
-/// cannot corroborate the header (each path contributes zero words).
-const MAX_EMPTY_PATHS: usize = 1 << 20;
 
 /// Encodes a full host trie: `[num_levels, level_ends…, len, pa…, ca…]`.
 pub fn encode_trie(t: &HostTrie) -> Bytes {
@@ -171,46 +168,6 @@ pub fn decode_csf(mut buf: Bytes) -> Result<Csf, WireError> {
     })
 }
 
-/// Encodes a batch of uniform-depth flat paths: `[depth, count, words…]`.
-pub fn encode_paths(paths: &[Vec<u32>]) -> Bytes {
-    let depth = paths.first().map_or(0, Vec::len);
-    assert!(paths.iter().all(|p| p.len() == depth), "ragged path batch");
-    let mut b = BytesMut::with_capacity(4 * (2 + depth * paths.len()));
-    b.put_u32_le(depth as u32);
-    b.put_u32_le(paths.len() as u32);
-    for p in paths {
-        for &v in p {
-            b.put_u32_le(v);
-        }
-    }
-    b.freeze()
-}
-
-/// Decodes [`encode_paths`] output.
-pub fn decode_paths(mut buf: Bytes) -> Result<Vec<Vec<u32>>, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    let depth = buf.get_u32_le() as usize;
-    let count = buf.get_u32_le() as usize;
-    // `depth` and `count` come off the wire: size arithmetic must be
-    // checked, and a zero-depth header makes `count` unverifiable
-    // against the payload length, so bound it before allocating.
-    let need = depth
-        .checked_mul(count)
-        .and_then(|w| w.checked_mul(4))
-        .ok_or(WireError::Corrupt("path batch size overflows"))?;
-    if buf.remaining() < need {
-        return Err(WireError::Truncated);
-    }
-    if depth == 0 && count > MAX_EMPTY_PATHS {
-        return Err(WireError::Corrupt("implausible zero-depth batch"));
-    }
-    Ok((0..count)
-        .map(|_| (0..depth).map(|_| buf.get_u32_le()).collect())
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,36 +210,6 @@ mod tests {
         raw[len_off..len_off + 4].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(
             decode_trie(raw.freeze()),
-            Err(WireError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn paths_roundtrip() {
-        let paths = vec![vec![1, 2, 3], vec![4, 5, 6]];
-        assert_eq!(decode_paths(encode_paths(&paths)).unwrap(), paths);
-        let empty: Vec<Vec<u32>> = vec![];
-        assert_eq!(decode_paths(encode_paths(&empty)).unwrap(), empty);
-    }
-
-    #[test]
-    fn hostile_headers_rejected_without_panic() {
-        // depth × count chosen so the naive `4 * depth * count` size
-        // computation overflows usize; must be Corrupt, not a panic.
-        let mut b = BytesMut::new();
-        b.put_u32_le(u32::MAX);
-        b.put_u32_le(u32::MAX);
-        assert!(matches!(
-            decode_paths(b.freeze()),
-            Err(WireError::Corrupt(_) | WireError::Truncated)
-        ));
-        // Zero-depth batch with an absurd count: nothing in the payload
-        // corroborates it, so it must be bounded rather than allocated.
-        let mut b = BytesMut::new();
-        b.put_u32_le(0);
-        b.put_u32_le(u32::MAX);
-        assert!(matches!(
-            decode_paths(b.freeze()),
             Err(WireError::Corrupt(_))
         ));
     }
@@ -335,14 +262,5 @@ mod tests {
             decode_csf(Bytes::from(raw)),
             Err(WireError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn truncated_paths_rejected() {
-        let enc = encode_paths(&[vec![1, 2, 3]]);
-        assert_eq!(
-            decode_paths(enc.slice(0..enc.len() - 2)),
-            Err(WireError::Truncated)
-        );
     }
 }

@@ -38,11 +38,6 @@ impl LevelCounts {
         (1..=l).map(|i| i as u64 * self.0[i - 1]).sum()
     }
 
-    /// Frontier-only naive words at depth `l` (Equation 3's `|P_l| × l`).
-    pub fn naive_frontier_words(&self, l: usize) -> u64 {
-        l as u64 * self.0[l - 1]
-    }
-
     /// cuTS cumulative words through depth `l`.
     pub fn cuts_words(&self, l: usize) -> u64 {
         (1..=l).map(|i| 2 * self.0[i - 1]).sum()

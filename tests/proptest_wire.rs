@@ -3,8 +3,7 @@
 //!
 //! Three families of properties:
 //! * **round-trip identity** — encode→decode is the identity on valid
-//!   tries and path sets, byte-stably (re-encoding the decode yields the
-//!   same bytes);
+//!   tries, byte-stably (re-encoding the decode yields the same bytes);
 //! * **hostile input safety** — truncations, corruptions, and random
 //!   garbage must come back as `WireError`, never a panic, because a
 //!   faulty interconnect hands the decoder exactly such bytes;
@@ -15,7 +14,7 @@
 
 use bytes::Bytes;
 use cuts::trie::csf::Csf;
-use cuts::trie::serial::{decode_paths, decode_trie, encode_paths, encode_trie};
+use cuts::trie::serial::{decode_trie, encode_trie};
 use cuts::trie::space::LevelCounts;
 use cuts::trie::{Chunks, HostTrie};
 use proptest::prelude::*;
@@ -43,12 +42,6 @@ proptest! {
         let t = HostTrie::from_flat_paths(&paths);
         let back = decode_trie(encode_trie(&t)).expect("valid encoding");
         prop_assert_eq!(back, t);
-    }
-
-    #[test]
-    fn paths_roundtrip_identity(paths in arb_paths(4, 30)) {
-        let back = decode_paths(encode_paths(&paths)).expect("valid encoding");
-        prop_assert_eq!(back, paths);
     }
 
     #[test]
@@ -84,8 +77,7 @@ proptest! {
 
     #[test]
     fn random_garbage_never_panics(bytes in proptest::collection::vec(0u8..=255, 0..120)) {
-        let _ = decode_trie(Bytes::from(bytes.clone()));
-        let _ = decode_paths(Bytes::from(bytes));
+        let _ = decode_trie(Bytes::from(bytes));
     }
 
     #[test]
@@ -111,25 +103,6 @@ proptest! {
         // closed form.
         prop_assert_eq!(Chunks::new(range.clone(), size).count(), len.div_ceil(size));
         prop_assert_eq!(Chunks::new(range, size).len(), len.div_ceil(size));
-    }
-
-    #[test]
-    fn chunked_path_wire_reassembles(paths in arb_paths(3, 40), size in 1usize..16) {
-        // The donation path in practice: chunk a leaf level, encode each
-        // chunk independently, and the decoded concatenation must be the
-        // original path set in order.
-        let t = HostTrie::from_flat_paths(&paths);
-        let leaf = if t.levels.is_empty() {
-            Vec::new()
-        } else {
-            t.paths_at_level(t.levels.len() - 1)
-        };
-        let mut reassembled = Vec::new();
-        for r in Chunks::new(0..leaf.len(), size) {
-            let back = decode_paths(encode_paths(&leaf[r])).expect("valid encoding");
-            reassembled.extend(back);
-        }
-        prop_assert_eq!(reassembled, leaf);
     }
 
     #[test]
