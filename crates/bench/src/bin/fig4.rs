@@ -5,54 +5,20 @@
 //! CUTS_QUICK=1 cargo run -p cuts-bench --release --bin fig4
 //! ```
 
-use cuts_bench::{quick_from_env, scale_from_env, Machine};
-use cuts_dist::{run, DistConfig};
-use cuts_graph::query_gen::query_set;
-use cuts_graph::Dataset;
+use cuts_bench::{fig4_rows, quick_from_env, scale_from_env};
 
 fn main() {
     let scale = scale_from_env();
-    // The distributed evaluation runs on V100 nodes (§6.1).
-    let device = Machine::V100.device_config(scale);
-    let queries: Vec<_> = if quick_from_env() {
-        query_set(4, 2)
-    } else {
-        query_set(5, 3)
-    };
-
     println!("Figure 4 — speedup vs single node (V100-shaped ranks, scale {scale:?})\n");
     println!(
         "{:<10} {:<6} {:>12} {:>14} {:>10} {:>10}",
         "dataset", "query", "matches", "1-node sim-ms", "2-node", "4-node"
     );
-
-    for ds in Dataset::BIG {
-        let data = ds.generate(scale);
-        for q in &queries {
-            let config = DistConfig {
-                device: device.clone(),
-                dist_chunk: 64,
-                ..Default::default()
-            };
-            let r1 = run(&data, &q.graph, 1, &config).expect("1-node");
-            let base = r1.makespan_sim_millis();
-            let mut speeds = Vec::new();
-            for ranks in [2usize, 4] {
-                let r = run(&data, &q.graph, ranks, &config).expect("multi-node");
-                assert_eq!(r.total_matches, r1.total_matches, "count drift");
-                let m = r.makespan_sim_millis();
-                speeds.push(if m > 0.0 { base / m } else { f64::NAN });
-            }
-            println!(
-                "{:<10} {:<6} {:>12} {:>14.3} {:>9.2}x {:>9.2}x",
-                ds.name(),
-                q.name,
-                r1.total_matches,
-                base,
-                speeds[0],
-                speeds[1]
-            );
-        }
+    for r in fig4_rows(scale, quick_from_env()) {
+        println!(
+            "{:<10} {:<6} {:>12} {:>14.3} {:>9.2}x {:>9.2}x",
+            r.dataset, r.query, r.matches, r.base_sim_ms, r.speedup[0], r.speedup[1]
+        );
     }
     println!("\npaper's shape: close to 2x on two nodes, close to 3.1x on four nodes,");
     println!("with occasional superlinear cases from better cache behaviour.");

@@ -12,7 +12,9 @@
 //!   7-vertex set) so a full table finishes in seconds. Passing `--quick`
 //!   on the command line is equivalent (used by the CI smoke step).
 
+use cuts_dist::DistConfig;
 use cuts_gpu_sim::DeviceConfig;
+use cuts_graph::query_gen::query_set;
 use cuts_graph::{Dataset, Scale};
 
 /// Which of the paper's two machines a run models.
@@ -106,6 +108,56 @@ pub fn geomean(xs: &[f64]) -> Option<f64> {
     }
     let log_sum: f64 = xs.iter().map(|&x| x.max(f64::MIN_POSITIVE).ln()).sum();
     Some((log_sum / xs.len() as f64).exp())
+}
+
+/// One Figure 4 case: a big data graph × query, its single-node
+/// simulated makespan and its 2- and 4-node speedups.
+#[derive(Debug, Clone)]
+pub struct Fig4Row {
+    /// Dataset name.
+    pub dataset: &'static str,
+    /// Query name.
+    pub query: String,
+    /// Match count (asserted equal at every node count).
+    pub matches: u64,
+    /// Single-node makespan, simulated ms.
+    pub base_sim_ms: f64,
+    /// Speedup over one node at 2 and at 4 nodes.
+    pub speedup: [f64; 2],
+}
+
+/// Figure 4's sweep: `cuts_dist::run` on V100-shaped ranks (the paper's
+/// distributed nodes, §6.1) with chunk 64, over the three big data
+/// graphs and the 4-vertex queries (quick) or 5-vertex queries.
+pub fn fig4_rows(scale: Scale, quick: bool) -> Vec<Fig4Row> {
+    let config = DistConfig {
+        device: Machine::V100.device_config(scale),
+        dist_chunk: 64,
+        ..Default::default()
+    };
+    let (n, k) = if quick { (4, 2) } else { (5, 3) };
+    let queries = query_set(n, k);
+    let mut rows = Vec::new();
+    for ds in Dataset::BIG {
+        let data = ds.generate(scale);
+        for q in &queries {
+            let r1 = cuts_dist::run(&data, &q.graph, 1, &config).expect("1-node");
+            let base = r1.makespan_sim_millis();
+            let speedup = [2usize, 4].map(|ranks| {
+                let r = cuts_dist::run(&data, &q.graph, ranks, &config).expect("multi-node");
+                assert_eq!(r.total_matches, r1.total_matches, "count drift");
+                base / r.makespan_sim_millis()
+            });
+            rows.push(Fig4Row {
+                dataset: ds.name(),
+                query: q.name.clone(),
+                matches: r1.total_matches,
+                base_sim_ms: base,
+                speedup,
+            });
+        }
+    }
+    rows
 }
 
 /// Formats a milliseconds-or-failure cell like the paper's Table 3.

@@ -129,35 +129,6 @@ impl<T: Clone> WorkLedger<T> {
         }
     }
 
-    /// Replaces a pending unit with finer-grained children (progressive
-    /// deepening). The parent never commits; the children must. Returns
-    /// `false` (and registers nothing) if the parent was already gone.
-    pub fn split(&self, parent: WorkId, owner: usize, children: &[(WorkId, &T)]) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        match inner.units.remove(&parent) {
-            Some(WorkState::Pending { .. }) => {
-                inner.pending -= 1;
-                for &(id, payload) in children {
-                    let prev = inner.units.insert(
-                        id,
-                        WorkState::Pending {
-                            owner,
-                            payload: payload.clone(),
-                        },
-                    );
-                    assert!(prev.is_none(), "work unit {id} registered twice");
-                    inner.pending += 1;
-                }
-                true
-            }
-            Some(done @ WorkState::Done) => {
-                inner.units.insert(parent, done);
-                false
-            }
-            None => false,
-        }
-    }
-
     /// True when every registered unit has committed.
     pub fn all_completed(&self) -> bool {
         self.inner.lock().unwrap().pending == 0
@@ -346,20 +317,6 @@ mod tests {
         // Claimed units now belong to rank 2; rank 1's unit untouched.
         assert_eq!(l.reclaim(2, |owner| owner == 0).len(), 3, "still mine");
         assert_eq!(l.reclaim(1, |_| false).len(), 1);
-    }
-
-    #[test]
-    fn split_replaces_parent() {
-        let l: WorkLedger<u32> = WorkLedger::new();
-        let parent = l.new_id();
-        l.register(parent, 0, &9);
-        let (c1, c2) = (l.new_id(), l.new_id());
-        assert!(l.split(parent, 0, &[(c1, &1), (c2, &2)]));
-        assert!(!l.commit(parent, 100), "split parent must never commit");
-        assert!(l.commit(c1, 1));
-        assert!(l.commit(c2, 2));
-        assert!(l.all_completed());
-        assert_eq!(l.total_matches(), 3);
     }
 
     #[test]

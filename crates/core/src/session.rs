@@ -494,9 +494,9 @@ impl<'d> ExecSession<'d> {
 
     /// Expands seeded partial paths by exactly one level and returns the
     /// extended paths as a host trie (depth `seed.depth() + 1`). Used by
-    /// the distributed worker's progressive deepening: a single heavy
-    /// subtree becomes many donatable frontier slices. The seed must be
-    /// shallower than the query.
+    /// `cuts_dist::run_synchronous`, the lock-step ablation that
+    /// rebalances paths after every level; it charges the launch through
+    /// a `CounterSink`. The seed must be shallower than the query.
     pub fn expand_seed_once(
         &self,
         data: &Graph,

@@ -10,8 +10,8 @@ use cuts_obs::Trace;
 
 use crate::worker::Partition;
 
-/// Configuration for a distributed run. Progressive deepening (the
-/// mid-trie donation of a lone heavy job, §4.2) is always on, and
+/// Configuration for a distributed run. Every chunk runs whole on the
+/// rank that holds it and donation ships whole chunks (Algorithm 3);
 /// heartbeats go out every 10 ms.
 #[derive(Clone)]
 pub struct DistConfig {

@@ -18,7 +18,7 @@ use cuts_trie::HostTrie;
 
 use crate::config::DistConfig;
 use crate::metrics::{DistResult, RankMetrics, RecoveryStats};
-use crate::worker::{Partition, WorkerError};
+use crate::worker::WorkerError;
 
 /// Outcome of a synchronous run: the usual per-rank metrics plus the
 /// lock-step makespan (which includes barrier idling).
@@ -75,7 +75,6 @@ pub fn run_synchronous(
         })
         .map(|v| vec![v])
         .collect();
-    let _ = Partition::RoundRobin; // documented choice
     let mut frontiers: Vec<Vec<Vec<u32>>> = vec![Vec::new(); ranks];
     for (i, p) in roots.into_iter().enumerate() {
         frontiers[i % ranks].push(p);

@@ -261,63 +261,11 @@ impl<'a> Worker<'a> {
                 self.heartbeat_tick(Status::Busy);
                 self.poll_messages(&mut queue);
                 self.maybe_donate(&mut queue);
-                // Progressive deepening: when a peer is idle but the queue
-                // has nothing spare to donate, split this job's subtree by
-                // expanding one level and re-chunking the new frontier —
-                // the finer-granularity donation §4.2 gets from shipping
-                // partial tries mid-computation.
-                // (Not gated on observing a free peer: FREE broadcasts
-                // race with start-up, and the split is cheap relative to
-                // the subtree it unlocks for donation.)
-                if self.comm.size() > 1
-                    && queue.is_empty()
-                    && chunk.trie.depth() < self.query.num_vertices().saturating_sub(1)
-                {
-                    match self.deepen_job(&session, &chunk.trie) {
-                        Some(tries) if tries.len() > 1 => {
-                            let children: Vec<Chunk> = tries
-                                .into_iter()
-                                .map(|trie| Chunk {
-                                    id: self.shared.ledger.new_id(),
-                                    trie,
-                                })
-                                .collect();
-                            let refs: Vec<(ChunkId, &HostTrie)> =
-                                children.iter().map(|c| (c.id, &c.trie)).collect();
-                            if self.shared.ledger.split(chunk.id, self.comm.rank(), &refs) {
-                                self.trace.instant_with(
-                                    EventKind::Chunk,
-                                    "split",
-                                    &[
-                                        ("id", Arg::U64(chunk.id)),
-                                        ("children", Arg::U64(children.len() as u64)),
-                                    ],
-                                );
-                                queue.extend(children);
-                            } else {
-                                // Parent already committed elsewhere: this
-                                // was an at-least-once duplicate.
-                                self.metrics.duplicate_chunks += 1;
-                            }
-                            continue;
-                        }
-                        Some(tries) => {
-                            // One (or zero) sub-jobs: nothing gained,
-                            // process directly under the parent's id.
-                            let mut n = 0;
-                            for t in &tries {
-                                n += self.process_job(&session, t)?;
-                            }
-                            self.commit_chunk(chunk.id, n, &mut total);
-                            continue;
-                        }
-                        None => {} // deepening failed; fall through
-                    }
-                }
                 let n = self.process_job(&session, &chunk.trie)?;
                 self.commit_chunk(chunk.id, n, &mut total);
             }
-            // Queue drained: save results, discard trie, announce free.
+            // Queue drained: a due crash fires even after the run's last chunk.
+            self.check_crash()?;
             if self.shared.ledger.all_completed() {
                 break;
             }
@@ -428,20 +376,6 @@ impl<'a> Worker<'a> {
             ));
         }
         Ok(r.num_matches)
-    }
-
-    /// Expands a job one level and re-chunks the new frontier into jobs.
-    /// Returns `None` when the expansion itself cannot fit on the device
-    /// (the caller then processes the job whole, which may still succeed
-    /// through the engine's own chunking).
-    fn deepen_job(&self, session: &ExecSession<'_>, job: &HostTrie) -> Option<Vec<HostTrie>> {
-        let expanded = session.expand_seed_once(self.data, self.query, job).ok()?;
-        let frontier_len = expanded.levels.last().map(|l| l.len()).unwrap_or(0);
-        if frontier_len == 0 {
-            return Some(Vec::new());
-        }
-        let parts = frontier_len.div_ceil(self.config.dist_chunk).max(2);
-        Some(expanded.split_frontier(parts))
     }
 
     /// Integrates a WORK payload, discarding chunks the ledger says are
@@ -581,7 +515,6 @@ impl<'a> Worker<'a> {
             if self.shared.ledger.all_completed() {
                 return Ok(Idle::Done);
             }
-            self.check_crash()?;
             self.heartbeat_tick(Status::Free);
             if let Some((_, since)) = reserved {
                 if since.elapsed() >= self.config.rank_timeout {

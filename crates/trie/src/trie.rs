@@ -418,27 +418,6 @@ impl HostTrie {
         Ok(())
     }
 
-    /// Splits the deepest level's paths into up to `parts` contiguous
-    /// groups, each re-rooted as an independent trie — the donation-
-    /// granularity refinement: a single heavy subtree becomes several
-    /// shippable jobs.
-    pub fn split_frontier(&self, parts: usize) -> Vec<HostTrie> {
-        assert!(parts >= 1);
-        if self.levels.is_empty() {
-            return vec![];
-        }
-        let last = self.levels.len() - 1;
-        let paths = self.paths_at_level(last);
-        if paths.is_empty() {
-            return vec![];
-        }
-        let per = paths.len().div_ceil(parts);
-        paths
-            .chunks(per.max(1))
-            .map(HostTrie::from_flat_paths)
-            .collect()
-    }
-
     /// Builds a single-level host trie from flat paths of uniform depth,
     /// re-rooting each path as a chain (used by the receiving side of a
     /// donation: §4.2 "integrate it to its own local trie").
@@ -613,24 +592,6 @@ mod tests {
             bad.validate().unwrap_err(),
             ValidateError::LengthMismatch { .. }
         ));
-    }
-
-    #[test]
-    fn split_frontier_partitions_paths() {
-        let host = sample().to_host();
-        let parts = host.split_frontier(2);
-        assert_eq!(parts.len(), 2);
-        let mut all: Vec<Vec<u32>> = parts
-            .iter()
-            .flat_map(|t| t.paths_at_level(t.depth() - 1))
-            .collect();
-        all.sort();
-        let mut want = host.paths_at_level(1);
-        want.sort();
-        assert_eq!(all, want);
-        // More parts than paths: one trie per path.
-        assert_eq!(host.split_frontier(100).len(), 3);
-        assert!(HostTrie::new().split_frontier(4).is_empty());
     }
 
     #[test]
