@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::ops::Range;
 
-use cuts_gpu_sim::{Device, DeviceError};
+use cuts_gpu_sim::{Device, DeviceError, RunTarget};
 use cuts_graph::{Graph, VertexId};
 use cuts_trie::{Trie, NO_PARENT};
 
@@ -137,6 +137,19 @@ pub fn expand_range(
     frontier: Range<usize>,
     p: &ExpandParams<'_>,
 ) -> Result<(), DeviceError> {
+    expand_into(device, trie, trie.table(), frontier, p)
+}
+
+/// [`expand_range`] appending the new level to `out`: `trie`'s table, or
+/// its counting view ([`cuts_trie::PairTable::counted`]) when nothing
+/// will read the level. Both reserve, overflow and charge alike.
+pub(crate) fn expand_into<T: RunTarget + ?Sized>(
+    device: &Device,
+    trie: &Trie,
+    out: &T,
+    frontier: Range<usize>,
+    p: &ExpandParams<'_>,
+) -> Result<(), DeviceError> {
     debug_assert!(p.pos >= 1 && p.pos < p.plan.len());
     let back = &p.plan.back_edges[p.pos];
     debug_assert!(!back.is_empty(), "connected order guarantees a constraint");
@@ -146,7 +159,7 @@ pub fn expand_range(
     let total = frontier.len();
     let blocks = p.max_blocks.min(total).max(1);
 
-    device.launch_ordered(p.method.kernel_name(), blocks, trie.table(), |ctx, out| {
+    device.launch_ordered(p.method.kernel_name(), blocks, out, |ctx, out| {
         // Constraint lists live on the stack unless the query vertex has
         // an unusually large number of back edges.
         let mut stack_lists = [&[][..]; STACK_LISTS];

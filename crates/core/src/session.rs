@@ -40,7 +40,7 @@ use cuts_trie::{PairTable, Trie};
 use crate::cache::{PlanCache, PlanCacheStats};
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::kernels::{expand_range, init_candidates, ExpandParams, SigPrefilter};
+use crate::kernels::{expand_into, expand_range, init_candidates, ExpandParams, SigPrefilter};
 use crate::plan::{DeviceClass, QueryPlan};
 use crate::policy::KernelPolicy;
 use crate::result::MatchResult;
@@ -751,7 +751,7 @@ impl<'d> ExecSession<'d> {
             let pre_len = trie.table().len();
             let placement = self.placement(&mut rng, &frontier);
             let params = ctx.params(pos, placement.as_deref());
-            match expand_range(self.device, trie, frontier.clone(), &params) {
+            match self.expand_level(trie, frontier.clone(), &params, sink.is_some()) {
                 Ok(()) => {
                     let lvl = trie.seal_level();
                     level_counts[pos] += lvl.len() as u64;
@@ -956,7 +956,8 @@ impl<'d> ExecSession<'d> {
         let mut total = 0u64;
         for chunk in cuts_trie::Chunks::new(frontier, chunk_size) {
             let pre_len = trie.table().len();
-            match expand_range(self.device, trie, chunk.clone(), &ctx.params(pos, None)) {
+            let params = ctx.params(pos, None);
+            match self.expand_level(trie, chunk.clone(), &params, sink.is_some()) {
                 Ok(()) => {
                     let lvl = trie.seal_level();
                     level_counts[pos] += lvl.len() as u64;
@@ -999,6 +1000,23 @@ impl<'d> ExecSession<'d> {
             }
         }
         Ok(total)
+    }
+
+    /// Expands `frontier` by the level at `params.pos`. The deepest level
+    /// of a run without a sink is never read, so it is counted, not
+    /// stored (DESIGN §13.4): reserved and charged, but never written.
+    fn expand_level(
+        &self,
+        trie: &Trie,
+        frontier: Range<usize>,
+        params: &ExpandParams<'_>,
+        has_sink: bool,
+    ) -> Result<(), DeviceError> {
+        if !has_sink && params.pos + 1 == params.plan.len() {
+            expand_into(self.device, trie, &trie.table().counted(), frontier, params)
+        } else {
+            expand_range(self.device, trie, frontier, params)
+        }
     }
 
     /// Streams the full embeddings ending at `level`'s entries, remapped
@@ -1486,6 +1504,39 @@ mod tests {
         assert_eq!(cold_entries, warm_entries);
         assert_eq!(cold.counters, warm.counters);
         assert_eq!(cold.level_counts, warm.level_counts);
+    }
+
+    /// The chain-growth case of `tests/counted_level.rs`: a budgeted run
+    /// that starts at one entry overflows and grows its chain, counted
+    /// level included, exactly as the same run with a sink does.
+    #[test]
+    fn a_counted_level_grows_its_chain_like_a_stored_one() {
+        let device = Device::new(DeviceConfig::test_small());
+        let session = ExecSession::new(&device, EngineConfig::default());
+        for (data, query) in [
+            (erdos_renyi(300, 3000, 5), chain(3)),
+            (erdos_renyi(150, 3000, 6), clique(4)),
+            (mesh2d(40, 40), cycle(4)),
+            (star(200), chain(3)),
+        ] {
+            let plan = session.plan_over(&data, &query).unwrap();
+            let grown = |sink| {
+                session
+                    .run_budgeted(&plan, &data, sink, None, 1, 1 << 20, &GrantAll)
+                    .unwrap()
+            };
+            let (counted, counted_entries) = grown(None);
+            let mut leaves = 0u64;
+            let (stored, stored_entries) = grown(Some(&mut |_: &[u32]| leaves += 1));
+            assert!(counted_entries > 1, "the chain must grow");
+            assert_eq!(counted_entries, stored_entries);
+            assert_eq!(leaves, stored.num_matches);
+            assert_eq!(counted.num_matches, stored.num_matches);
+            assert_eq!(counted.level_counts, stored.level_counts);
+            assert_eq!(counted.counters, stored.counters);
+            assert_eq!(counted.used_chunking, stored.used_chunking);
+            assert_eq!(counted.sim_millis.to_bits(), stored.sim_millis.to_bits());
+        }
     }
 
     #[test]

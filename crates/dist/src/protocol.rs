@@ -129,14 +129,6 @@ impl StatusBoard {
             .find(|&(r, &s)| r != self.me && s == Status::Free && !self.is_stale(r, timeout))
             .map(|(r, _)| r)
     }
-
-    /// True when every peer (not counting ourselves) is free.
-    pub fn all_peers_free(&self) -> bool {
-        self.status
-            .iter()
-            .enumerate()
-            .all(|(r, &s)| r == self.me || s == Status::Free)
-    }
 }
 
 /// One donated chunk: its ledger identity plus the partial-path trie.
@@ -208,23 +200,12 @@ mod tests {
     fn status_board_lifecycle() {
         let mut b = StatusBoard::new(3, 1);
         assert!(b.first_free_peer(T).is_none());
-        assert!(!b.all_peers_free());
         b.mark_free(2);
         assert_eq!(b.first_free_peer(T), Some(2));
         b.mark_free(0);
-        assert!(b.all_peers_free());
         assert_eq!(b.first_free_peer(T), Some(0));
         b.mark_busy(0);
-        assert!(!b.all_peers_free());
-    }
-
-    #[test]
-    fn own_status_ignored_for_termination() {
-        let mut b = StatusBoard::new(2, 0);
-        b.mark_free(1);
-        // Rank 0 itself is still "busy" in the vector but that must not
-        // block its own exit decision.
-        assert!(b.all_peers_free());
+        assert_eq!(b.first_free_peer(T), Some(2));
     }
 
     #[test]

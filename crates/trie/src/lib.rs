@@ -29,5 +29,5 @@ pub mod table;
 pub mod trie;
 
 pub use chunk::Chunks;
-pub use table::{PairRange, PairTable};
+pub use table::{Counted, PairRange, PairTable};
 pub use trie::{HostTrie, Trie, ValidateError, NO_PARENT};

@@ -81,6 +81,12 @@ pub struct PairTable {
     /// chained; fixed when single).
     capacity: AtomicUsize,
     cursor: AtomicUsize,
+    /// First entry a [`Counted`] reservation claimed and left unwritten
+    /// (`usize::MAX` when none is held); debug builds refuse to read from
+    /// there on. Slabs are reused across runs, so such an entry would
+    /// otherwise read as a previous run's data. Relaxed: it publishes no
+    /// data, and a kernel's join orders its claims before later reads.
+    unwritten_from: AtomicUsize,
     /// Single-segment fast path: direct indexing, arbitrary capacity.
     single: bool,
     /// Serialises [`PairTable::grow_to`] callers.
@@ -105,6 +111,7 @@ impl PairTable {
             seg_shift: 0,
             capacity: AtomicUsize::new(capacity),
             cursor: AtomicUsize::new(0),
+            unwritten_from: AtomicUsize::new(usize::MAX),
             single: true,
             grow: Mutex::new(()),
             source: None,
@@ -162,6 +169,7 @@ impl PairTable {
             seg_shift: seg_entries.trailing_zeros(),
             capacity: AtomicUsize::new(0),
             cursor: AtomicUsize::new(0),
+            unwritten_from: AtomicUsize::new(usize::MAX),
             single: false,
             grow: Mutex::new(()),
             source: Some(ChainSource {
@@ -274,6 +282,23 @@ impl PairTable {
         }
     }
 
+    /// A view of this table that reserves entries exactly as the table's
+    /// own [`RunTarget`] does (same cursor, capacity and
+    /// [`DeviceError::BufferOverflow`]) but writes no PA/CA word: the
+    /// output of a level that is counted and never read.
+    pub fn counted(&self) -> Counted<'_> {
+        Counted(self)
+    }
+
+    /// Debug builds panic on reading an entry a [`Counted`] view claimed.
+    #[inline]
+    fn debug_assert_written(&self, i: usize) {
+        debug_assert!(
+            i < self.unwritten_from.load(Ordering::Relaxed),
+            "entry {i} belongs to a counted level: reserved, never written"
+        );
+    }
+
     /// Locates entry `i`: its segment and in-segment offset.
     #[inline]
     fn locate(&self, i: usize) -> (&Segment, usize) {
@@ -293,6 +318,7 @@ impl PairTable {
     /// Parent index of entry `i`.
     #[inline]
     pub fn parent(&self, i: usize) -> u32 {
+        self.debug_assert_written(i);
         let (seg, off) = self.locate(i);
         seg.pa.get(off)
     }
@@ -300,6 +326,7 @@ impl PairTable {
     /// Candidate id of entry `i`.
     #[inline]
     pub fn candidate(&self, i: usize) -> u32 {
+        self.debug_assert_written(i);
         let (seg, off) = self.locate(i);
         seg.ca.get(off)
     }
@@ -307,22 +334,26 @@ impl PairTable {
     /// `(parent, candidate)` of entry `i`, located once for both arrays.
     #[inline]
     pub fn pair(&self, i: usize) -> (u32, u32) {
+        self.debug_assert_written(i);
         let (seg, off) = self.locate(i);
         (seg.pa.get(off), seg.ca.get(off))
     }
 
     /// Shrinks the committed length (hybrid BFS-DFS reclaims chunk
-    /// scratch levels this way).
+    /// scratch levels this way), dropping any counted entries it cuts.
     pub fn truncate(&self, len: usize) {
         let cur = self.cursor.load(Ordering::Acquire);
         assert!(len <= cur, "truncate can only shrink");
         self.cursor.store(len, Ordering::Release);
+        if len <= self.unwritten_from.load(Ordering::Relaxed) {
+            self.unwritten_from.store(usize::MAX, Ordering::Relaxed);
+        }
     }
 
     /// Drops all entries. Chained storage keeps its segments: clearing is
     /// the between-queries reset, not a release.
     pub fn clear(&self) {
-        self.cursor.store(0, Ordering::Release);
+        self.truncate(0);
     }
 }
 
@@ -356,6 +387,32 @@ impl RunTarget for PairTable {
             at += children.len();
         }
         true
+    }
+}
+
+/// The counting output of a [`PairTable`] (see [`PairTable::counted`]):
+/// appends move the cursor and overflow like the table's own, and a
+/// staged block claims its entries' count.
+pub struct Counted<'a>(&'a PairTable);
+
+impl Counted<'_> {
+    fn claim(&self, n: usize) -> Result<(), DeviceError> {
+        let start = self.0.reserve(n)?.start();
+        let mark = &self.0.unwritten_from;
+        if n > 0 && start < mark.load(Ordering::Relaxed) {
+            mark.fetch_min(start, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+}
+
+impl RunTarget for Counted<'_> {
+    fn append(&self, _parent: u32, children: &[u32]) -> Result<(), DeviceError> {
+        self.claim(children.len())
+    }
+
+    fn append_all(&self, runs: &StagedRuns) -> bool {
+        self.claim(runs.len()).is_ok()
     }
 }
 
@@ -432,6 +489,7 @@ impl PairRange<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NO_PARENT;
     use cuts_gpu_sim::{ClassSpec, DeviceConfig};
 
     fn chain_arena(device: &Device, slab_words: usize, slabs: usize) -> Arena {
@@ -523,6 +581,100 @@ mod tests {
         assert_eq!(r.start(), 2);
         t.clear();
         assert!(t.is_empty());
+    }
+
+    /// `Debug` of an append's result: the error and its capacity.
+    fn outcome(r: Result<(), DeviceError>) -> String {
+        format!("{r:?}")
+    }
+
+    /// An ordered launch of one block per entry of `sizes`, block `b`
+    /// appending `sizes[b]` children, on four host threads: blocks that
+    /// helpers run are staged and committed through `append_all`.
+    fn launch<T: RunTarget + ?Sized>(target: &T, sizes: &[usize]) -> Result<(), DeviceError> {
+        let mut d = Device::new(DeviceConfig::test_small());
+        d.set_host_threads(4);
+        d.launch_ordered("expand", sizes.len(), target, |ctx, out| {
+            if ctx.block_id == 0 {
+                // Outlast the launch's direct phase so helpers join.
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            out.append(ctx.block_id as u32, &vec![7; sizes[ctx.block_id]])
+        })
+    }
+
+    #[test]
+    fn counted_appends_reserve_exactly_like_stored_ones() {
+        let stored = PairTable::on_host(10);
+        let counted = PairTable::on_host(10);
+        let view = counted.counted();
+        // The fourth run overflows both (9 + 2 > 10); the last still fits.
+        let runs: [&[u32]; 5] = [&[1, 2, 3], &[4, 5], &[6, 7, 8, 9], &[10, 11], &[12]];
+        for (p, run) in runs.into_iter().enumerate() {
+            let s = outcome(stored.append(p as u32, run));
+            assert_eq!(outcome(view.append(p as u32, run)), s);
+            assert_eq!(counted.len(), stored.len(), "after run {p}");
+        }
+        assert_eq!(counted.len(), 10);
+        assert_eq!(
+            outcome(view.append(0, &[1])),
+            outcome(Err(DeviceError::BufferOverflow { capacity: 10 }))
+        );
+
+        // Staged blocks, in a launch that fits and in one where block 8
+        // overflows and the one-entry blocks after it still fit, one each.
+        let sizes: Vec<usize> = (0..20).map(|b| b % 3 + 1).collect();
+        let fits = sizes.iter().sum::<usize>();
+        let overflows = sizes[..8].iter().sum::<usize>() + sizes[8] - 1;
+        for capacity in [fits, overflows] {
+            let stored = PairTable::on_host(capacity);
+            let counted = PairTable::on_host(capacity);
+            let s = outcome(launch(&stored, &sizes));
+            assert_eq!(outcome(launch(&counted.counted(), &sizes)), s);
+            assert_eq!(s == "Ok(())", capacity == fits, "{s}");
+            assert_eq!((counted.len(), stored.len()), (capacity, capacity));
+        }
+    }
+
+    #[test]
+    fn counted_appends_leave_the_storage_untouched() {
+        let t = PairTable::on_host(6);
+        t.reserve(6)
+            .unwrap()
+            .write_children(0, 9, &[10, 11, 12, 13, 14, 15]);
+        t.clear();
+        let view = t.counted();
+        view.append(1, &[1, 2]).unwrap();
+        launch(&view, &[1; 4]).unwrap();
+        assert_eq!(t.len(), 6);
+        // Dropping the counted entries lifts the read guard: the slots
+        // still hold what the earlier run wrote.
+        t.truncate(0);
+        for i in 0..6 {
+            assert_eq!(t.pair(i), (9, 10 + i as u32));
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "counted level")]
+    fn reading_a_counted_entry_panics() {
+        let t = PairTable::on_host(8);
+        t.append(NO_PARENT, &[1, 2]).unwrap();
+        t.counted().append(0, &[5, 6]).unwrap();
+        assert_eq!(t.pair(1), (NO_PARENT, 2), "stored entries stay readable");
+        t.pair(2);
+    }
+
+    #[test]
+    fn truncating_a_counted_level_lets_stored_entries_be_read() {
+        let t = PairTable::on_host(8);
+        t.append(NO_PARENT, &[1, 2]).unwrap();
+        t.counted().append(0, &[5, 6]).unwrap();
+        t.truncate(3); // keeps one counted entry: still guarded
+        t.truncate(2);
+        t.append(1, &[7, 8]).unwrap();
+        assert_eq!((t.pair(2), t.pair(3)), ((1, 7), (1, 8)));
     }
 
     #[test]
