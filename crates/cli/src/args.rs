@@ -32,7 +32,7 @@ USAGE:
                post-mortem dump
   cuts snapshot build (<edgelist> | --dataset <name> [--scale <s>])
                --out <path> [--queries <spec,spec,...>] [--directed]
-               [--device v100|a100|test] [--store-tries]
+               [--device v100|a100|test]
   cuts snapshot inspect <path>
   cuts queries [--n <vertices>] [--top <k>]
   cuts help
@@ -102,9 +102,8 @@ WATCHING:      `watch` serves standing queries over a live graph: each
                from a surviving rank. The SLO table covers per-delta
                latencies under class watch/q<i>
 SNAPSHOTS:     `snapshot build` profiles a data graph, plans each --queries
-               spec, and writes a versioned, checksummed container;
-               --store-tries additionally runs each query and persists its
-               CSF result trie. `snapshot inspect` verifies every checksum
+               spec, and writes a versioned, checksummed container.
+               `snapshot inspect` verifies every checksum
                and prints the section table. `match --snapshot <path>` and
                `serve --snapshot <path>` warm-start from a container: the
                graph and its profile come from the file (no ingestion, no
@@ -240,8 +239,6 @@ pub struct SnapshotBuildOpts {
     pub device: String,
     /// Load the data graph as directed.
     pub directed: bool,
-    /// Also run each query and persist its CSF result trie.
-    pub store_tries: bool,
 }
 
 /// A parsed command.
@@ -490,7 +487,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                         queries: Vec::new(),
                         device: "v100".into(),
                         directed: false,
-                        store_tries: false,
                     };
                     let mut it = extra.iter();
                     while let Some(a) = it.next() {
@@ -507,15 +503,11 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                                 opts.device = take_value("--device", &mut it)?.to_string()
                             }
                             "--directed" => opts.directed = true,
-                            "--store-tries" => opts.store_tries = true,
                             other => return Err(format!("unknown flag {other}")),
                         }
                     }
                     if opts.out.is_empty() {
                         return Err("snapshot build requires --out".into());
-                    }
-                    if opts.store_tries && opts.queries.is_empty() {
-                        return Err("--store-tries requires --queries".into());
                     }
                     Ok(Command::SnapshotBuild(opts))
                 }
@@ -948,7 +940,7 @@ mod tests {
     fn parses_snapshot_build() {
         let c = parse(&argv(
             "snapshot build --dataset enron --out warm.snap --queries clique:3,chain:4 \
-             --device test --store-tries",
+             --device test",
         ))
         .unwrap();
         match c {
@@ -966,15 +958,14 @@ mod tests {
                     vec!["clique:3".to_string(), "chain:4".to_string()]
                 );
                 assert_eq!(o.device, "test");
-                assert!(o.store_tries);
                 assert!(!o.directed);
             }
             other => panic!("{other:?}"),
         }
-        // --out is mandatory; --store-tries needs queries; a source is needed.
+        // --out is mandatory; --store-tries is not a flag; a source is needed.
         assert!(parse(&argv("snapshot build --dataset enron")).is_err());
         assert!(parse(&argv(
-            "snapshot build --dataset enron --out s --store-tries"
+            "snapshot build --dataset enron --out s --queries clique:3 --store-tries"
         ))
         .is_err());
         assert!(parse(&argv("snapshot build --out s")).is_err());

@@ -15,8 +15,6 @@ use cuts_obs::{
 };
 
 use crate::args::{Command, DataSource, MatchOpts, ServeOpts, SnapshotBuildOpts, WatchOpts, USAGE};
-use cuts_trie::csf::Csf;
-use cuts_trie::HostTrie;
 use std::borrow::Cow;
 use std::io::{self, Write};
 use std::sync::Arc;
@@ -193,11 +191,10 @@ fn run_match(opts: &MatchOpts, profile: bool) -> Result<(), CmdError> {
         Some((path, snap)) => {
             let query = load_query(&opts.query, false)?;
             println!(
-                "snapshot: {} vertices / {} arcs, {} plan(s), {} trie(s) from {path}",
+                "snapshot: {} vertices / {} arcs, {} plan(s) from {path}",
                 snap.graph().num_vertices(),
                 snap.graph().num_edges(),
-                snap.plans().len(),
-                snap.tries().len()
+                snap.plans().len()
             );
             (Cow::Borrowed(snap.graph()), query)
         }
@@ -340,8 +337,7 @@ fn run_match(opts: &MatchOpts, profile: bool) -> Result<(), CmdError> {
 }
 
 /// `cuts snapshot build`: profile a graph, plan each query spec, and
-/// persist everything — optionally with each query's CSF result trie — as
-/// one versioned, checksummed container.
+/// persist everything as one versioned, checksummed container.
 fn run_snapshot_build(opts: &SnapshotBuildOpts) -> Result<(), CmdError> {
     let data = load(&opts.data, opts.directed)?;
     println!(
@@ -358,7 +354,6 @@ fn run_snapshot_build(opts: &SnapshotBuildOpts) -> Result<(), CmdError> {
         EngineConfig::default(),
         16usize.max(opts.queries.len()),
     );
-    let mut queries = Vec::with_capacity(opts.queries.len());
     for spec in &opts.queries {
         let q = load_query(spec, opts.directed)?;
         let plan = session.plan_over(&data, &q)?;
@@ -367,31 +362,14 @@ fn run_snapshot_build(opts: &SnapshotBuildOpts) -> Result<(), CmdError> {
             plan.len(),
             plan.key.query
         );
-        queries.push(q);
     }
-    let mut snap = Snapshot::capture(&data, &session);
-    if opts.store_tries {
-        for (spec, q) in opts.queries.iter().zip(&queries) {
-            let plan = session.plan_over(&data, q)?; // cache hit: planned above
-            let order = plan.order.order.clone();
-            let mut paths: Vec<Vec<u32>> = Vec::new();
-            session.run_enumerate(&data, q, &mut |m| {
-                // The sink is indexed by query vertex id; trie paths are
-                // in matching-order space.
-                paths.push(order.iter().map(|&v| m[v as usize]).collect());
-            })?;
-            let csf = Csf::from_host_trie(&HostTrie::from_flat_paths(&paths));
-            snap.add_trie(plan.key.query, csf);
-            println!("  stored result trie for {spec}: {} path(s)", paths.len());
-        }
-    }
-    snap.write_to(&opts.out)?;
+    Snapshot::capture(&data, &session).write_to(&opts.out)?;
     // Re-read and verify: a snapshot we cannot inspect is not a snapshot.
     let bytes = std::fs::read(&opts.out).map_err(|e| CutsError::io(&opts.out, e))?;
     let info = cuts_core::snapshot::inspect(&bytes)?;
     println!(
-        "snapshot: {} plan(s), {} trie(s), {} byte(s) -> {}",
-        info.plans, info.tries, info.total_bytes, opts.out
+        "snapshot: {} plan(s), {} byte(s) -> {}",
+        info.plans, info.total_bytes, opts.out
     );
     Ok(())
 }
@@ -415,7 +393,6 @@ fn run_snapshot_inspect(path: &str) -> Result<(), CmdError> {
         if info.labeled { "labeled" } else { "unlabeled" }
     );
     println!("  plans:    {}", info.plans);
-    println!("  tries:    {}", info.tries);
     println!("  size:     {} byte(s)", info.total_bytes);
     println!("  sections (all checksums verified):");
     for s in &info.sections {
@@ -1430,7 +1407,6 @@ mod tests {
             queries: vec!["clique:3".into(), "chain:3".into()],
             device: "test".into(),
             directed: false,
-            store_tries: true,
         })
         .unwrap();
         run_snapshot_inspect(&out).unwrap();

@@ -9,7 +9,6 @@
 
 use cuts_gpu_sim::DeviceError;
 use cuts_graph::edgelist::ParseError;
-use cuts_trie::serial::WireError;
 
 /// Failures of a matching run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,6 +136,26 @@ impl std::fmt::Display for SchedError {
 
 impl std::error::Error for SchedError {}
 
+/// Errors from decoding a donated-work (`WORK`) payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WireError {
+    /// Payload shorter than its header claims.
+    Truncated,
+    /// Header fields are internally inconsistent.
+    Corrupt(&'static str),
+}
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WireError::Truncated => write!(f, "payload truncated"),
+            WireError::Corrupt(what) => write!(f, "payload corrupt: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
 /// Failures of the distributed runtime. Defined here (rather than in
 /// `cuts-dist`) so the whole hierarchy converges on [`CutsError`]
 /// without a dependency cycle; `cuts-dist` re-exports it as its worker
@@ -145,7 +164,7 @@ impl std::error::Error for SchedError {}
 pub enum DistError {
     /// A rank's local engine failed.
     Engine(EngineError),
-    /// A serialized trie payload failed to decode.
+    /// A donated-work payload failed to decode.
     Wire(WireError),
     /// An injected crash fault fired (fault-plan testing).
     InjectedCrash {
@@ -223,7 +242,8 @@ impl From<WireError> for DistError {
 pub enum SnapshotError {
     /// The file does not start with the `CUTSNAP\0` magic.
     BadMagic,
-    /// The container's format version is newer than this build reads.
+    /// The container's format version is not the one this build reads
+    /// (older or newer).
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
@@ -292,15 +312,6 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
-
-impl From<WireError> for SnapshotError {
-    fn from(e: WireError) -> Self {
-        match e {
-            WireError::Truncated => SnapshotError::Truncated,
-            WireError::Corrupt(what) => SnapshotError::Corrupt(what),
-        }
-    }
-}
 
 /// The unified top-level error: every fallible public operation in the
 /// workspace converges here via `From`. Marked `#[non_exhaustive]` so
@@ -509,14 +520,6 @@ mod tests {
             assert!(matches!(top, CutsError::Snapshot(_)));
         }
         assert!(cases[4].to_string().contains("PROF"));
-        assert_eq!(
-            SnapshotError::from(WireError::Truncated),
-            SnapshotError::Truncated
-        );
-        assert_eq!(
-            SnapshotError::from(WireError::Corrupt("x")),
-            SnapshotError::Corrupt("x")
-        );
     }
 
     #[test]

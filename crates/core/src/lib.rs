@@ -47,7 +47,9 @@ pub mod watch;
 pub use cache::{PlanCache, PlanCacheStats};
 pub use config::{EngineConfig, IntersectStrategy, VirtualWarpPolicy};
 pub use dynamic::{BatchOutcome, DynamicError, DynamicSession, MatchDelta, StandingQueryId};
-pub use error::{ConfigError, CutsError, DistError, EngineError, SchedError, SnapshotError};
+pub use error::{
+    ConfigError, CutsError, DistError, EngineError, SchedError, SnapshotError, WireError,
+};
 pub use fault::{CrashKind, FaultInjector, FaultPlan};
 pub use job::{ClassSlo, Job, JobId, JobOutcome, SloReport, StatsSink};
 pub use ledger::{AliveBoard, WorkId, WorkLedger};

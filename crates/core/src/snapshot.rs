@@ -2,19 +2,18 @@
 //!
 //! A snapshot persists everything a serving process rebuilds from
 //! scratch on every start today — the data graph with its
-//! [`DataProfile`] (degree deciles + packed signatures), the
+//! [`DataProfile`] (degree deciles + packed signatures) and the
 //! [`crate::PlanCache`]'s [`QueryPlan`]s keyed by their existing
-//! [`crate::PlanKey`] fingerprints, and CSF path-set result tries — in
-//! one checksummed binary file. [`crate::ExecSession::from_snapshot`]
-//! restores a device-bound session from it with **zero** plan builds and
-//! **zero** re-profiling.
+//! [`crate::PlanKey`] fingerprints — in one checksummed binary file.
+//! [`crate::ExecSession::from_snapshot`] restores a device-bound session
+//! from it with **zero** plan builds and **zero** re-profiling.
 //!
 //! The normative wire-format specification lives in DESIGN.md §12; the
 //! layout in brief (all integers little-endian):
 //!
 //! ```text
 //! [0,  8)   magic "CUTSNAP\0"
-//! [8,  12)  format version (currently 1)
+//! [8,  12)  format version (currently 2)
 //! [12, 16)  section count
 //! [16, 20)  CRC-32 of the section table
 //! [20, 20 + 24·count)  section table: tag[4] · offset u64 · len u64 · crc u32
@@ -23,7 +22,7 @@
 //! ```
 //!
 //! Sections appear in the fixed order `META`, `GRPH`, `PROF`, `PLNS`,
-//! `CSFS`, each covered by its own CRC-32 (IEEE). Every byte of the file
+//! each covered by its own CRC-32 (IEEE). Every byte of the file
 //! is covered by a check: decoders return typed [`SnapshotError`]s on
 //! bad magic, unsupported versions, checksum mismatches, truncation, or
 //! inconsistent contents — never a panic, never a silently-wrong decode.
@@ -34,8 +33,6 @@ use std::sync::{Arc, Mutex};
 use cuts_graph::profile::{DataProfile, DegreeBucketStats};
 use cuts_graph::{Csr, Graph};
 use cuts_obs::{Arg, EventKind};
-use cuts_trie::csf::Csf;
-use cuts_trie::serial::{decode_csf, encode_csf};
 
 use crate::config::{EngineConfig, IntersectStrategy, VirtualWarpPolicy};
 use crate::error::{CutsError, SnapshotError};
@@ -47,10 +44,10 @@ use crate::session::ExecSession;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CUTSNAP\0";
 
 /// The container format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// Fixed section order of a version-1 snapshot.
-pub const SECTION_TAGS: [[u8; 4]; 5] = [*b"META", *b"GRPH", *b"PROF", *b"PLNS", *b"CSFS"];
+/// Fixed section order of a version-2 snapshot.
+pub const SECTION_TAGS: [[u8; 4]; 4] = [*b"META", *b"GRPH", *b"PROF", *b"PLNS"];
 
 /// Byte offset where the section table starts.
 const TABLE_START: usize = 20;
@@ -633,33 +630,6 @@ fn decode_plans(bytes: &[u8]) -> Result<Vec<Arc<QueryPlan>>, SnapshotError> {
     Ok(plans)
 }
 
-fn encode_tries(tries: &[(u64, Csf)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, tries.len() as u32);
-    for (key, csf) in tries {
-        put_u64(&mut out, *key);
-        let body = encode_csf(csf);
-        put_u64(&mut out, body.len() as u64);
-        out.extend_from_slice(&body);
-    }
-    out
-}
-
-fn decode_tries(bytes: &[u8]) -> Result<Vec<(u64, Csf)>, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    let count = r.u32()? as usize;
-    let mut tries = Vec::new();
-    for _ in 0..count {
-        let key = r.u64()?;
-        let len = r.size()?;
-        let body = r.take(len)?;
-        let csf = decode_csf(bytes::Bytes::from(body))?;
-        tries.push((key, csf));
-    }
-    r.finish()?;
-    Ok(tries)
-}
-
 // ---------------------------------------------------------------------------
 // META section + container assembly.
 // ---------------------------------------------------------------------------
@@ -670,7 +640,6 @@ struct Meta {
     symmetric: bool,
     labeled: bool,
     plan_count: u32,
-    trie_count: u32,
 }
 
 fn encode_meta(m: &Meta) -> Vec<u8> {
@@ -680,7 +649,6 @@ fn encode_meta(m: &Meta) -> Vec<u8> {
     put_flag(&mut out, m.symmetric);
     put_flag(&mut out, m.labeled);
     put_u32(&mut out, m.plan_count);
-    put_u32(&mut out, m.trie_count);
     out
 }
 
@@ -692,7 +660,6 @@ fn decode_meta(bytes: &[u8]) -> Result<Meta, SnapshotError> {
         symmetric: r.flag()?,
         labeled: r.flag()?,
         plan_count: r.u32()?,
-        trie_count: r.u32()?,
     };
     r.finish()?;
     Ok(m)
@@ -773,24 +740,22 @@ fn parse_container(bytes: &[u8]) -> Result<Sections<'_>, SnapshotError> {
 // The snapshot value itself.
 // ---------------------------------------------------------------------------
 
-/// An in-memory snapshot: a data graph with its cached profile, the
-/// plans a session built for it, and optional CSF result tries.
+/// An in-memory snapshot: a data graph with its cached profile and the
+/// plans a session built for it.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     graph: Graph,
     plans: Vec<Arc<QueryPlan>>,
-    tries: Vec<(u64, Csf)>,
 }
 
 impl Snapshot {
     /// A snapshot of `data` alone (profile computed now if not cached);
-    /// no plans, no tries.
+    /// no plans.
     pub fn new(data: &Graph) -> Snapshot {
         let _ = data.profile();
         Snapshot {
             graph: data.clone(),
             plans: Vec::new(),
-            tries: Vec::new(),
         }
     }
 
@@ -842,18 +807,7 @@ impl Snapshot {
         &self.plans
     }
 
-    /// The persisted CSF result tries with their caller-chosen keys
-    /// (conventionally the query fingerprint, [`PlanKey::query`]).
-    pub fn tries(&self) -> &[(u64, Csf)] {
-        &self.tries
-    }
-
-    /// Adds a CSF result trie to persist under `key`.
-    pub fn add_trie(&mut self, key: u64, csf: Csf) {
-        self.tries.push((key, csf));
-    }
-
-    /// Serializes to the version-1 container format. Canonical: decoding
+    /// Serializes to the version-2 container format. Canonical: decoding
     /// and re-encoding reproduces the bytes exactly.
     pub fn encode(&self) -> Vec<u8> {
         let meta = Meta {
@@ -862,14 +816,12 @@ impl Snapshot {
             symmetric: self.graph.is_symmetric(),
             labeled: self.graph.is_labeled(),
             plan_count: self.plans.len() as u32,
-            trie_count: self.tries.len() as u32,
         };
-        let sections: [([u8; 4], Vec<u8>); 5] = [
+        let sections: [([u8; 4], Vec<u8>); 4] = [
             (*b"META", encode_meta(&meta)),
             (*b"GRPH", encode_graph(&self.graph)),
             (*b"PROF", encode_profile(&self.graph.profile())),
             (*b"PLNS", encode_plans(&self.plans)),
-            (*b"CSFS", encode_tries(&self.tries)),
         ];
         let mut table = Vec::with_capacity(sections.len() * TABLE_ENTRY);
         let mut offset = (TABLE_START + sections.len() * TABLE_ENTRY) as u64;
@@ -901,7 +853,6 @@ impl Snapshot {
         let graph = decode_graph(sections[1].1)?;
         let profile = decode_profile(sections[2].1)?;
         let plans = decode_plans(sections[3].1)?;
-        let tries = decode_tries(sections[4].1)?;
         if profile.vertices != graph.num_vertices() || profile.labeled != graph.is_labeled() {
             return Err(SnapshotError::Corrupt("profile does not match graph"));
         }
@@ -910,16 +861,11 @@ impl Snapshot {
             || meta.symmetric != graph.is_symmetric()
             || meta.labeled != graph.is_labeled()
             || meta.plan_count as usize != plans.len()
-            || meta.trie_count as usize != tries.len()
         {
             return Err(SnapshotError::Corrupt("meta disagrees with sections"));
         }
         let graph = graph.with_cached_profile(Arc::new(profile));
-        Ok(Snapshot {
-            graph,
-            plans,
-            tries,
-        })
+        Ok(Snapshot { graph, plans })
     }
 
     /// Writes the encoded snapshot to `path`.
@@ -966,8 +912,6 @@ pub struct SnapshotInfo {
     pub labeled: bool,
     /// Persisted plan count.
     pub plans: u32,
-    /// Persisted CSF trie count.
-    pub tries: u32,
     /// Total file size in bytes.
     pub total_bytes: u64,
 }
@@ -992,7 +936,6 @@ pub fn inspect(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
         symmetric: meta.symmetric,
         labeled: meta.labeled,
         plans: meta.plan_count,
-        tries: meta.trie_count,
         total_bytes: bytes.len() as u64,
     })
 }
@@ -1002,7 +945,6 @@ mod tests {
     use super::*;
     use cuts_gpu_sim::{Device, DeviceConfig};
     use cuts_graph::generators::{clique, erdos_renyi, mesh2d};
-    use cuts_trie::HostTrie;
 
     fn sample_snapshot() -> Snapshot {
         let data = mesh2d(4, 4);
@@ -1012,10 +954,7 @@ mod tests {
         session
             .run(&data, &cuts_graph::generators::chain(3))
             .unwrap();
-        let mut snap = Snapshot::capture(&data, &session);
-        let trie = HostTrie::from_flat_paths(&[vec![0, 1, 5], vec![0, 4, 5]]);
-        snap.add_trie(snap.plans()[0].key.query, Csf::from_host_trie(&trie));
-        snap
+        Snapshot::capture(&data, &session)
     }
 
     #[test]
@@ -1031,7 +970,6 @@ mod tests {
         let enc = snap.encode();
         let back = Snapshot::decode(&enc).unwrap();
         assert_eq!(back.plans().len(), 2);
-        assert_eq!(back.tries().len(), 1);
         assert_eq!(back.graph().num_vertices(), 16);
         for (a, b) in snap.plans().iter().zip(back.plans()) {
             assert_eq!(**a, **b);
@@ -1099,10 +1037,10 @@ mod tests {
             Err(SnapshotError::BadMagic)
         ));
         let mut bumped = enc.clone();
-        bumped[8..12].copy_from_slice(&2u32.to_le_bytes());
+        bumped[8..12].copy_from_slice(&3u32.to_le_bytes());
         assert!(matches!(
             Snapshot::decode(&bumped),
-            Err(SnapshotError::UnsupportedVersion { found: 2 })
+            Err(SnapshotError::UnsupportedVersion { found: 3 })
         ));
     }
 
@@ -1110,10 +1048,9 @@ mod tests {
     fn inspect_summarises_without_decoding() {
         let snap = sample_snapshot();
         let info = inspect(&snap.encode()).unwrap();
-        assert_eq!(info.version, 1);
+        assert_eq!(info.version, 2);
         assert_eq!(info.vertices, 16);
         assert_eq!(info.plans, 2);
-        assert_eq!(info.tries, 1);
         assert!(info.symmetric);
         assert!(!info.labeled);
         let tags: Vec<[u8; 4]> = info.sections.iter().map(|s| s.tag).collect();

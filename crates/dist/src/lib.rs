@@ -15,16 +15,16 @@
 //! for `FREE` broadcasts and donates part of its queue to exactly one free
 //! node through the claim/ack [`protocol`] ("only one busy node sends data
 //! to a given free node, and a given busy node only sends data to one free
-//! node"). Donated work travels as a serialised trie
-//! ([`cuts_trie::serial`]), which the receiver integrates and resumes via
-//! [`cuts_core::ExecSession::run_seeded`].
+//! node"). A chunk is its root vertices: donated chunks travel as
+//! root-id lists ([`protocol::WorkPayload`]), and the receiver resumes
+//! each via [`cuts_core::ExecSession::run_seeded`].
 //!
 //! Beyond the paper, the runtime is fault-tolerant: [`cuts_core::fault`]
 //! injects deterministic rank crashes, message drops, and delays; the
 //! [`ChunkLedger`] — the generic [`cuts_core::ledger::WorkLedger`] over
-//! path-batch [`cuts_trie::HostTrie`] chunks — tracks chunk ownership so survivors reclaim a dead rank's pending
-//! work; and any schedule that leaves one rank alive completes with the
-//! exact fault-free match count (see `DESIGN.md` §7).
+//! root-vertex chunks — tracks chunk ownership so survivors reclaim a
+//! dead rank's pending work; and any schedule that leaves one rank alive
+//! completes with the exact fault-free match count (see `DESIGN.md` §7).
 
 pub mod config;
 pub mod metrics;
@@ -46,6 +46,6 @@ pub use worker::Partition;
 /// Stable identity of one chunk of outer-loop work.
 pub type ChunkId = cuts_core::ledger::WorkId;
 
-/// Shared chunk-ownership and result store: the generic ledger with
-/// path-batch chunks as its unit of work.
-pub type ChunkLedger = cuts_core::ledger::WorkLedger<cuts_trie::HostTrie>;
+/// Shared chunk-ownership and result store: the generic ledger with a
+/// chunk's root vertices as its unit of work.
+pub type ChunkLedger = cuts_core::ledger::WorkLedger<Vec<cuts_graph::VertexId>>;

@@ -6,8 +6,8 @@
 //! that learns of a free peer sends [`tag::CLAIM`]; the free peer grants
 //! the *first* claim with [`tag::ACK`] (broadcasting [`tag::BUSY`] so no
 //! one else targets it) and refuses the rest with [`tag::NACK`]. The
-//! granted claimant ships a [`tag::WORK`] payload — serialised tries,
-//! each tagged with its ledger chunk id — and both continue.
+//! granted claimant ships a [`tag::WORK`] payload — whole chunks, each
+//! its ledger id and its root vertices — and both continue.
 //!
 //! Fault hardening changes two things relative to the bare paper
 //! protocol. First, every rank periodically broadcasts [`tag::HEARTBEAT`]
@@ -23,8 +23,8 @@
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use cuts_trie::serial::{decode_trie, encode_trie, WireError};
-use cuts_trie::HostTrie;
+use cuts_core::error::WireError;
+use cuts_graph::VertexId;
 
 use crate::ChunkId;
 
@@ -131,60 +131,70 @@ impl StatusBoard {
     }
 }
 
-/// One donated chunk: its ledger identity plus the partial-path trie.
-/// Carrying the id on the wire is what makes donation at-least-once
-/// safe — a receiver consults the ledger and discards already-committed
-/// duplicates instead of double-counting them.
+/// One chunk of Algorithm 3's outer loop: its ledger identity plus its
+/// root vertices (first-level candidates). A rank's queue holds these,
+/// and a [`WorkPayload`] carries them whole. Carrying the id on the wire
+/// is what makes donation at-least-once safe — a receiver consults the
+/// ledger and discards already-committed duplicates instead of
+/// double-counting them.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DonatedChunk {
+pub struct Chunk {
     /// Ledger chunk id.
     pub id: ChunkId,
-    /// The work itself.
-    pub trie: HostTrie,
+    /// The chunk's root vertices.
+    pub roots: Vec<VertexId>,
 }
 
-/// A donated batch of chunks, each a partial-path trie (possibly at
-/// different depths, since the donor's queue mixes depths).
+/// A donated batch of whole, unstarted chunks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkPayload {
     /// Donated chunks.
-    pub jobs: Vec<DonatedChunk>,
+    pub jobs: Vec<Chunk>,
 }
 
+/// Wire bytes of a chunk header: `id u64 · n u32`.
+const CHUNK_HEADER: usize = 12;
+
 impl WorkPayload {
-    /// Encodes: `[count, (id, len, trie-bytes)…]`.
+    /// Encodes: `[count u32, (id u64, n u32, root u32 × n)…]`.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::new();
+        let roots: usize = self.jobs.iter().map(|j| j.roots.len()).sum();
+        let mut b = BytesMut::with_capacity(4 + CHUNK_HEADER * self.jobs.len() + 4 * roots);
         b.put_u32_le(self.jobs.len() as u32);
         for job in &self.jobs {
             b.put_u64_le(job.id);
-            let enc = encode_trie(&job.trie);
-            b.put_u32_le(enc.len() as u32);
-            b.put_slice(&enc);
+            b.put_u32_le(job.roots.len() as u32);
+            for &v in &job.roots {
+                b.put_u32_le(v);
+            }
         }
         b.freeze()
     }
 
-    /// Decodes [`WorkPayload::encode`] output.
+    /// Decodes [`WorkPayload::encode`] output. Counts come off the wire,
+    /// so every allocation is bounded by the bytes actually left: a
+    /// hostile count is [`WireError::Truncated`], never a huge
+    /// reservation.
     pub fn decode(mut buf: Bytes) -> Result<WorkPayload, WireError> {
         if buf.remaining() < 4 {
             return Err(WireError::Truncated);
         }
         let count = buf.get_u32_le() as usize;
-        let mut jobs = Vec::with_capacity(count);
+        let mut jobs = Vec::with_capacity(count.min(buf.remaining() / CHUNK_HEADER));
         for _ in 0..count {
-            if buf.remaining() < 12 {
+            if buf.remaining() < CHUNK_HEADER {
                 return Err(WireError::Truncated);
             }
             let id = buf.get_u64_le();
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
+            let n = buf.get_u32_le() as usize;
+            if buf.remaining() / 4 < n {
                 return Err(WireError::Truncated);
             }
-            let trie = decode_trie(buf.split_to(len))?;
-            trie.validate()
-                .map_err(|_| WireError::Corrupt("donated trie fails validation"))?;
-            jobs.push(DonatedChunk { id, trie });
+            let roots = (0..n).map(|_| buf.get_u32_le()).collect();
+            jobs.push(Chunk { id, roots });
+        }
+        if buf.remaining() != 0 {
+            return Err(WireError::Corrupt("trailing bytes after the last chunk"));
         }
         Ok(WorkPayload { jobs })
     }
@@ -244,17 +254,17 @@ mod tests {
     #[test]
     fn work_payload_roundtrip() {
         let jobs = vec![
-            DonatedChunk {
+            Chunk {
                 id: 3,
-                trie: HostTrie::from_flat_paths(&[vec![1, 2], vec![1, 3]]),
+                roots: vec![1, 2, 7],
             },
-            DonatedChunk {
+            Chunk {
                 id: u64::MAX,
-                trie: HostTrie::from_flat_paths(&[vec![9]]),
+                roots: vec![9],
             },
-            DonatedChunk {
+            Chunk {
                 id: 0,
-                trie: HostTrie::new(),
+                roots: Vec::new(),
             },
         ];
         let p = WorkPayload { jobs: jobs.clone() };
@@ -263,25 +273,27 @@ mod tests {
     }
 
     #[test]
-    fn structurally_corrupt_trie_rejected() {
-        // Valid wire encoding of an *invalid* trie (root with a parent).
-        let mut t = HostTrie::from_flat_paths(&[vec![1, 2]]);
-        t.pa[0] = 5;
+    fn trailing_bytes_rejected() {
         let p = WorkPayload {
-            jobs: vec![DonatedChunk { id: 1, trie: t }],
+            jobs: vec![Chunk {
+                id: 1,
+                roots: vec![4, 5],
+            }],
         };
+        let mut raw = p.encode().to_vec();
+        raw.push(0);
         assert_eq!(
-            WorkPayload::decode(p.encode()),
-            Err(WireError::Corrupt("donated trie fails validation"))
+            WorkPayload::decode(Bytes::from(raw)),
+            Err(WireError::Corrupt("trailing bytes after the last chunk"))
         );
     }
 
     #[test]
     fn truncated_payload_rejected() {
         let p = WorkPayload {
-            jobs: vec![DonatedChunk {
+            jobs: vec![Chunk {
                 id: 42,
-                trie: HostTrie::from_flat_paths(&[vec![1, 2]]),
+                roots: vec![1, 2],
             }],
         };
         let enc = p.encode();

@@ -18,7 +18,7 @@ use cuts_trie::HostTrie;
 
 use crate::config::DistConfig;
 use crate::metrics::{DistResult, RankMetrics, RecoveryStats};
-use crate::worker::WorkerError;
+use crate::worker::{root_candidates, WorkerError};
 
 /// Outcome of a synchronous run: the usual per-rank metrics plus the
 /// lock-step makespan (which includes barrier idling).
@@ -68,16 +68,9 @@ pub fn run_synchronous(
 
     // Initial partition of root candidates (always round-robin here; the
     // strategy rebalances every level anyway).
-    let roots: Vec<Vec<u32>> = (0..data.num_vertices() as u32)
-        .filter(|&v| {
-            data.degree_dominates(v, plan.q_out[0], plan.q_in[0])
-                && cuts_core::order::label_ok(data, v, plan.q_label[0])
-        })
-        .map(|v| vec![v])
-        .collect();
     let mut frontiers: Vec<Vec<Vec<u32>>> = vec![Vec::new(); ranks];
-    for (i, p) in roots.into_iter().enumerate() {
-        frontiers[i % ranks].push(p);
+    for (i, v) in root_candidates(data, &plan).into_iter().enumerate() {
+        frontiers[i % ranks].push(vec![v]);
     }
 
     let mut barrier_makespan = 0.0f64;

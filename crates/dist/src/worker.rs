@@ -29,18 +29,18 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
+use cuts_core::error::WireError;
 use cuts_core::fault::{CrashKind, FaultInjector};
 use cuts_core::{ExecSession, MatchOrder};
 use cuts_gpu_sim::Device;
-use cuts_graph::Graph;
+use cuts_graph::{Graph, VertexId};
 use cuts_obs::{Arg, EventKind, Trace};
-use cuts_trie::serial::WireError;
 use cuts_trie::HostTrie;
 
 use crate::config::DistConfig;
 use crate::metrics::RankMetrics;
-use crate::mpi::{Comm, Rank};
-use crate::protocol::{tag, DonatedChunk, Status, StatusBoard, WorkPayload};
+use crate::mpi::{Comm, Message, Rank};
+use crate::protocol::{tag, Chunk, Status, StatusBoard, WorkPayload};
 use crate::{AliveBoard, ChunkId, ChunkLedger};
 
 /// Interval between heartbeat broadcasts from each worker's main loop,
@@ -101,15 +101,20 @@ impl Shared {
     }
 }
 
-/// One queued unit of work: a ledger-registered trie chunk.
-struct Chunk {
-    id: ChunkId,
-    trie: HostTrie,
-}
-
 enum Idle {
     Work(Vec<Chunk>),
     Done,
+}
+
+/// Root candidates of `plan`'s first query vertex, in vertex order: the
+/// set Algorithm 3 deals out to ranks in chunks.
+pub(crate) fn root_candidates(data: &Graph, plan: &MatchOrder) -> Vec<VertexId> {
+    (0..data.num_vertices() as VertexId)
+        .filter(|&v| {
+            data.degree_dominates(v, plan.q_out[0], plan.q_in[0])
+                && cuts_core::order::label_ok(data, v, plan.q_label[0])
+        })
+        .collect()
 }
 
 /// One rank's execution state. The simulated device and its
@@ -164,24 +169,18 @@ impl<'a> Worker<'a> {
     }
 
     /// Initial jobs: this rank's share of the root candidate set under
-    /// `plan`'s order, split into `dist_chunk`-path batches (§4.2
-    /// `init_match(Q, D, rank)`).
-    fn initial_jobs(&self, plan: &MatchOrder) -> Result<VecDeque<HostTrie>, WorkerError> {
+    /// `plan`'s order, split into chunks of at most `dist_chunk` roots
+    /// (§4.2 `init_match(Q, D, rank)`).
+    fn initial_jobs(&self, plan: &MatchOrder) -> VecDeque<Vec<VertexId>> {
         let rank = self.comm.rank();
         let size = self.comm.size();
-        let all: Vec<Vec<u32>> = (0..self.data.num_vertices() as u32)
-            .filter(|&v| {
-                self.data.degree_dominates(v, plan.q_out[0], plan.q_in[0])
-                    && cuts_core::order::label_ok(self.data, v, plan.q_label[0])
-            })
-            .map(|v| vec![v])
-            .collect();
-        let mine: Vec<Vec<u32>> = match self.config.partition {
+        let all = root_candidates(self.data, plan);
+        let mine: Vec<VertexId> = match self.config.partition {
             Partition::RoundRobin => all
                 .into_iter()
                 .enumerate()
                 .filter(|&(i, _)| i % size == rank)
-                .map(|(_, p)| p)
+                .map(|(_, v)| v)
                 .collect(),
             Partition::Block => {
                 let per = all.len().div_ceil(size).max(1);
@@ -198,11 +197,9 @@ impl<'a> Worker<'a> {
                 }
             }
         };
-        Ok(mine
-            .chunks(self.config.dist_chunk)
-            .filter(|c| !c.is_empty())
-            .map(HostTrie::from_flat_paths)
-            .collect())
+        mine.chunks(self.config.dist_chunk)
+            .map(|c| c.to_vec())
+            .collect()
     }
 
     /// Runs the rank to completion, returning its match count and metrics.
@@ -220,26 +217,25 @@ impl<'a> Worker<'a> {
         // ranks must be in the ledger before anyone can observe
         // `all_completed` (even on error, reach the barrier first so the
         // others aren't stranded).
-        let jobs = match session.plan_for(self.query) {
-            Ok(plan) => self.initial_jobs(&plan.order),
-            Err(e) => Err(e.into()),
-        };
+        let jobs = session
+            .plan_for(self.query)
+            .map(|plan| self.initial_jobs(&plan.order));
         let mut queue: VecDeque<Chunk> = VecDeque::new();
         if let Ok(jobs) = &jobs {
-            for trie in jobs {
+            for roots in jobs {
                 let id = self.shared.ledger.new_id();
-                self.shared.ledger.register(id, self.comm.rank(), trie);
+                self.shared.ledger.register(id, self.comm.rank(), roots);
                 self.trace.instant_with(
                     EventKind::Chunk,
                     "assign",
                     &[
                         ("id", Arg::U64(id)),
-                        ("paths", Arg::U64(trie.levels[0].len() as u64)),
+                        ("paths", Arg::U64(roots.len() as u64)),
                     ],
                 );
                 queue.push_back(Chunk {
                     id,
-                    trie: trie.clone(),
+                    roots: roots.clone(),
                 });
             }
         }
@@ -261,7 +257,7 @@ impl<'a> Worker<'a> {
                 self.heartbeat_tick(Status::Busy);
                 self.poll_messages(&mut queue);
                 self.maybe_donate(&mut queue);
-                let n = self.process_job(&session, &chunk.trie)?;
+                let n = self.process_job(&session, &chunk.roots)?;
                 self.commit_chunk(chunk.id, n, &mut total);
             }
             // Queue drained: a due crash fires even after the run's last chunk.
@@ -353,17 +349,17 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Runs one job (a batch of partial paths) to completion through the
-    /// rank's shared session.
+    /// Runs one chunk to completion through the rank's shared session,
+    /// seeded with a one-level trie of its roots.
     fn process_job(
         &mut self,
         session: &ExecSession<'_>,
-        job: &HostTrie,
+        roots: &[VertexId],
     ) -> Result<u64, WorkerError> {
-        if job.is_empty() {
+        if roots.is_empty() {
             return Ok(0);
         }
-        let r = session.run_seeded(self.data, self.query, job)?;
+        let r = session.run_seeded(self.data, self.query, &HostTrie::from_roots(roots))?;
         self.metrics.busy_sim_millis += r.sim_millis;
         self.metrics.busy_wall_millis += r.wall_millis;
         self.metrics.counters += r.counters;
@@ -379,9 +375,18 @@ impl<'a> Worker<'a> {
     }
 
     /// Integrates a WORK payload, discarding chunks the ledger says are
-    /// already committed (at-least-once duplicates).
+    /// already committed (at-least-once duplicates). A root that is not
+    /// a vertex of the data graph makes the whole payload corrupt.
     fn accept_work(&mut self, payload: Bytes) -> Result<Vec<Chunk>, WireError> {
         let w = WorkPayload::decode(payload)?;
+        let n = self.data.num_vertices();
+        if w.jobs
+            .iter()
+            .flat_map(|c| &c.roots)
+            .any(|&v| v as usize >= n)
+        {
+            return Err(WireError::Corrupt("donated root is not a data vertex"));
+        }
         self.metrics.donations_received += 1;
         self.trace.instant_with(
             EventKind::Donation,
@@ -389,9 +394,9 @@ impl<'a> Worker<'a> {
             &[("chunks", Arg::U64(w.jobs.len() as u64))],
         );
         let mut fresh = Vec::new();
-        for DonatedChunk { id, trie } in w.jobs {
-            if self.shared.ledger.transfer(id, self.comm.rank()) {
-                fresh.push(Chunk { id, trie });
+        for chunk in w.jobs {
+            if self.shared.ledger.transfer(chunk.id, self.comm.rank()) {
+                fresh.push(chunk);
             } else {
                 self.metrics.duplicate_chunks += 1;
             }
@@ -399,23 +404,27 @@ impl<'a> Worker<'a> {
         Ok(fresh)
     }
 
-    /// Drains the mailbox while busy: track statuses, refuse claims, and
-    /// defensively accept stray work.
+    /// Handles the peer traffic every loop treats alike: status
+    /// broadcasts and heartbeats update the board, a CLAIM is refused,
+    /// and stray WORK is accepted. Returns the fresh chunks of stray
+    /// work (empty for every other message).
+    fn on_peer_message(&mut self, m: Message) -> Vec<Chunk> {
+        match m.tag {
+            tag::FREE => self.board.mark_free(m.from),
+            tag::BUSY => self.board.mark_busy(m.from),
+            tag::HEARTBEAT => self.note_heartbeat(m.from, &m.payload),
+            tag::CLAIM => self.comm.send(m.from, tag::NACK, Bytes::new()),
+            tag::WORK => return self.accept_work(m.payload).unwrap_or_default(),
+            _ => {}
+        }
+        Vec::new()
+    }
+
+    /// Drains the mailbox while busy.
     fn poll_messages(&mut self, queue: &mut VecDeque<Chunk>) {
         while let Some(m) = self.comm.try_recv() {
             self.board.mark_heard(m.from);
-            match m.tag {
-                tag::FREE => self.board.mark_free(m.from),
-                tag::BUSY => self.board.mark_busy(m.from),
-                tag::HEARTBEAT => self.note_heartbeat(m.from, &m.payload),
-                tag::CLAIM => self.comm.send(m.from, tag::NACK, Bytes::new()),
-                tag::WORK => {
-                    if let Ok(fresh) = self.accept_work(m.payload) {
-                        queue.extend(fresh);
-                    }
-                }
-                _ => {}
-            }
+            queue.extend(self.on_peer_message(m));
         }
     }
 
@@ -458,13 +467,7 @@ impl<'a> Worker<'a> {
             match m.tag {
                 tag::ACK if m.from == target => {
                     let donate = queue.len() / 2;
-                    let jobs: Vec<DonatedChunk> = (0..donate)
-                        .filter_map(|_| queue.pop_back())
-                        .map(|c| DonatedChunk {
-                            id: c.id,
-                            trie: c.trie,
-                        })
-                        .collect();
+                    let jobs: Vec<Chunk> = (0..donate).filter_map(|_| queue.pop_back()).collect();
                     // Re-home in the ledger before the wire send: if the
                     // WORK message is then lost, the chunks are owned by
                     // the (idle) target, which reclaims its own orphans
@@ -490,16 +493,7 @@ impl<'a> Worker<'a> {
                     self.board.mark_busy(target);
                     return;
                 }
-                tag::FREE => self.board.mark_free(m.from),
-                tag::BUSY => self.board.mark_busy(m.from),
-                tag::HEARTBEAT => self.note_heartbeat(m.from, &m.payload),
-                tag::CLAIM => self.comm.send(m.from, tag::NACK, Bytes::new()),
-                tag::WORK => {
-                    if let Ok(fresh) = self.accept_work(m.payload) {
-                        queue.extend(fresh);
-                    }
-                }
-                _ => {}
+                _ => queue.extend(self.on_peer_message(m)),
             }
         }
     }
@@ -558,7 +552,7 @@ impl<'a> Worker<'a> {
                     return Ok(Idle::Work(
                         claimed
                             .into_iter()
-                            .map(|(id, trie)| Chunk { id, trie })
+                            .map(|(id, roots)| Chunk { id, roots })
                             .collect(),
                     ));
                 }
@@ -568,9 +562,6 @@ impl<'a> Worker<'a> {
             };
             self.board.mark_heard(m.from);
             match m.tag {
-                tag::FREE => self.board.mark_free(m.from),
-                tag::BUSY => self.board.mark_busy(m.from),
-                tag::HEARTBEAT => self.note_heartbeat(m.from, &m.payload),
                 tag::CLAIM => {
                     if reserved.is_none() {
                         reserved = Some((m.from, Instant::now()));
@@ -586,7 +577,9 @@ impl<'a> Worker<'a> {
                     self.board.mark_busy(me);
                     return Ok(Idle::Work(fresh));
                 }
-                _ => {}
+                _ => {
+                    self.on_peer_message(m);
+                }
             }
         }
     }
@@ -625,10 +618,8 @@ mod tests {
                 &query,
                 2,
             );
-            let jobs = w
-                .initial_jobs(&MatchOrder::compute(&query).unwrap())
-                .unwrap();
-            let paths: usize = jobs.iter().map(|j| j.levels[0].len()).sum();
+            let jobs = w.initial_jobs(&MatchOrder::compute(&query).unwrap());
+            let paths: usize = jobs.iter().map(|j| j.len()).sum();
             sizes.push(paths);
         }
         assert_eq!(sizes, vec![3, 3]);
@@ -653,11 +644,7 @@ mod tests {
                 &query,
                 2,
             );
-            all.push(
-                w.initial_jobs(&MatchOrder::compute(&query).unwrap())
-                    .unwrap()
-                    .len(),
-            );
+            all.push(w.initial_jobs(&MatchOrder::compute(&query).unwrap()).len());
         }
         assert_eq!(all, vec![5, 0]);
     }
@@ -681,17 +668,43 @@ mod tests {
                 &query,
                 2,
             );
-            let jobs = w
-                .initial_jobs(&MatchOrder::compute(&query).unwrap())
-                .unwrap();
-            let first = jobs
-                .front()
-                .map(|j| j.ca[j.levels[0].start])
-                .unwrap_or(u32::MAX);
+            let jobs = w.initial_jobs(&MatchOrder::compute(&query).unwrap());
+            let first = jobs.front().map(|j| j[0]).unwrap_or(u32::MAX);
             firsts.push(first);
         }
         // Rank 0 starts at vertex 0, rank 1 at the split point 4.
         assert_eq!(firsts, vec![0, 4]);
+    }
+
+    #[test]
+    fn accept_work_rejects_a_root_outside_the_data_graph() {
+        let data = cuts_graph::generators::clique(4);
+        let query = cuts_graph::generators::clique(3);
+        let mut comms = Comm::universe(1);
+        let config = DistConfig {
+            device: DeviceConfig::test_small(),
+            ..Default::default()
+        };
+        let mut w = worker(comms.pop().unwrap(), config, &data, &query, 1);
+        let id = w.shared.ledger.new_id();
+        w.shared.ledger.register(id, 0, &vec![1, 3]);
+        let payload = |last| {
+            WorkPayload {
+                jobs: vec![Chunk {
+                    id,
+                    roots: vec![1, last],
+                }],
+            }
+            .encode()
+        };
+        assert_eq!(
+            w.accept_work(payload(4)).err(),
+            Some(WireError::Corrupt("donated root is not a data vertex"))
+        );
+        assert_eq!(w.metrics.donations_received, 0);
+        let fresh = w.accept_work(payload(3)).unwrap();
+        assert_eq!(fresh.len(), 1);
+        assert_eq!(fresh[0].roots, vec![1, 3]);
     }
 
     #[test]

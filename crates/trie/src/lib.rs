@@ -14,20 +14,18 @@
 //!
 //! * [`PairTable`] — the PA/CA array pair with the shared atomic cursor.
 //! * [`Trie`] — levels over a pair table, path extraction, chunking.
-//! * [`HostTrie`] — a heap-side copy (donations, verification, tests).
+//! * [`HostTrie`] — a heap-side copy (seeded runs, verification, tests).
 //! * [`csf`] — the Compressed Sparse Fibre representation of the same
 //!   path set (the two-pass alternative of Figure 3(B)).
 //! * [`space`] — word-exact storage accounting (Table 1, Figure 2(C)) and
 //!   the closed-form model of Equations 1–5.
-//! * [`serial`] — the wire format used when a busy node donates work.
 
 pub mod chunk;
 pub mod csf;
-pub mod serial;
 pub mod space;
 pub mod table;
 pub mod trie;
 
 pub use chunk::Chunks;
 pub use table::{Counted, PairRange, PairTable};
-pub use trie::{HostTrie, Trie, ValidateError, NO_PARENT};
+pub use trie::{HostTrie, Trie, NO_PARENT};

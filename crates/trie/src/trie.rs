@@ -9,99 +9,6 @@ use crate::table::PairTable;
 /// Parent marker for root-level entries.
 pub const NO_PARENT: u32 = u32::MAX;
 
-/// A structural defect found by [`HostTrie::validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ValidateError {
-    /// The PA and CA arrays have different lengths.
-    LengthMismatch {
-        /// Parent-array length.
-        pa: usize,
-        /// Candidate-array length.
-        ca: usize,
-    },
-    /// A level does not start where the previous one ended, or extends
-    /// past the entry count: the levels must tile `0..len` contiguously.
-    LevelBounds {
-        /// The offending level.
-        level: usize,
-        /// The level's claimed range.
-        start: usize,
-        /// The level's claimed end.
-        end: usize,
-        /// Where the previous level ended.
-        expected_start: usize,
-        /// Total entries in the trie.
-        len: usize,
-    },
-    /// A level-0 entry has a parent (roots must carry [`NO_PARENT`]).
-    RootHasParent {
-        /// The offending entry index.
-        entry: usize,
-        /// The parent it claims.
-        parent: u32,
-    },
-    /// A deeper entry's parent index lies outside the previous level.
-    ParentOutsideLevel {
-        /// The offending entry index.
-        entry: usize,
-        /// The entry's level.
-        level: usize,
-        /// The parent it claims ([`NO_PARENT`] when missing entirely).
-        parent: u32,
-        /// Start of the valid parent range (previous level).
-        prev_start: usize,
-        /// End of the valid parent range (previous level).
-        prev_end: usize,
-    },
-    /// The sealed levels do not cover every entry.
-    Uncovered {
-        /// Entries the levels account for.
-        covered: usize,
-        /// Entries the trie actually holds.
-        len: usize,
-    },
-}
-
-impl std::fmt::Display for ValidateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ValidateError::LengthMismatch { pa, ca } => {
-                write!(f, "PA ({pa}) and CA ({ca}) lengths differ")
-            }
-            ValidateError::LevelBounds {
-                level,
-                start,
-                end,
-                expected_start,
-                len,
-            } => write!(
-                f,
-                "level {level} range {start}..{end} invalid (previous ended at \
-                 {expected_start}, trie holds {len} entries)"
-            ),
-            ValidateError::RootHasParent { entry, parent } => {
-                write!(f, "root entry {entry} has parent {parent}")
-            }
-            ValidateError::ParentOutsideLevel {
-                entry,
-                level,
-                parent,
-                prev_start,
-                prev_end,
-            } => write!(
-                f,
-                "entry {entry} at level {level} has parent {parent} outside \
-                 {prev_start}..{prev_end}"
-            ),
-            ValidateError::Uncovered { covered, len } => {
-                write!(f, "levels cover 0..{covered} but trie holds {len} entries")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ValidateError {}
-
 /// The cuTS partial-path trie: a [`PairTable`] plus sealed level
 /// boundaries. Level `l` holds every partial path of depth `l + 1`; an
 /// entry's full path is recovered by chasing parent indices to the root.
@@ -135,7 +42,7 @@ impl Trie {
         })
     }
 
-    /// Host-side trie (tests, donations).
+    /// Host-side trie (tests).
     pub fn on_host(entries: usize) -> Self {
         Trie {
             table: PairTable::on_host(entries),
@@ -302,8 +209,8 @@ impl std::fmt::Debug for Trie {
     }
 }
 
-/// Heap-resident trie copy: what travels in a donation message and what
-/// verification code inspects.
+/// Heap-resident trie copy: the seed of a resumed run
+/// (`ExecSession::run_seeded`) and what verification code inspects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostTrie {
     /// Parent indices.
@@ -363,64 +270,20 @@ impl HostTrie {
         self.levels.len()
     }
 
-    /// Structural integrity check: levels must tile `0..len` contiguously,
-    /// level-0 entries must be roots, and every deeper entry's parent must
-    /// lie in the previous level. Used by tests and by the donation
-    /// receive path to reject corrupt payloads early.
-    pub fn validate(&self) -> Result<(), ValidateError> {
-        if self.pa.len() != self.ca.len() {
-            return Err(ValidateError::LengthMismatch {
-                pa: self.pa.len(),
-                ca: self.ca.len(),
-            });
+    /// One-level host trie holding `roots` in order: the seed of a run
+    /// over one chunk of root candidates.
+    pub fn from_roots(roots: &[u32]) -> Self {
+        HostTrie {
+            pa: vec![NO_PARENT; roots.len()],
+            ca: roots.to_vec(),
+            levels: std::iter::once(0..roots.len()).collect(),
         }
-        let mut expect_start = 0usize;
-        for (l, range) in self.levels.iter().enumerate() {
-            if range.start != expect_start || range.end < range.start || range.end > self.ca.len() {
-                return Err(ValidateError::LevelBounds {
-                    level: l,
-                    start: range.start,
-                    end: range.end,
-                    expected_start: expect_start,
-                    len: self.ca.len(),
-                });
-            }
-            for i in range.clone() {
-                let p = self.pa[i];
-                if l == 0 {
-                    if p != NO_PARENT {
-                        return Err(ValidateError::RootHasParent {
-                            entry: i,
-                            parent: p,
-                        });
-                    }
-                } else {
-                    let prev = &self.levels[l - 1];
-                    if p == NO_PARENT || (p as usize) < prev.start || (p as usize) >= prev.end {
-                        return Err(ValidateError::ParentOutsideLevel {
-                            entry: i,
-                            level: l,
-                            parent: p,
-                            prev_start: prev.start,
-                            prev_end: prev.end,
-                        });
-                    }
-                }
-            }
-            expect_start = range.end;
-        }
-        if expect_start != self.ca.len() {
-            return Err(ValidateError::Uncovered {
-                covered: expect_start,
-                len: self.ca.len(),
-            });
-        }
-        Ok(())
     }
 
-    /// Builds a single-level host trie from flat paths of uniform depth,
-    /// re-rooting each path as a chain (used by the receiving side of a
-    /// donation: §4.2 "integrate it to its own local trie").
+    /// Builds a host trie from flat paths of uniform depth `d`: `d`
+    /// levels, each path a chain from its root, shared prefixes merged.
+    /// Seeds runs from explicit partial paths (the batch-dynamic
+    /// matcher's anchored arcs, the lock-step ablation's frontier).
     pub fn from_flat_paths(paths: &[Vec<u32>]) -> Self {
         let mut t = HostTrie::new();
         if paths.is_empty() {
@@ -542,56 +405,18 @@ mod tests {
     }
 
     #[test]
+    fn from_roots_is_one_level_of_paths() {
+        let h = HostTrie::from_roots(&[4, 2, 9]);
+        assert_eq!(h.depth(), 1);
+        assert_eq!(h.paths_at_level(0), vec![vec![4], vec![2], vec![9]]);
+        assert_eq!(h, HostTrie::from_flat_paths(&[vec![4], vec![2], vec![9]]));
+    }
+
+    #[test]
     fn from_flat_paths_empty() {
         let h = HostTrie::from_flat_paths(&[]);
         assert!(h.is_empty());
         assert!(h.levels.is_empty());
-    }
-
-    #[test]
-    fn validate_accepts_well_formed_and_rejects_corrupt() {
-        let host = sample().to_host();
-        host.validate().unwrap();
-        assert!(HostTrie::new().validate().is_ok());
-
-        // Root with a parent.
-        let mut bad = host.clone();
-        bad.pa[0] = 1;
-        let err = bad.validate().unwrap_err();
-        assert!(matches!(
-            err,
-            ValidateError::RootHasParent {
-                entry: 0,
-                parent: 1
-            }
-        ));
-        assert!(err.to_string().contains("root entry"));
-
-        // Parent outside the previous level.
-        let mut bad = host.clone();
-        bad.pa[3] = 4;
-        let err = bad.validate().unwrap_err();
-        assert!(matches!(
-            err,
-            ValidateError::ParentOutsideLevel { entry: 3, .. }
-        ));
-        assert!(err.to_string().contains("outside"));
-
-        // Levels not tiling the entries.
-        let mut bad = host.clone();
-        bad.levels[1] = 2..4;
-        assert!(matches!(
-            bad.validate().unwrap_err(),
-            ValidateError::LevelBounds { .. } | ValidateError::Uncovered { .. }
-        ));
-
-        // Mismatched array lengths.
-        let mut bad = host.clone();
-        bad.pa.pop();
-        assert!(matches!(
-            bad.validate().unwrap_err(),
-            ValidateError::LengthMismatch { .. }
-        ));
     }
 
     #[test]

@@ -121,19 +121,35 @@ fn storage_accounting_matches_run() {
 
 #[test]
 fn enumeration_roundtrips_through_wire_format() {
-    // Enumerate embeddings, ship them as a donation payload, decode, and
-    // verify every edge — the full §4.2 data path without threads.
+    // Enumerate embeddings, ship their roots as a donation payload,
+    // decode, and re-enumerate from the decoded roots — the full §4.2
+    // data path without threads.
+    use cuts::dist::protocol::{Chunk, WorkPayload};
+    use cuts::trie::HostTrie;
     let data = Dataset::Enron.generate(Scale::Custom(1.0 / 4096.0));
     let q = clique(3);
     let device = tiny_device();
+    let session = ExecSession::new(&device, EngineConfig::default());
+    let plan = session.plan_over(&data, &q).unwrap();
     let mut paths = Vec::new();
-    ExecSession::new(&device, EngineConfig::default())
+    session
         .run_enumerate(&data, &q, &mut |m| paths.push(m.to_vec()))
         .unwrap();
-    let host = cuts::trie::HostTrie::from_flat_paths(&paths);
-    let bytes = cuts::trie::serial::encode_trie(&host);
-    let back = cuts::trie::serial::decode_trie(bytes).unwrap();
-    let mut got = back.paths_at_level(back.levels.len() - 1);
+    let mut roots: Vec<u32> = paths
+        .iter()
+        .map(|m| m[plan.order.order[0] as usize])
+        .collect();
+    roots.sort_unstable();
+    roots.dedup();
+    let sent = WorkPayload {
+        jobs: vec![Chunk { id: 0, roots }],
+    };
+    let back = WorkPayload::decode(sent.encode()).unwrap();
+    let seed = HostTrie::from_roots(&back.jobs[0].roots);
+    let mut got = Vec::new();
+    session
+        .run_seeded_enumerate(&plan, &data, &seed, &mut |m| got.push(m.to_vec()))
+        .unwrap();
     got.sort();
     let mut want = paths.clone();
     want.sort();

@@ -1,20 +1,23 @@
-//! Property tests for the `cuts_trie::serial` wire format: the codec the
-//! donation protocol trusts with work that crosses rank boundaries.
+//! Property tests for the donation wire format
+//! (`cuts_dist::protocol::WorkPayload`): the codec the donation protocol
+//! trusts with work that crosses rank boundaries.
 //!
 //! Three families of properties:
 //! * **round-trip identity** — encode→decode is the identity on valid
-//!   tries, byte-stably (re-encoding the decode yields the same bytes);
+//!   payloads, byte-stably (re-encoding the decode yields the same bytes);
 //! * **hostile input safety** — truncations, corruptions, and random
-//!   garbage must come back as `WireError`, never a panic, because a
-//!   faulty interconnect hands the decoder exactly such bytes;
+//!   garbage must come back as `WireError`, never a panic or an
+//!   allocation sized by a hostile count, because a faulty interconnect
+//!   hands the decoder exactly such bytes;
 //! * **layout round-trips** — chunking partitions an entry range exactly
 //!   (so chunk-at-a-time processing covers every path once), and the CSF
 //!   layout reproduces the trie's path set and the closed-form word cost
 //!   of the space model.
 
 use bytes::Bytes;
+use cuts::dist::protocol::{Chunk, WorkPayload};
+use cuts::engine::WireError;
 use cuts::trie::csf::Csf;
-use cuts::trie::serial::{decode_trie, encode_trie};
 use cuts::trie::space::LevelCounts;
 use cuts::trie::{Chunks, HostTrie};
 use proptest::prelude::*;
@@ -24,60 +27,60 @@ fn arb_paths(depth: usize, max: usize) -> impl Strategy<Value = Vec<Vec<u32>>> {
     proptest::collection::vec(proptest::collection::vec(0u32..500, depth), 0..max)
 }
 
+/// Donation payloads: up to `max` chunks of up to 12 roots each.
+fn arb_payload(max: usize) -> impl Strategy<Value = WorkPayload> {
+    proptest::collection::vec(
+        (any::<u64>(), proptest::collection::vec(0u32..500, 0..12)),
+        0..max,
+    )
+    .prop_map(|jobs| WorkPayload {
+        jobs: jobs
+            .into_iter()
+            .map(|(id, roots)| Chunk { id, roots })
+            .collect(),
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn trie_roundtrip_identity(paths in arb_paths(3, 40)) {
-        let t = HostTrie::from_flat_paths(&paths);
-        let enc = encode_trie(&t);
-        let back = decode_trie(enc.clone()).expect("valid encoding");
-        prop_assert_eq!(&back, &t);
+    fn work_payload_roundtrip_identity(p in arb_payload(12)) {
+        let enc = p.encode();
+        let back = WorkPayload::decode(enc.clone()).expect("valid encoding");
+        prop_assert_eq!(&back, &p);
         // Byte-stable: decode→encode reproduces the wire image.
-        prop_assert_eq!(encode_trie(&back), enc);
+        prop_assert_eq!(back.encode(), enc);
     }
 
     #[test]
-    fn deep_trie_roundtrip(paths in arb_paths(5, 20)) {
-        let t = HostTrie::from_flat_paths(&paths);
-        let back = decode_trie(encode_trie(&t)).expect("valid encoding");
-        prop_assert_eq!(back, t);
-    }
-
-    #[test]
-    fn truncation_errors_never_panic(paths in arb_paths(3, 20), cut in 0usize..200) {
-        let enc = encode_trie(&HostTrie::from_flat_paths(&paths));
+    fn truncation_errors_never_panic(p in arb_payload(6), cut in 0usize..400) {
+        let enc = p.encode();
         if cut < enc.len() {
-            // Every proper prefix must decode to an error, not a panic
-            // (and on the off chance a prefix parses, it must validate).
-            if let Ok(t) = decode_trie(enc.slice(0..cut)) {
-                prop_assert!(t.validate().is_ok());
-            }
+            // Every proper prefix is missing bytes its counts promise.
+            prop_assert_eq!(WorkPayload::decode(enc.slice(0..cut)), Err(WireError::Truncated));
         }
     }
 
     #[test]
     fn corruption_errors_never_panic(
-        paths in arb_paths(3, 20),
-        pos in 0usize..200,
+        p in arb_payload(6),
+        pos in 0usize..400,
         xor in 1u8..=255,
     ) {
-        let enc = encode_trie(&HostTrie::from_flat_paths(&paths));
-        if !enc.is_empty() {
-            let mut raw = enc.to_vec();
-            let pos = pos % raw.len();
-            raw[pos] ^= xor;
-            // Any outcome but a panic is acceptable; a successful decode
-            // of corrupted bytes must at least be structurally valid.
-            if let Ok(t) = decode_trie(Bytes::from(raw)) {
-                let _ = t.validate();
-            }
+        let mut raw = p.encode().to_vec();
+        let pos = pos % raw.len();
+        raw[pos] ^= xor;
+        // Any outcome but a panic is acceptable; a successful decode of
+        // corrupted bytes must be the canonical reading of those bytes.
+        if let Ok(back) = WorkPayload::decode(Bytes::from(raw.clone())) {
+            prop_assert_eq!(back.encode().to_vec(), raw);
         }
     }
 
     #[test]
     fn random_garbage_never_panics(bytes in proptest::collection::vec(0u8..=255, 0..120)) {
-        let _ = decode_trie(Bytes::from(bytes));
+        let _ = WorkPayload::decode(Bytes::from(bytes));
     }
 
     #[test]
@@ -150,7 +153,6 @@ use cuts::engine::{
 use cuts::gpu::{Device, DeviceConfig};
 use cuts::graph::generators::{chain, clique, cycle, erdos_renyi, star};
 use cuts::graph::profile::{DataProfile, DegreeBucketStats};
-use cuts::trie::serial::{decode_csf, encode_csf};
 
 /// Arbitrary degree statistics with an encodable (finite, non-negative)
 /// mean.
@@ -255,15 +257,6 @@ proptest! {
         // per-level kernel schedule, fingerprints, and budget.
         prop_assert_eq!(&back, &plan);
         prop_assert_eq!(encode_plan(&back), enc);
-    }
-
-    #[test]
-    fn csf_codec_roundtrip(paths in arb_paths(4, 30)) {
-        let csf = Csf::from_host_trie(&HostTrie::from_flat_paths(&paths));
-        let enc = encode_csf(&csf);
-        let back = decode_csf(enc.clone()).expect("valid csf encoding");
-        prop_assert_eq!(&back, &csf);
-        prop_assert_eq!(encode_csf(&back), enc);
     }
 
     #[test]
@@ -395,10 +388,28 @@ proptest! {
 }
 
 #[test]
-fn truncated_trie_is_wire_error() {
-    let t = HostTrie::from_flat_paths(&[vec![1, 2, 3], vec![1, 2, 4]]);
-    let enc = encode_trie(&t);
+fn truncated_work_payload_is_wire_error() {
+    let p = WorkPayload {
+        jobs: vec![Chunk {
+            id: 7,
+            roots: vec![1, 2, 3],
+        }],
+    };
+    let enc = p.encode();
     for cut in [0, 3, 4, enc.len() / 2, enc.len() - 1] {
-        assert!(decode_trie(enc.slice(0..cut)).is_err(), "cut {cut}");
+        assert!(WorkPayload::decode(enc.slice(0..cut)).is_err(), "cut {cut}");
     }
+}
+
+#[test]
+fn hostile_chunk_count_is_truncated_not_an_allocation() {
+    // A count of u32::MAX chunks backed by one chunk's bytes must fail
+    // on the missing bytes, without reserving room for the count first.
+    let mut raw = u32::MAX.to_le_bytes().to_vec();
+    raw.extend_from_slice(&9u64.to_le_bytes());
+    raw.extend_from_slice(&0u32.to_le_bytes());
+    assert_eq!(
+        WorkPayload::decode(Bytes::from(raw)),
+        Err(WireError::Truncated)
+    );
 }

@@ -10,8 +10,6 @@ use cuts::engine::snapshot::{crc32, Snapshot, SECTION_TAGS, SNAPSHOT_VERSION};
 use cuts::engine::SnapshotError;
 use cuts::graph::generators::{chain, clique, mesh2d};
 use cuts::prelude::*;
-use cuts::trie::csf::Csf;
-use cuts::trie::HostTrie;
 
 /// A small container exercising every section with a non-empty payload.
 fn sample_bytes() -> Vec<u8> {
@@ -20,10 +18,7 @@ fn sample_bytes() -> Vec<u8> {
     let session = ExecSession::new(&device, EngineConfig::default());
     session.run(&data, &clique(3)).unwrap();
     session.run(&data, &chain(3)).unwrap();
-    let mut snap = Snapshot::capture(&data, &session);
-    let paths = vec![vec![0u32, 1, 5], vec![0, 4, 5], vec![1, 2, 6]];
-    snap.add_trie(7, Csf::from_host_trie(&HostTrie::from_flat_paths(&paths)));
-    snap.encode()
+    Snapshot::capture(&data, &session).encode()
 }
 
 /// Layout constants mirrored from the spec (DESIGN.md §12).
@@ -142,14 +137,14 @@ fn shuffled_section_table_is_rejected() {
 #[test]
 fn payload_flip_names_the_damaged_section() {
     let good = sample_bytes();
-    // Flip the last byte of the file: it belongs to the final (CSFS)
+    // Flip the last byte of the file: it belongs to the final (PLNS)
     // section's payload, so the error must name that section.
     let mut bad = good.clone();
     let last = bad.len() - 1;
     bad[last] ^= 0x80;
     match Snapshot::decode(&bad) {
         Err(SnapshotError::SectionChecksum { section }) => {
-            assert_eq!(&section, b"CSFS");
+            assert_eq!(&section, b"PLNS");
         }
         other => panic!("expected a section checksum failure, got {other:?}"),
     }

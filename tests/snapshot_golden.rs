@@ -6,15 +6,17 @@
 //!
 //! Regenerate intentionally with:
 //! `CUTS_REGEN_FIXTURES=1 cargo test --test snapshot_golden`
+//!
+//! `mesh3x3-unlabeled.v1.snap` is the same fixture as written by the
+//! version-1 format (which carried a fifth, `CSFS`, section); it is kept
+//! to show that old files are refused by version, not misread.
 
 use std::path::PathBuf;
 
-use cuts::engine::Snapshot;
+use cuts::engine::{Snapshot, SnapshotError};
 use cuts::graph::generators::{chain, clique, erdos_renyi, mesh2d};
 use cuts::graph::Graph;
 use cuts::prelude::*;
-use cuts::trie::csf::Csf;
-use cuts::trie::HostTrie;
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -23,17 +25,14 @@ fn fixture_path(name: &str) -> PathBuf {
 }
 
 /// Deterministic builder: plans every query on a `test` device with the
-/// default engine config, then attaches one tiny result trie.
+/// default engine config.
 fn build_fixture(data: Graph, queries: &[Graph]) -> Snapshot {
     let device = Device::new(DeviceConfig::test_small());
     let session = ExecSession::new(&device, EngineConfig::default());
     for q in queries {
         session.plan_for(q).unwrap();
     }
-    let mut snap = Snapshot::capture(&data, &session);
-    let paths = vec![vec![0u32, 1], vec![0, 2], vec![1, 2]];
-    snap.add_trie(42, Csf::from_host_trie(&HostTrie::from_flat_paths(&paths)));
-    snap
+    Snapshot::capture(&data, &session)
 }
 
 fn unlabeled_fixture() -> Snapshot {
@@ -104,4 +103,13 @@ fn golden_unlabeled_snapshot_is_stable() {
 #[test]
 fn golden_labeled_snapshot_is_stable() {
     check_fixture("er12-labeled.snap", &labeled_fixture());
+}
+
+#[test]
+fn version_one_snapshot_is_refused() {
+    let v1 = std::fs::read(fixture_path("mesh3x3-unlabeled.v1.snap")).unwrap();
+    assert_eq!(
+        Snapshot::decode(&v1).unwrap_err(),
+        SnapshotError::UnsupportedVersion { found: 1 }
+    );
 }
