@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use cuts_gpu_sim::{Device, DeviceConfig};
+use cuts_gpu_sim::{Device, DeviceConfig, Holding};
 use cuts_obs::{Arg, Counter, EventKind, Json, Registry, ToJson, Trace};
 
 use crate::config::EngineConfig;
@@ -624,8 +624,14 @@ impl<'e> ServeShared<'e, '_> {
     /// returns it claimed: the best-scored queued job whose words fit
     /// `dev`'s budget, reserved on `dev` and transferred to `r` in the
     /// ledger. `None` once `r` is dead, or once the stream is closed and
-    /// every job has committed.
-    fn next_job(&self, r: usize, dev: &ServeDev<'_>) -> Option<Queued> {
+    /// every job has committed. The lane's host `core` is given back
+    /// while it waits, for other lanes' launches to borrow.
+    fn next_job<'d>(
+        &self,
+        r: usize,
+        dev: &ServeDev<'d>,
+        core: &mut Option<Holding<'d>>,
+    ) -> Option<Queued> {
         loop {
             if crash_due(self, r) {
                 return None;
@@ -646,7 +652,9 @@ impl<'e> ServeShared<'e, '_> {
                 crash_due(self, r);
                 return None;
             }
+            drop(core.take());
             drop(self.work.wait(queue).unwrap());
+            *core = Some(dev.session.device().cores().hold());
         }
     }
 
@@ -880,20 +888,17 @@ impl std::fmt::Debug for ServeTier {
 impl ServeTier {
     /// Builds the tier: `ranks × devices_per_rank` simulated devices,
     /// each wired to the config's trace and a tier-lifetime kernel
-    /// telemetry registry. Every lane of every device may launch at once,
-    /// so each device gets an equal share of the host's cores for its
-    /// launches.
+    /// telemetry registry. Their launches share the process's host
+    /// cores: a lane holds one while it has a job, and a lane waiting
+    /// for work lends its core to the launches still running.
     pub fn new(config: ServeConfig) -> ServeTier {
         let trace = config.trace.clone().unwrap_or_else(Trace::disabled);
         let kernel_reg = Registry::with_enabled(config.telemetry);
-        let launchers = config.ranks * config.devices_per_rank * config.lanes;
-        let host_threads = Device::host_cores() / launchers;
         let rank_devices = (0..config.ranks)
             .map(|r| {
                 (0..config.devices_per_rank)
                     .map(|_| {
                         let mut d = Device::new(config.device.clone());
-                        d.set_host_threads(host_threads);
                         d.set_trace(trace.with_rank(r));
                         d.set_registry(kernel_reg.clone());
                         d
@@ -1297,7 +1302,8 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
     let dev = &shared.ranks[r].devs[d];
     let global_device = r * cfg.devices_per_rank + d;
     let trace = &shared.ranks[r].trace;
-    while let Some(q) = shared.next_job(r, dev) {
+    let mut core = Some(dev.session.device().cores().hold());
+    while let Some(q) = shared.next_job(r, dev, &mut core) {
         trace.instant_with(
             EventKind::Job,
             "claim",

@@ -18,7 +18,10 @@
 //! the all-peers-free consensus (a single lost FREE broadcast would hang
 //! it); workers exit when the shared
 //! [`ChunkLedger`](crate::ChunkLedger) reports every registered
-//! chunk committed, which is monotone and immune to message loss.
+//! chunk committed, which is monotone and immune to message loss. A
+//! rank that exits broadcasts [`tag::DONE`] so idle peers re-check the
+//! ledger at once; a lost DONE delays a peer's exit by one poll, never
+//! the result.
 
 use std::time::{Duration, Instant};
 
@@ -44,6 +47,9 @@ pub mod tag {
     pub const WORK: u32 = 6;
     /// Liveness beacon: one status byte (0 = busy, 1 = free).
     pub const HEARTBEAT: u32 = 7;
+    /// "Every chunk has committed; I have exited": wakes idle peers.
+    /// Only the idle and claim loops act on it.
+    pub const DONE: u32 = 8;
 }
 
 /// Peer status as tracked from FREE/BUSY broadcasts and heartbeats.

@@ -48,6 +48,13 @@ use crate::{AliveBoard, ChunkId, ChunkLedger};
 /// (well inside the default 50 ms `rank_timeout`).
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(10);
 
+/// Longest a rank blocks on its mailbox before it re-checks the ledger,
+/// its claim deadline and its heartbeat: while it waits for a claim's
+/// answer, and while it is idle. A finished run wakes idle peers at once
+/// with [`tag::DONE`], so this bounds only how late a lost message is
+/// noticed.
+const POLL_WAIT: Duration = Duration::from_millis(5);
+
 /// How root candidates are split across ranks at start-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Partition {
@@ -209,9 +216,10 @@ impl<'a> Worker<'a> {
         // processes — including donations and recovery replays — runs
         // without new device allocations.
         let mut device = Device::new(self.config.device.clone());
-        // Every rank launches at once: each gets its share of the cores.
-        device.set_host_threads(Device::host_cores() / self.comm.size());
         device.set_trace(self.trace.clone());
+        // The rank holds a host core while it has work; an idle rank
+        // lends its core to the launches of the ranks still busy.
+        let mut core = Some(device.cores().hold());
         let session = ExecSession::new(&device, self.config.engine.clone());
         // Register this rank's chunks, then rendezvous: all chunks of all
         // ranks must be in the ledger before anyone can observe
@@ -266,11 +274,17 @@ impl<'a> Worker<'a> {
                 break;
             }
             self.comm.broadcast_others(tag::FREE, Bytes::new());
-            match self.idle_loop()? {
+            drop(core.take());
+            let idle = self.idle_loop()?;
+            core = Some(device.cores().hold());
+            match idle {
                 Idle::Work(chunks) => queue.extend(chunks),
                 Idle::Done => break,
             }
         }
+        drop(core);
+        // Idle peers learn the run is over now, not at their next poll.
+        self.comm.broadcast_others(tag::DONE, Bytes::new());
         self.metrics.matches = total;
         self.metrics.messages_sent = self.comm.stats().messages_sent();
         self.metrics.bytes_sent = self.comm.stats().bytes_sent();
@@ -460,7 +474,7 @@ impl<'a> Worker<'a> {
                 self.board.mark_busy(target);
                 return;
             }
-            let Some(m) = self.comm.recv_timeout(Duration::from_millis(5)) else {
+            let Some(m) = self.comm.recv_timeout(POLL_WAIT) else {
                 continue;
             };
             self.board.mark_heard(m.from);
@@ -490,6 +504,11 @@ impl<'a> Worker<'a> {
                     return;
                 }
                 tag::NACK if m.from == target => {
+                    self.board.mark_busy(target);
+                    return;
+                }
+                // Every chunk has committed: no peer will answer a claim.
+                tag::DONE if self.shared.ledger.all_completed() => {
                     self.board.mark_busy(target);
                     return;
                 }
@@ -557,11 +576,12 @@ impl<'a> Worker<'a> {
                     ));
                 }
             }
-            let Some(m) = self.comm.recv_timeout(Duration::from_millis(5)) else {
+            let Some(m) = self.comm.recv_timeout(POLL_WAIT) else {
                 continue;
             };
             self.board.mark_heard(m.from);
             match m.tag {
+                tag::DONE if self.shared.ledger.all_completed() => return Ok(Idle::Done),
                 tag::CLAIM => {
                     if reserved.is_none() {
                         reserved = Some((m.from, Instant::now()));
@@ -705,6 +725,31 @@ mod tests {
         let fresh = w.accept_work(payload(3)).unwrap();
         assert_eq!(fresh.len(), 1);
         assert_eq!(fresh[0].roots, vec![1, 3]);
+    }
+
+    #[test]
+    fn idle_loop_returns_done_on_done_once_the_ledger_is_complete() {
+        let data = cuts_graph::generators::clique(4);
+        let query = cuts_graph::generators::clique(3);
+        let mut comms = Comm::universe(2);
+        let peer = comms.pop().unwrap();
+        let config = DistConfig {
+            device: DeviceConfig::test_small(),
+            ..Default::default()
+        };
+        let mut w = worker(comms.pop().unwrap(), config, &data, &query, 2);
+        let ledger = Arc::clone(&w.shared.ledger);
+        let id = ledger.new_id();
+        ledger.register(id, 1, &vec![0]);
+        let sender = std::thread::spawn(move || {
+            // A DONE before the last commit does not end the wait.
+            peer.send(0, tag::DONE, Bytes::new());
+            std::thread::sleep(3 * POLL_WAIT);
+            ledger.commit(id, 1);
+            peer.send(0, tag::DONE, Bytes::new());
+        });
+        assert!(matches!(w.idle_loop(), Ok(Idle::Done)));
+        sender.join().unwrap();
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The simulated device: allocation ledger, kernel launch, counters.
 
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cuts_obs::flight;
@@ -10,22 +9,27 @@ use cuts_obs::{Arg, EventKind, Registry, Span, Trace, SM_LANE_BASE};
 
 use crate::buffer::GlobalBuffer;
 use crate::config::DeviceConfig;
+use crate::cores::HostCores;
 use crate::counters::{AtomicCounters, BlockCounters, Counters};
 use crate::error::DeviceError;
-use crate::ordered::{self, RunOut, RunTarget};
+use crate::ordered::{self, Pace, RunOut, RunTarget};
 
 /// Host time an ordered launch runs on the calling thread alone before
 /// helper threads may join it: short launches, the bulk of a small job's
-/// levels, never pay for spawning them.
+/// levels, never pay for spawning them. Past it, a helper may join at
+/// every read of the launch clock while the host-core ledger has a core
+/// free.
 const HELP_AFTER: Duration = Duration::from_micros(100);
 
 /// Host time aimed for between two reads of the launch clock while an
 /// ordered launch runs on the calling thread alone: a read costs tens of
-/// nanoseconds, as much as a whole block of a small level.
-const CLOCK_EVERY: Duration = Duration::from_micros(1);
+/// nanoseconds, as much as a whole block of a small level, and every
+/// launch pays for them while a core is free (a serve lane's launches
+/// ran up to 10% slower reading it every microsecond).
+const CLOCK_EVERY: Duration = Duration::from_micros(10);
 
 /// Most blocks an ordered launch runs between two clock reads.
-const MAX_CLOCK_STRIDE: usize = 16;
+const MAX_CLOCK_STRIDE: usize = 256;
 
 /// Blocks to run before the next clock read, after `blocks` blocks took
 /// `elapsed`: one before any block has run and while blocks are slower
@@ -35,8 +39,8 @@ fn clock_stride(elapsed: Duration, blocks: usize) -> usize {
     if blocks == 0 {
         return 1;
     }
-    let mean_ns = elapsed.as_nanos() / blocks as u128;
-    (CLOCK_EVERY.as_nanos() / mean_ns.max(1)).clamp(1, MAX_CLOCK_STRIDE as u128) as usize
+    let mean_ns = elapsed.as_nanos() as u64 / blocks as u64;
+    (CLOCK_EVERY.as_nanos() as u64 / mean_ns.max(1)).clamp(1, MAX_CLOCK_STRIDE as u64) as usize
 }
 
 /// Telemetry of one launch in flight.
@@ -61,8 +65,9 @@ pub struct Device {
     /// for warm sessions is asserted as "this number did not move".
     alloc_calls: AtomicU64,
     counters: AtomicCounters,
-    /// Host threads one ordered launch may run its blocks on.
-    host_threads: usize,
+    /// A private core ledger (see [`Device::set_host_threads`]); `None`
+    /// launches on [`HostCores::process`].
+    cores: Option<Arc<HostCores>>,
     trace: Trace,
     registry: Registry,
 }
@@ -76,7 +81,7 @@ impl Device {
             allocated: Arc::new(AtomicUsize::new(0)),
             alloc_calls: AtomicU64::new(0),
             counters: AtomicCounters::default(),
-            host_threads: Device::host_cores(),
+            cores: None,
             trace: Trace::disabled(),
             registry: Registry::disabled(),
         }
@@ -90,21 +95,22 @@ impl Device {
         self.trace = trace;
     }
 
-    /// The host's available parallelism, read once per process: the
-    /// budget of a new device, and the cores an owner of several devices
-    /// or lanes shares out among them.
-    pub fn host_cores() -> usize {
-        static CORES: OnceLock<usize> = OnceLock::new();
-        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+    /// The core ledger this device's launches hold and borrow cores of:
+    /// the process-wide one unless [`Device::set_host_threads`] gave the
+    /// device its own.
+    pub fn cores(&self) -> &HostCores {
+        match &self.cores {
+            Some(own) => own,
+            None => HostCores::process(),
+        }
     }
 
-    /// Sets how many host threads one [`Device::launch_ordered`] may run
-    /// its blocks on, at least 1; a new device may use every core of the
-    /// host. An owner that launches on several devices or lanes at once
-    /// gives each its share of [`Device::host_cores`], so that together
-    /// they do not oversubscribe the host. Results never depend on it.
+    /// Gives this device a private ledger of `threads` cores (at least
+    /// 1), so that one ordered launch runs on up to that many host
+    /// threads on any host — the tests' control of the parallel path.
+    /// Results never depend on it.
     pub fn set_host_threads(&mut self, threads: usize) {
-        self.host_threads = threads.max(1);
+        self.cores = Some(Arc::new(HostCores::new(threads)));
     }
 
     /// Attaches a serving-metrics registry: every subsequent launch
@@ -207,17 +213,24 @@ impl Device {
     }
 
     /// A launch whose blocks append `(parent, children)` runs to `target`
-    /// through their [`RunOut`], spread over up to the device's host-thread
-    /// budget (see [`Device::set_host_threads`]).
+    /// through their [`RunOut`], spread over the host cores the device's
+    /// ledger has free (see [`HostCores`]).
     ///
-    /// The calling thread runs blocks in block-id order, writing straight
-    /// to `target`, until the launch has run for about 100 µs; short
-    /// launches end there. Then scoped helper threads join it on the rest
-    /// of the grid: each block stages its runs and commits them in
-    /// block-id order (see [`crate::ordered`]). Table layout, the returned
-    /// error and every counter are those of [`Device::launch_named`]
-    /// running the same blocks in order, at any thread budget. With
-    /// `per_block` tracing the whole grid stays on the calling thread.
+    /// The launch runs on a core of the ledger: the caller's, when it
+    /// holds one, or else one it holds for the launch's length. The
+    /// calling thread runs blocks in block-id order, writing straight to
+    /// `target`, until the launch has run for about 100 µs; short
+    /// launches end there. From then on, about once per 10 µs of
+    /// blocks, a scoped helper thread joins it on a free core, if there
+    /// is one and the blocks left are worth a thread; blocks then stage
+    /// their runs and commit them in block-id order (see
+    /// [`crate::ordered`]). A helper leaves before its next claim once
+    /// the ledger is over capacity, and when the last has left the
+    /// caller goes on alone on the direct path. Table layout, the
+    /// returned error and every counter are those of
+    /// [`Device::launch_named`] running the same blocks in order,
+    /// however many helpers join or leave. With `per_block` tracing the
+    /// whole grid stays on the calling thread.
     pub fn launch_ordered<T, F>(
         &self,
         name: &str,
@@ -230,7 +243,8 @@ impl Device {
         F: Fn(&mut BlockCtx, &mut RunOut<'_, T>) -> Result<(), DeviceError> + Sync,
     {
         let tap = self.open_launch(name, num_blocks);
-        let budget = if tap.per_block { 1 } else { self.host_threads };
+        let cores = self.cores();
+        let _core = (!cores.held_here()).then(|| cores.hold());
         let started = Instant::now();
         let mut total = Counters::default();
         let mut result = Ok(());
@@ -239,29 +253,38 @@ impl Device {
                 f(ctx, &mut RunOut::direct(target))
             })
         };
-        // A launch that has already failed stays direct: its result is
-        // decided, and the caller will retry it anyway. The clock is read
-        // only every `clock_stride` blocks.
+        // A launch that has already failed, or whose grid stopped at a
+        // claim that will fail, stays direct: its result is decided, and
+        // the caller will retry it anyway. While no core is free the
+        // clock is not read; else it is read every `clock_stride` blocks,
+        // and past `HELP_AFTER` each read may add a helper.
         let (mut next, mut read_at) = (0, 0);
+        let (mut threads, mut direct_only) = (1, tap.per_block);
         while next < num_blocks {
-            if budget > 1 && result.is_ok() && next == read_at {
-                let elapsed = started.elapsed();
-                if elapsed >= HELP_AFTER {
-                    break;
+            if !direct_only && result.is_ok() && next == read_at {
+                read_at += 1;
+                if cores.has_free() {
+                    let elapsed = started.elapsed();
+                    read_at += clock_stride(elapsed, next) - 1;
+                    let pace = Pace::of(elapsed, next);
+                    let ready = elapsed >= HELP_AFTER && pace.worth_a_helper(num_blocks - next);
+                    if let Some(core) = ready.then(|| cores.lend()).flatten() {
+                        let par = ordered::run(self, target, &f, next, num_blocks, pace, core);
+                        total += par.committed;
+                        threads += par.helpers;
+                        direct_only = par.stopped;
+                        // The block the grid stopped at, or was handed
+                        // back at, runs on the direct path.
+                        next = par.replay_from;
+                        read_at = next + 1;
+                        if next == num_blocks {
+                            break;
+                        }
+                    }
                 }
-                read_at += clock_stride(elapsed, next);
             }
             result = result.and(direct(next, &mut total));
             next += 1;
-        }
-        let mut threads = 1;
-        if next < num_blocks {
-            let par = ordered::run(self, target, &f, next, num_blocks, budget);
-            total += par.committed;
-            threads += par.helpers;
-            for block_id in par.replay_from..num_blocks {
-                result = result.and(direct(block_id, &mut total));
-            }
         }
         self.close_launch(name, num_blocks, tap, total, threads);
         result
@@ -444,14 +467,14 @@ mod tests {
     #[test]
     fn clock_stride_follows_the_mean_block_time() {
         let us = Duration::from_micros;
-        // Nothing measured yet, or blocks of a microsecond and more:
+        // Nothing measured yet, or blocks of ten microseconds and more:
         // read before every block.
         assert_eq!(clock_stride(us(0), 0), 1);
         assert_eq!(clock_stride(us(1), 0), 1);
-        assert_eq!(clock_stride(us(50), 10), 1);
-        assert_eq!(clock_stride(us(10), 10), 1);
-        // 250 ns blocks: every fourth; a few ns each: every sixteenth.
-        assert_eq!(clock_stride(us(10), 40), 4);
+        assert_eq!(clock_stride(us(500), 10), 1);
+        assert_eq!(clock_stride(us(100), 10), 1);
+        // 2.5 µs blocks: every fourth; a few ns each: every 256th.
+        assert_eq!(clock_stride(us(100), 40), 4);
         assert_eq!(clock_stride(us(1), 1000), MAX_CLOCK_STRIDE);
     }
 

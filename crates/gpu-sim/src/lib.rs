@@ -15,9 +15,10 @@
 //!   activation per block, in block-id order on the calling thread.
 //!   [`Device::launch_ordered`] runs the blocks of a grid that appends
 //!   `(parent, children)` runs to a table (the search kernel's trie
-//!   writes) on up to the device's host-thread budget: blocks stage their
-//!   runs and commit them in block-id order, so the table layout and
-//!   every counter equal the in-order launch's at any thread count.
+//!   writes) on the host cores the process-wide [`HostCores`] ledger has
+//!   free: blocks stage their runs and commit them in block-id order, so
+//!   the table layout and every counter equal the in-order launch's
+//!   however many helper threads join or leave.
 //! * [`Counters`] — Nsight-Compute-style hardware metrics: DRAM reads and
 //!   writes, shared-memory traffic, atomics, executed instructions, warp
 //!   divergence. §6 of the paper argues its speedup *through* these
@@ -40,6 +41,7 @@
 pub mod arena;
 pub mod buffer;
 pub mod config;
+pub mod cores;
 pub mod cost;
 pub mod counters;
 pub mod device;
@@ -50,6 +52,7 @@ pub mod primitives;
 pub use arena::{Arena, ArenaStats, ClassSpec, ClassStats, Slab};
 pub use buffer::GlobalBuffer;
 pub use config::DeviceConfig;
+pub use cores::{Holding, HostCores};
 pub use cost::{Bound, CostBreakdown, CostModel, SimTime};
 pub use counters::{BlockCounters, CounterSink, Counters};
 pub use device::{BlockCtx, Device};

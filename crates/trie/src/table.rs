@@ -392,7 +392,7 @@ impl RunTarget for PairTable {
 
 /// The counting output of a [`PairTable`] (see [`PairTable::counted`]):
 /// appends move the cursor and overflow like the table's own, and a
-/// staged block claims its entries' count.
+/// staged claim keeps and reserves only its entries' count.
 pub struct Counted<'a>(&'a PairTable);
 
 impl Counted<'_> {
@@ -413,6 +413,10 @@ impl RunTarget for Counted<'_> {
 
     fn append_all(&self, runs: &StagedRuns) -> bool {
         self.claim(runs.len()).is_ok()
+    }
+
+    fn stores_children(&self) -> bool {
+        false
     }
 }
 
@@ -630,9 +634,51 @@ mod tests {
             let stored = PairTable::on_host(capacity);
             let counted = PairTable::on_host(capacity);
             let s = outcome(launch(&stored, &sizes));
-            assert_eq!(outcome(launch(&counted.counted(), &sizes)), s);
+            let spy = StageSpy::new(counted.counted());
+            assert_eq!(outcome(launch(&spy, &sizes)), s);
             assert_eq!(s == "Ok(())", capacity == fits, "{s}");
             assert_eq!((counted.len(), stored.len()), (capacity, capacity));
+            let (staged, children) = spy.seen();
+            assert!(staged > 0, "helpers staged blocks");
+            assert_eq!(children, 0, "a counted stage holds run lengths only");
+        }
+    }
+
+    /// A [`RunTarget`] that passes appends through to `T` and remembers
+    /// how many staged entries and children words reached it.
+    struct StageSpy<T> {
+        target: T,
+        seen: std::sync::Mutex<(usize, usize)>,
+    }
+
+    impl<T: RunTarget> StageSpy<T> {
+        fn new(target: T) -> Self {
+            StageSpy {
+                target,
+                seen: Default::default(),
+            }
+        }
+
+        /// Staged entries and children words seen, over all commits.
+        fn seen(&self) -> (usize, usize) {
+            *self.seen.lock().unwrap()
+        }
+    }
+
+    impl<T: RunTarget> RunTarget for StageSpy<T> {
+        fn append(&self, parent: u32, children: &[u32]) -> Result<(), DeviceError> {
+            self.target.append(parent, children)
+        }
+
+        fn append_all(&self, runs: &StagedRuns) -> bool {
+            let mut seen = self.seen.lock().unwrap();
+            seen.0 += runs.len();
+            seen.1 += runs.held_children();
+            self.target.append_all(runs)
+        }
+
+        fn stores_children(&self) -> bool {
+            self.target.stores_children()
         }
     }
 
