@@ -156,10 +156,7 @@ pub fn c_intersection(
     out: &mut Vec<VertexId>,
 ) {
     if let Some(first) = lists.first() {
-        // Warp loads children of a1 into the shared buffer, coalesced.
-        ctr.dram_read_coalesced(first.len());
-        ctr.shmem_write(first.len());
-        charge_idle(ctr, first.len(), vwarp);
+        c_load(first, vwarp, ctr);
     }
     merge_passes(lists, out, |list, before, after| {
         // Lanes load this constraint's children to registers, coalesced,
@@ -184,14 +181,13 @@ pub fn p_intersection(
         out.clear();
         return;
     };
-    ctr.dram_read_coalesced(first.len());
-    charge_idle(ctr, first.len(), vwarp);
+    p_load(first, vwarp, ctr);
     merge_passes(lists, out, |list, before, _| {
         // Every candidate still standing binary-probes the constraint's
         // adjacency in global memory: uncoalesced, log(len) words each.
         ctr.dram_read_random_n(before, probe_cost(list.len()));
     });
-    ctr.shmem_write(out.len());
+    p_store(out.len(), ctr);
 }
 
 /// b-intersection (bitmap probe). The shortest list is encoded as a
@@ -220,16 +216,11 @@ pub fn b_intersection(
     let (Some(&lo), Some(&hi)) = (first.first(), first.last()) else {
         return;
     };
-    let words = bitmap_words(list_span(first));
-    if 2 * words > shared_words.max(1) {
+    let Some(words) = bitmap_fit(first, shared_words) else {
         // Span too wide for the double-buffered bitmap: fall back.
         return c_intersection(lists, vwarp, ctr, out);
-    }
-    // Encode: stream the shortest list once (coalesced), zero the bitmap,
-    // set one bit per element.
-    ctr.dram_read_coalesced(first.len());
-    ctr.shmem_write(words + first.len());
-    charge_idle(ctr, first.len(), vwarp);
+    };
+    b_load(first, words, vwarp, ctr);
     merge_passes(lists, out, |list, _, after| {
         // Stream the constraint coalesced and zero the target bitmap; one
         // shared probe per in-span element (the out-of-span bounds test is
@@ -242,10 +233,76 @@ pub fn b_intersection(
         ctr.shmem_read(in_span);
         ctr.shmem_write(after);
     });
-    if !out.is_empty() {
-        // Extract the surviving bits: one read per bitmap word.
+    b_store(words, out.len(), vwarp, ctr);
+}
+
+/// The c arm's first list: the warp loads it into the shared buffer,
+/// coalesced.
+fn c_load(first: &[VertexId], vwarp: usize, ctr: &mut BlockCounters) {
+    ctr.dram_read_coalesced(first.len());
+    ctr.shmem_write(first.len());
+    charge_idle(ctr, first.len(), vwarp);
+}
+
+/// The p arm's first list: loaded to registers, coalesced.
+fn p_load(first: &[VertexId], vwarp: usize, ctr: &mut BlockCounters) {
+    ctr.dram_read_coalesced(first.len());
+    charge_idle(ctr, first.len(), vwarp);
+}
+
+/// The p arm's survivors, written to shared memory.
+fn p_store(kept: usize, ctr: &mut BlockCounters) {
+    ctr.shmem_write(kept);
+}
+
+/// Words of the b arm's bitmap over `first`'s span, when its double
+/// buffer fits `shared_words`.
+fn bitmap_fit(first: &[VertexId], shared_words: usize) -> Option<usize> {
+    let words = bitmap_words(list_span(first));
+    (2 * words <= shared_words.max(1)).then_some(words)
+}
+
+/// The b arm's encode: stream the shortest list once (coalesced), zero
+/// the bitmap, set one bit per element.
+fn b_load(first: &[VertexId], words: usize, vwarp: usize, ctr: &mut BlockCounters) {
+    ctr.dram_read_coalesced(first.len());
+    ctr.shmem_write(words + first.len());
+    charge_idle(ctr, first.len(), vwarp);
+}
+
+/// The b arm's extraction of `kept` surviving bits: one read per bitmap
+/// word.
+fn b_store(words: usize, kept: usize, vwarp: usize, ctr: &mut BlockCounters) {
+    if kept > 0 {
         ctr.shmem_read(words);
-        charge_idle(ctr, out.len(), vwarp);
+        charge_idle(ctr, kept, vwarp);
+    }
+}
+
+/// What `method`'s arm bills to "intersect" the single list `list`: its
+/// load and its store of every element, with no pass between (b falls
+/// back to c when the bitmap does not fit). The result is `list` itself,
+/// so a caller with one constraint reads it in place.
+pub(crate) fn charge_one_list(
+    method: Method,
+    list: &[VertexId],
+    vwarp: usize,
+    shared_words: usize,
+    ctr: &mut BlockCounters,
+) {
+    match method {
+        Method::C => c_load(list, vwarp, ctr),
+        Method::P => {
+            p_load(list, vwarp, ctr);
+            p_store(list.len(), ctr);
+        }
+        Method::B => match bitmap_fit(list, shared_words) {
+            Some(words) => {
+                b_load(list, words, vwarp, ctr);
+                b_store(words, list.len(), vwarp, ctr);
+            }
+            None => c_load(list, vwarp, ctr),
+        },
     }
 }
 
@@ -746,6 +803,7 @@ mod tests {
     fn merge_arms_match_the_oracle_counters() {
         let mut rng = SmallRng::seed_from_u64(0x1D_E77);
         let (mut gallops, mut fallbacks, mut early_exits) = (0, 0, 0);
+        let (mut one_lists, mut one_list_fallbacks) = (0, 0);
         for case in 0..3000 {
             // A shared value pool over a narrow, medium or wide span: wide
             // spans make the bitmap infeasible at either budget.
@@ -778,20 +836,21 @@ mod tests {
             for vwarp in [1usize, 4, 32] {
                 for budget in [64usize, 4096] {
                     type Arm = fn(&[&[u32]], usize, usize, &mut BlockCounters, &mut Vec<u32>);
-                    let arms: [(&str, Arm, Arm); 3] = [
+                    let arms: [(Method, Arm, Arm); 3] = [
                         (
-                            "c",
+                            Method::C,
                             |l, w, _, c, o| c_intersection(l, w, c, o),
                             |l, w, _, c, o| oracle::c_intersection(l, w, c, o),
                         ),
                         (
-                            "p",
+                            Method::P,
                             |l, w, _, c, o| p_intersection(l, w, c, o),
                             |l, w, _, c, o| oracle::p_intersection(l, w, c, o),
                         ),
-                        ("b", b_intersection, oracle::b_intersection),
+                        (Method::B, b_intersection, oracle::b_intersection),
                     ];
-                    for (name, new, old) in arms {
+                    for (method, new, old) in arms {
+                        let name = method.name();
                         let (mut cn, mut co) = (BlockCounters::default(), BlockCounters::default());
                         let (mut on, mut oo) = (vec![7], vec![7]);
                         new(&refs, vwarp, budget, &mut cn, &mut on);
@@ -801,13 +860,22 @@ mod tests {
                             cn.c, co.c,
                             "{name} counters, vwarp {vwarp}, budget {budget}, {lists:?}"
                         );
+                        if let [only] = refs[..] {
+                            // One list is read in place, billed alone.
+                            let mut c1 = BlockCounters::default();
+                            charge_one_list(method, only, vwarp, budget, &mut c1);
+                            assert_eq!(oo, only, "{name} one-list result");
+                            assert_eq!(c1.c, co.c, "{name} one-list counters, {lists:?}");
+                        }
                     }
                 }
             }
             let first = refs.first().map_or(0, |l| l.len());
             if first > 0 && 2 * bitmap_words(list_span(refs[0])) > 64 {
                 fallbacks += 1;
+                one_list_fallbacks += (refs.len() == 1) as usize;
             }
+            one_lists += (refs.len() == 1 && first > 0) as usize;
             let mut out = Vec::new();
             let mut seen = 0;
             merge_passes(&refs, &mut out, |_, _, _| seen += 1);
@@ -819,6 +887,10 @@ mod tests {
         assert!(
             gallops > 100 && fallbacks > 100 && early_exits > 100,
             "gallop {gallops}, fallback {fallbacks}, early exit {early_exits}"
+        );
+        assert!(
+            one_lists > 100 && one_list_fallbacks > 20,
+            "one list {one_lists}, of which fall back {one_list_fallbacks}"
         );
     }
 

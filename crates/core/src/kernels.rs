@@ -9,7 +9,8 @@ use cuts_graph::{Graph, VertexId};
 use cuts_trie::{Trie, NO_PARENT};
 
 use crate::intersect::{
-    b_intersection, c_intersection, choose, constraint_list, p_intersection, Method,
+    b_intersection, c_intersection, charge_one_list, choose, constraint_list, p_intersection,
+    Method,
 };
 use crate::order::{label_ok, MatchOrder};
 use crate::policy::LevelMethod;
@@ -158,6 +159,21 @@ pub(crate) fn expand_into<T: RunTarget + ?Sized>(
     let q_label = p.plan.q_label[p.pos];
     let total = frontier.len();
     let blocks = p.max_blocks.min(total).max(1);
+    // Count-only (DESIGN §13.4): on symmetric data every candidate is
+    // adjacent to the `k` distinct vertices the back edges name, so its
+    // degree is at least `k`. When that covers the level's degree bound
+    // and the label does not constrain, the scan would keep exactly the
+    // candidates off the path, and a level nothing reads needs only
+    // their number.
+    let k = back
+        .iter()
+        .enumerate()
+        .filter(|&(i, be)| back[..i].iter().all(|b| b.pos != be.pos))
+        .count();
+    let count_only = !out.stores_children()
+        && p.data.is_symmetric()
+        && (q_label.is_none() || !p.data.is_labeled())
+        && q_out.max(q_in) as usize <= k;
 
     device.launch_ordered(p.method.kernel_name(), blocks, out, |ctx, out| {
         // Constraint lists live on the stack unless the query vertex has
@@ -225,41 +241,75 @@ pub(crate) fn expand_into<T: RunTarget + ?Sized>(
                         LevelMethod::Fixed(m) => m,
                         LevelMethod::PerPath => choose(lists, p.shared_words),
                     };
-                    match method {
-                        Method::C => c_intersection(lists, p.vwarp, &mut ctx.counters, cands),
-                        Method::P => p_intersection(lists, p.vwarp, &mut ctx.counters, cands),
-                        Method::B => {
-                            b_intersection(lists, p.vwarp, p.shared_words, &mut ctx.counters, cands)
+                    // One constraint is its own candidate set, read in
+                    // place.
+                    let ctr = &mut ctx.counters;
+                    let set: &[VertexId] = match lists {
+                        [only] => {
+                            charge_one_list(method, only, p.vwarp, p.shared_words, ctr);
+                            only
                         }
-                    }
+                        _ => {
+                            match method {
+                                Method::C => c_intersection(lists, p.vwarp, ctr, cands),
+                                Method::P => p_intersection(lists, p.vwarp, ctr, cands),
+                                Method::B => {
+                                    b_intersection(lists, p.vwarp, p.shared_words, ctr, cands)
+                                }
+                            }
+                            cands
+                        }
+                    };
 
-                    // Degree filter + injectivity against the cached path.
-                    keep.clear();
-                    for &c in cands.iter() {
-                        ctx.counters.dram_read_coalesced(2);
-                        ctx.counters.alu(2);
-                        if !p.data.degree_dominates(c, q_out, q_in) {
-                            continue;
-                        }
+                    let children: &[VertexId] = if count_only {
+                        // The scan's outcome and bill from the set's size:
+                        // every member passes the degree test (path
+                        // members too: they are adjacent to the same `k`
+                        // vertices), the label read and the path check,
+                        // which drops the members on the path.
+                        debug_assert!(set.iter().all(|&c| p.data.degree_dominates(c, q_out, q_in)));
+                        let on_path = path.iter().filter(|v| set.binary_search(v).is_ok());
+                        let kept = set.len() - on_path.count();
+                        ctr.dram_read_coalesced(2 * set.len());
+                        ctr.alu(2 * set.len());
                         if q_label.is_some() {
-                            ctx.counters.dram_read_random(1);
-                            if !label_ok(p.data, c, q_label) {
+                            ctr.dram_read_random_n(set.len(), 1);
+                        }
+                        ctr.shmem_read(set.len() * p.pos);
+                        // The counting view reads only the run's length.
+                        debug_assert!(!out.stores_children());
+                        &set[..kept]
+                    } else {
+                        // Degree filter + injectivity against the cached
+                        // path.
+                        keep.clear();
+                        for &c in set {
+                            ctr.dram_read_coalesced(2);
+                            ctr.alu(2);
+                            if !p.data.degree_dominates(c, q_out, q_in) {
                                 continue;
                             }
+                            if q_label.is_some() {
+                                ctr.dram_read_random(1);
+                                if !label_ok(p.data, c, q_label) {
+                                    continue;
+                                }
+                            }
+                            ctr.shmem_read(p.pos);
+                            if path.contains(&c) {
+                                continue;
+                            }
+                            keep.push(c);
                         }
-                        ctx.counters.shmem_read(p.pos);
-                        if path.contains(&c) {
-                            continue;
-                        }
-                        keep.push(c);
-                    }
+                        keep
+                    };
 
-                    if !keep.is_empty() {
+                    if !children.is_empty() {
                         // One atomic finds the write location for this
                         // path's children (§4.1.1).
-                        ctx.counters.atomic();
-                        out.append(entry, keep)?;
-                        ctx.counters.dram_write(2 * keep.len());
+                        ctr.atomic();
+                        out.append(entry, children)?;
+                        ctr.dram_write(2 * children.len());
                     }
                 }
             }

@@ -1,12 +1,13 @@
-//! Block executor equivalence: the expand kernels run their grids on up to
-//! a device's host-thread budget, staging each block's trie writes and
-//! committing them in block order. Nothing a caller can observe may
-//! depend on that budget. Each case runs the same work on a device
-//! limited to one host thread and on one allowed four (so the parallel
-//! path runs on any host), and asserts identical PA/CA contents, level
-//! counts, `MatchResult`s and `Counters`. Every case also checks, from the
-//! kernel spans' `threads` arg, that the four-thread device really ran
-//! some grid on more than one thread.
+//! Block executor equivalence: the expand kernels run their grids on as
+//! many host threads as their device's core ledger has cores to lend,
+//! staging each block's trie writes and committing them in block order.
+//! Nothing a caller can observe may depend on that ledger. Each case runs
+//! the same work on a device with a private ledger of one core and on one
+//! with a private ledger of four (`Device::set_host_threads`, so the
+//! parallel path runs on any host), and asserts identical PA/CA contents,
+//! level counts, `MatchResult`s and `Counters`. Every case also checks,
+//! from the kernel spans' `threads` arg, that the four-core device really
+//! ran some grid on more than one thread.
 
 use std::ops::Range;
 
@@ -20,7 +21,7 @@ use cuts_graph::Graph;
 use cuts_obs::{Arg, EventKind, Trace};
 use cuts_trie::{PairTable, Trie};
 
-/// A traced device limited to `threads` host threads per launch.
+/// A traced device with a private ledger of `threads` cores.
 fn device(config: DeviceConfig, threads: usize) -> (Device, Trace) {
     let mut d = Device::new(config);
     d.set_host_threads(threads);
@@ -112,15 +113,15 @@ fn params<'a>(
     }
 }
 
-/// Runs `run(threads)` with a budget of 1 and then of 4, and asserts
-/// that both observe the same thing. `run` also reports whether any of
-/// its launches ran on more than one thread; a budget of 1 never may,
-/// and the four-thread run is repeated (every attempt compared) until
-/// one did: helpers join a launch only after ~100 µs and may start
-/// late on a loaded host, after the caller has finished alone.
+/// Runs `run(threads)` on a private ledger of 1 core and then of 4, and
+/// asserts that both observe the same thing. `run` also reports whether
+/// any of its launches ran on more than one thread; a 1-core ledger never
+/// may, and the four-core run is repeated (every attempt compared) until
+/// one did: helpers join a launch only after ~100 µs and may start late
+/// on a loaded host, after the caller has finished alone.
 fn assert_budget_independent<T: PartialEq + std::fmt::Debug>(run: impl Fn(usize) -> (T, bool)) {
     let (want, parallel) = run(1);
-    assert!(!parallel, "a budget of 1 never spawns helpers");
+    assert!(!parallel, "a 1-core ledger never lends a helper a core");
     for _ in 0..20 {
         let (got, parallel) = run(4);
         assert_eq!(want, got);

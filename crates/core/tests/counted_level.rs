@@ -1,18 +1,22 @@
 //! Counted deepest level: a run with no sink reserves the entries of its
 //! last level and charges their writes, but writes none of them
-//! (DESIGN.md §13.4). Nothing else may change, so `run` (counted) and
-//! `run_enumerate` with a counting sink (stored) must agree on matches,
-//! level counts, counters, chunking and simulated time, and the sink
-//! must see every leaf: when everything fits, on the hybrid spill, for
-//! seeded chunks, and at host-thread budgets of 1 and 4 (where helper
-//! blocks stage their runs). The chain-growth case needs a crate-private
-//! budgeted run and lives in `session::tests`.
+//! (DESIGN.md §13.4). On symmetric data whose labels do not constrain the
+//! level, and whose back edges imply its degree filter, the kernel counts
+//! that level from set sizes instead of scanning each candidate. Nothing
+//! else may change, so `run` (counted) and `run_enumerate` with a
+//! counting sink (stored, always scanned) must agree on matches, level
+//! counts, counters, chunking and simulated time, and the sink must see
+//! every leaf: when everything fits, on the hybrid spill, for seeded
+//! chunks, on levels that keep the scan (directed data, labelled data
+//! under a labelled query), and on devices with private ledgers of 1 and
+//! 4 cores (where helper blocks stage their runs). The chain-growth case
+//! needs a crate-private budgeted run and lives in `session::tests`.
 
 use cuts_core::prelude::*;
 use cuts_gpu_sim::{Counters, Device, DeviceConfig};
 use cuts_graph::datasets::{Dataset, Scale};
 use cuts_graph::generators::{chain, clique, cycle, erdos_renyi, mesh2d, star};
-use cuts_graph::Graph;
+use cuts_graph::{Graph, VertexId};
 use cuts_obs::{Arg, EventKind, Trace};
 use cuts_trie::HostTrie;
 
@@ -42,8 +46,22 @@ fn graphs() -> Vec<Graph> {
     vec![erdos_renyi(120, 700, 11), star(40), mesh2d(12, 12)]
 }
 
+/// A triangle with a pendant edge (the shape of q4_2).
+fn paw() -> Graph {
+    Graph::undirected(4, &[(0, 1), (1, 2), (0, 2), (2, 3)])
+}
+
 fn queries() -> Vec<Graph> {
-    vec![clique(3), clique(4), cycle(4), cycle(5), chain(3), chain(4)]
+    vec![
+        clique(3),
+        clique(4),
+        cycle(4),
+        cycle(5),
+        chain(3),
+        chain(4),
+        star(4),
+        paw(),
+    ]
 }
 
 /// What a run saw, or its error.
@@ -158,9 +176,9 @@ fn parallel_launches(trace: &Trace) -> usize {
         .count()
 }
 
-/// Counted and stored runs over skewed graphs on a device limited to
-/// `threads` host threads per launch, and whether any launch ran on more
-/// than one of them.
+/// Counted and stored runs over skewed graphs on a device with a private
+/// ledger of `threads` cores, and whether any launch ran on more than one
+/// host thread.
 fn skewed_runs(threads: usize) -> (Vec<Seen>, bool) {
     let gowalla = Dataset::Gowalla.generate(Scale::Tiny);
     let wiki = Dataset::WikiTalk.generate(Scale::Tiny);
@@ -183,7 +201,7 @@ fn skewed_runs(threads: usize) -> (Vec<Seen>, bool) {
 #[test]
 fn counted_equals_stored_at_host_budgets_of_one_and_four() {
     let (want, parallel) = skewed_runs(1);
-    assert!(!parallel, "a budget of 1 never spawns helpers");
+    assert!(!parallel, "a 1-core ledger never lends a helper a core");
     // Helpers join a launch only after ~100 µs and may start late on a
     // loaded host: repeat (comparing every attempt) until one did.
     for _ in 0..20 {
@@ -194,4 +212,69 @@ fn counted_equals_stored_at_host_budgets_of_one_and_four() {
         }
     }
     panic!("no launch ran on more than one thread in 20 attempts");
+}
+
+/// Each edge of the first graph of [`graphs`] as one arc (low id to high
+/// id), a third of them reciprocated: directed data, so every level keeps
+/// its scan.
+fn directed_data() -> Graph {
+    let arcs: Vec<(VertexId, VertexId)> = graphs()[0]
+        .edges()
+        .filter(|&(u, v)| u < v || (u + v) % 3 == 0)
+        .collect();
+    Graph::directed(120, &arcs)
+}
+
+/// `g` with vertex `v` labelled `v % 3`.
+fn labelled(g: Graph) -> Graph {
+    let labels = (0..g.num_vertices() as u32).map(|v| v % 3).collect();
+    g.with_labels(labels)
+}
+
+#[test]
+fn counted_equals_stored_where_the_scan_stays() {
+    let device = Device::new(DeviceConfig::test_small());
+    let session = ExecSession::new(&device, EngineConfig::default());
+    let one_way = [
+        Graph::directed(3, &[(0, 1), (1, 2)]),
+        Graph::directed(3, &[(0, 1), (1, 2), (2, 0)]),
+        Graph::directed(4, &[(0, 1), (0, 2), (0, 3)]),
+    ];
+    let mut found = 0;
+    let directed = directed_data();
+    assert!(!directed.is_symmetric());
+    for query in queries().iter().chain(&one_way) {
+        let seen = same_either_way(&session, &directed, query).unwrap();
+        found += usize::from(seen.num_matches > 0);
+    }
+    for data in graphs() {
+        let tagged = labelled(data.clone());
+        for query in queries() {
+            let tagged_query = labelled(query.clone());
+            // Labelled data under a labelled query: the scan stays.
+            let seen = same_either_way(&session, &tagged, &tagged_query).unwrap();
+            found += usize::from(seen.num_matches > 0);
+            // With either side unlabelled the label does not constrain,
+            // so these levels are counted.
+            same_either_way(&session, &tagged, &query).unwrap();
+            same_either_way(&session, &data, &tagged_query).unwrap();
+        }
+    }
+    assert!(
+        found >= 12,
+        "only {found} of the scanned inputs match anything"
+    );
+}
+
+/// gowalla q4_4, a 3-star: its deepest level is counted from the hub
+/// lists' sizes (millions of leaves).
+#[test]
+fn counted_equals_stored_on_the_gowalla_star() {
+    let gowalla = Dataset::Gowalla.generate(Scale::Tiny);
+    let q4_4 = cuts_graph::query_set(4, 11)[4].graph.clone();
+    assert_eq!((q4_4.num_input_edges(), q4_4.max_out_degree()), (3, 3));
+    let device = Device::new(DeviceConfig::v100_like());
+    let session = ExecSession::new(&device, EngineConfig::default());
+    let seen = same_either_way(&session, &gowalla, &q4_4).unwrap();
+    assert!(seen.num_matches > 1_000_000);
 }

@@ -191,6 +191,15 @@ impl<'a, T: RunTarget + ?Sized> RunOut<'a, T> {
             }
         }
     }
+
+    /// False when appends are counted, not stored: the target's, or its
+    /// stage's (see [`RunTarget::stores_children`]).
+    pub fn stores_children(&self) -> bool {
+        match &self.0 {
+            Out::Direct(t) => t.stores_children(),
+            Out::Staged(s) => !s.lengths_only,
+        }
+    }
 }
 
 /// A claim that ran but has not committed yet.
