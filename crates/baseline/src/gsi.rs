@@ -116,7 +116,7 @@ impl<'d> GsiEngine<'d> {
                     && cuts_core::order::label_ok(data, v, plan.q_label[0])
             })
             .collect();
-        self.device.run_single_block(|ctx| {
+        self.device.run_single_block("gsi_filter", |ctx| {
             ctx.counters.dram_read_coalesced(2 * nd);
             ctx.counters.alu(2 * nd);
             ctx.counters.dram_write(roots.len());
@@ -137,27 +137,30 @@ impl<'d> GsiEngine<'d> {
             let depth = pos; // current paths have `depth` vertices
             let blocks = self.config.max_blocks.min(cur_count).max(1);
 
-            // ---- Pass 1: count survivors per path. ----
+            // ---- Pass 1: count survivors per path. Both passes write at
+            // offsets reserved before the launch, so each passes its buffer
+            // as a target it never appends to. ----
             let counts_buf = self.device.alloc_buffer(cur_count)?;
             let counts_res = counts_buf.reserve(cur_count).expect("sized exactly");
-            self.device.launch(blocks, |ctx| {
-                let mut path = Vec::with_capacity(depth);
-                let mut i = ctx.block_id;
-                while i < cur_count {
-                    read_path(&cur, i, depth, &mut path, &mut ctx.counters);
-                    let kept = expand_one(data, &plan, pos, &path, &mut ctx.counters);
-                    // GSI coordinates its bins with an atomic per path.
-                    ctx.counters.atomic();
-                    counts_res.write(i, kept.len() as u32);
-                    ctx.counters.dram_write(1);
-                    i += ctx.num_blocks;
-                }
-                Ok(())
-            })?;
+            self.device
+                .launch_ordered("gsi_count", blocks, &counts_buf, |ctx, _| {
+                    let mut path = Vec::with_capacity(depth);
+                    let mut i = ctx.block_id;
+                    while i < cur_count {
+                        read_path(&cur, i, depth, &mut path, &mut ctx.counters);
+                        let kept = expand_one(data, &plan, pos, &path, &mut ctx.counters);
+                        // GSI coordinates its bins with an atomic per path.
+                        ctx.counters.atomic();
+                        counts_res.write(i, kept.len() as u32);
+                        ctx.counters.dram_write(1);
+                        i += ctx.num_blocks;
+                    }
+                    Ok(())
+                })?;
 
             // ---- Prefix sum over counts (device scan primitive). ----
             let counts_host: Vec<u32> = (0..cur_count).map(|i| counts_buf.get(i)).collect();
-            let offsets = self.device.run_single_block(|ctx| {
+            let offsets = self.device.run_single_block("gsi_scan", |ctx| {
                 cuts_gpu_sim::primitives::exclusive_scan(&mut ctx.counters, &counts_host)
             });
             let next_count = offsets[cur_count] as usize;
@@ -172,26 +175,27 @@ impl<'d> GsiEngine<'d> {
                 .expect("sized exactly");
 
             // ---- Pass 2: recompute everything, write at offsets. ----
-            self.device.launch(blocks, |ctx| {
-                let mut path = Vec::with_capacity(depth);
-                let mut i = ctx.block_id;
-                while i < cur_count {
-                    read_path(&cur, i, depth, &mut path, &mut ctx.counters);
-                    let kept = expand_one(data, &plan, pos, &path, &mut ctx.counters);
-                    ctx.counters.atomic();
-                    let base = offsets[i] as usize * (depth + 1);
-                    for (k, &c) in kept.iter().enumerate() {
-                        let row = base + k * (depth + 1);
-                        for (l, &v) in path.iter().enumerate() {
-                            next_res.write(row + l, v);
+            self.device
+                .launch_ordered("gsi_write", blocks, &next, |ctx, _| {
+                    let mut path = Vec::with_capacity(depth);
+                    let mut i = ctx.block_id;
+                    while i < cur_count {
+                        read_path(&cur, i, depth, &mut path, &mut ctx.counters);
+                        let kept = expand_one(data, &plan, pos, &path, &mut ctx.counters);
+                        ctx.counters.atomic();
+                        let base = offsets[i] as usize * (depth + 1);
+                        for (k, &c) in kept.iter().enumerate() {
+                            let row = base + k * (depth + 1);
+                            for (l, &v) in path.iter().enumerate() {
+                                next_res.write(row + l, v);
+                            }
+                            next_res.write(row + depth, c);
+                            ctx.counters.dram_write(depth + 1);
                         }
-                        next_res.write(row + depth, c);
-                        ctx.counters.dram_write(depth + 1);
+                        i += ctx.num_blocks;
                     }
-                    i += ctx.num_blocks;
-                }
-                Ok(())
-            })?;
+                    Ok(())
+                })?;
 
             drop(counts_buf);
             cur = next;

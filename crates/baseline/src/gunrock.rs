@@ -69,7 +69,7 @@ impl<'d> GunrockEngine<'d> {
                     && cuts_core::order::label_ok(data, v, plan.q_label[0])
             })
             .collect();
-        self.device.run_single_block(|ctx| {
+        self.device.run_single_block("gunrock_filter", |ctx| {
             ctx.counters.dram_read_coalesced(2 * nd);
             ctx.counters.alu(2 * nd);
             ctx.counters.dram_write(2 * roots.len());
@@ -94,56 +94,55 @@ impl<'d> GunrockEngine<'d> {
             )?;
             let blocks = self.max_blocks.min(cur_count).max(1);
             let depth = pos;
-            self.device.launch(blocks, |ctx| {
-                let mut path: Vec<VertexId> = Vec::with_capacity(depth);
-                let mut cands: Vec<VertexId> = Vec::new();
-                let mut i = ctx.block_id;
-                while i < cur_count {
-                    // Load and decode the 64-bit code (2 words + `depth`
-                    // div/mod pairs of ALU work).
-                    ctx.counters.dram_read_coalesced(2);
-                    let code = read_u64(&cur, i);
-                    decode_path(code, base, depth, &mut path);
-                    ctx.counters.alu(2 * depth);
-
-                    let back = &plan.back_edges[pos];
-                    let mut lists: Vec<&[VertexId]> = Vec::with_capacity(back.len());
-                    for be in back {
-                        lists.push(constraint_list(data, path[be.pos], be.dir));
-                    }
-                    lists.sort_unstable_by_key(|l| l.len());
-                    c_intersection(&lists, 32, &mut ctx.counters, &mut cands);
-
-                    let mut kept: Vec<u64> = Vec::new();
-                    for &c in &cands {
+            self.device
+                .launch_ordered("gunrock_expand", blocks, &next, |ctx, out| {
+                    let mut path: Vec<VertexId> = Vec::with_capacity(depth);
+                    let mut cands: Vec<VertexId> = Vec::new();
+                    let mut i = ctx.block_id;
+                    while i < cur_count {
+                        // Load and decode the 64-bit code (2 words + `depth`
+                        // div/mod pairs of ALU work).
                         ctx.counters.dram_read_coalesced(2);
-                        ctx.counters.alu(2);
-                        if !data.degree_dominates(c, plan.q_out[pos], plan.q_in[pos])
-                            || !cuts_core::order::label_ok(data, c, plan.q_label[pos])
-                        {
-                            continue;
+                        let code = read_u64(&cur, i);
+                        decode_path(code, base, depth, &mut path);
+                        ctx.counters.alu(2 * depth);
+
+                        let back = &plan.back_edges[pos];
+                        let mut lists: Vec<&[VertexId]> = Vec::with_capacity(back.len());
+                        for be in back {
+                            lists.push(constraint_list(data, path[be.pos], be.dir));
                         }
-                        ctx.counters.alu(depth);
-                        if path.contains(&c) {
-                            continue;
+                        lists.sort_unstable_by_key(|l| l.len());
+                        c_intersection(&lists, 32, &mut ctx.counters, &mut cands);
+
+                        // The kept paths' codes, low word first.
+                        let mut words: Vec<u32> = Vec::new();
+                        for &c in &cands {
+                            ctx.counters.dram_read_coalesced(2);
+                            ctx.counters.alu(2);
+                            if !data.degree_dominates(c, plan.q_out[pos], plan.q_in[pos])
+                                || !cuts_core::order::label_ok(data, c, plan.q_label[pos])
+                            {
+                                continue;
+                            }
+                            ctx.counters.alu(depth);
+                            if path.contains(&c) {
+                                continue;
+                            }
+                            // Re-encode: code + c * base^depth.
+                            let grown = code + c as u64 * base.pow(depth as u32);
+                            words.extend([grown as u32, (grown >> 32) as u32]);
+                            ctx.counters.alu(2);
                         }
-                        // Re-encode: code + c * base^depth.
-                        kept.push(code + c as u64 * base.pow(depth as u32));
-                        ctx.counters.alu(2);
+                        if !words.is_empty() {
+                            ctx.counters.atomic();
+                            out.append(i as u32, &words)?;
+                            ctx.counters.dram_write(words.len());
+                        }
+                        i += ctx.num_blocks;
                     }
-                    if !kept.is_empty() {
-                        ctx.counters.atomic();
-                        let r = next.reserve(2 * kept.len())?;
-                        for (k, &code) in kept.iter().enumerate() {
-                            r.write(2 * k, code as u32);
-                            r.write(2 * k + 1, (code >> 32) as u32);
-                        }
-                        ctx.counters.dram_write(2 * kept.len());
-                    }
-                    i += ctx.num_blocks;
-                }
-                Ok(())
-            })?;
+                    Ok(())
+                })?;
             cur_count = next.len() / 2;
             level_counts[pos] = cur_count as u64;
             cur = next;
@@ -195,12 +194,9 @@ mod tests {
 
     #[test]
     fn encoding_limit_matches_paper_example() {
-        // A million-node data graph supports at most 4-vertex queries
-        // (10^6^4 = 10^24 < 2^64 ≈ 1.8·10^19? No: 10^24 > 1.8·10^19, so 4
-        // fits only as 10^18 < 2^64 for 3 vertices... check the arithmetic
-        // the paper states: 10^6^3 = 10^18 < 2^64 fits; 10^6^4 = 10^24
-        // does not. The paper says "maximum of four vertices" counting the
-        // path of 3 extensions; we assert the raw inequality.)
+        // 10^18 < 2^64 < 10^24: a million-vertex graph encodes paths of
+        // 3 query vertices but not of 4. (The paper says such a graph
+        // supports queries of up to four vertices.)
         assert!(GunrockEngine::encoding_fits(1_000_000, 3));
         assert!(!GunrockEngine::encoding_fits(1_000_000, 4));
         assert!(GunrockEngine::encoding_fits(100, 9));

@@ -97,13 +97,6 @@ pub fn release(bitmap: &[AtomicU64], slot: usize) -> bool {
     prev & mask != 0
 }
 
-/// True when `slot` is currently allocated.
-pub fn is_allocated(bitmap: &[AtomicU64], slot: usize) -> bool {
-    let w = slot / BITS_PER_WORD;
-    let mask = 1u64 << (slot % BITS_PER_WORD);
-    bitmap[w].load(Ordering::Acquire) & mask != 0
-}
-
 /// Number of allocated slots (exact only when no alloc/free is racing).
 pub fn occupancy(bitmap: &[AtomicU64], slots: usize) -> usize {
     (0..words_for(slots))
@@ -126,7 +119,6 @@ mod tests {
         let s0 = acquire(&b, 10, &hint).unwrap();
         let s1 = acquire(&b, 10, &hint).unwrap();
         assert_ne!(s0, s1, "two acquires never grant the same slot");
-        assert!(is_allocated(&b, s0));
         assert_eq!(occupancy(&b, 10), 2);
         assert!(release(&b, s0), "first free succeeds");
         assert!(!release(&b, s0), "double free is detected");

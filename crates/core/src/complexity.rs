@@ -1,11 +1,11 @@
-//! The §5 time-complexity model: closed-form work estimates for the
-//! sequential, single-GPU, and multi-GPU settings, parameterised exactly
-//! as the paper's Equation 6 and the paragraphs that follow it.
+//! The §5 path-count model: partial paths per depth (Equation 2), the
+//! quantity the paper's work and space bounds sum over.
 //!
 //! The model's inputs are measurable graph quantities — `|V_D|`, the
-//! maximum degree `δ`, the per-level survival ratio `σ` — so tests can
-//! fit `σ` from a real run's level counts and check that the model
-//! brackets the measured work.
+//! maximum degree `δ`, the per-level survival ratio `σ` — so plans can
+//! estimate a query's trie size ([`crate::QueryPlan::space_estimate`])
+//! and tests can fit `σ` from a real run's level counts and check that
+//! the model brackets the measured paths.
 
 /// Model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,61 +34,6 @@ impl ComplexityModel {
     pub fn paths_at_depth_from(&self, p1: f64, l: usize) -> f64 {
         assert!(l >= 1);
         p1 * (self.max_degree * self.sigma).powi(l as i32 - 1)
-    }
-
-    /// Equation 6, summed exactly: sequential work
-    /// `O(|V_D|) + O(|P_1|·δ) + Σ_{l=3}^{|V_Q|} O(|P_{l-1}|·(l−1)·δ)`.
-    pub fn sequential_work(&self) -> f64 {
-        let n = self.query_vertices;
-        let mut work = self.data_vertices; // level-0 scan
-        if n >= 2 {
-            work += self.paths_at_depth(1) * self.max_degree;
-        }
-        for l in 3..=n {
-            work += self.paths_at_depth(l - 1) * (l as f64 - 1.0) * self.max_degree;
-        }
-        work
-    }
-
-    /// The paper's simplified closed form:
-    /// `O(|V_D| · |V_Q| · δ^{|V_Q|})` (dominant term, σ ≤ 1 dropped).
-    pub fn sequential_work_simplified(&self) -> f64 {
-        self.data_vertices
-            * self.query_vertices as f64
-            * self.max_degree.powi(self.query_vertices as i32)
-    }
-
-    /// Single-GPU work: sequential work divided by the SM parallelism
-    /// (`p_complexity = s_complexity / n_SMP`), assuming the scheduler
-    /// balances thread blocks across SMs.
-    pub fn single_gpu_work(&self, num_sms: usize) -> f64 {
-        self.sequential_work() / num_sms as f64
-    }
-
-    /// Multi-GPU work under the worst-case donation bound the paper
-    /// derives: every GPU first does `W_min`, then half of the remaining
-    /// spread is recovered: `O(W_min + (W_max − W_min)/2)`.
-    pub fn multi_gpu_work_bound(w_min: f64, w_max: f64) -> f64 {
-        assert!(w_max >= w_min);
-        w_min + (w_max - w_min) / 2.0
-    }
-
-    /// Perfectly-balanced multi-GPU work:
-    /// `m_complexity = p_complexity / n_GPU`.
-    pub fn multi_gpu_work(&self, num_sms: usize, num_gpus: usize) -> f64 {
-        self.single_gpu_work(num_sms) / num_gpus as f64
-    }
-
-    /// Communication bound: `O(S_max)` words, where `S_max` is the
-    /// largest per-node trie (Equation 5's space bound, exact sum).
-    pub fn communication_bound(&self) -> f64 {
-        let ds = self.max_degree * self.sigma;
-        let p1 = self.paths_at_depth(1);
-        if (ds - 1.0).abs() < 1e-12 {
-            p1 * self.query_vertices as f64
-        } else {
-            p1 * (ds.powi(self.query_vertices as i32) - 1.0) / (ds - 1.0)
-        }
     }
 
     /// Fits σ from measured per-level path counts (least-squares over the
@@ -130,34 +75,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_work_dominated_by_last_level() {
-        let m = model();
-        let full = m.sequential_work();
-        let last = m.paths_at_depth(4) * 4.0 * 8.0;
-        assert!(
-            last / full > 0.5,
-            "deepest level dominates: {last} of {full}"
-        );
-        // The simplified bound is an over-estimate (σ dropped).
-        assert!(m.sequential_work_simplified() >= full);
-    }
-
-    #[test]
-    fn parallel_scalings_divide() {
-        let m = model();
-        let seq = m.sequential_work();
-        assert!((m.single_gpu_work(84) - seq / 84.0).abs() < 1e-9);
-        assert!((m.multi_gpu_work(84, 4) - seq / 336.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn donation_bound_between_extremes() {
-        let b = ComplexityModel::multi_gpu_work_bound(10.0, 30.0);
-        assert!((b - 20.0).abs() < 1e-12);
-        assert_eq!(ComplexityModel::multi_gpu_work_bound(5.0, 5.0), 5.0);
-    }
-
-    #[test]
     fn fit_sigma_recovers_synthetic() {
         // Counts generated with δ = 10, σ = 0.3.
         let counts = [300u64, 900, 2700, 8100];
@@ -193,13 +110,5 @@ mod tests {
             (0.1..10.0).contains(&ratio),
             "model off by more than 10x: {ratio}"
         );
-    }
-
-    #[test]
-    fn communication_bound_is_space_bound() {
-        let m = model();
-        // Equation 5's exact geometric sum with p1 = 500, ds = 4, l = 5.
-        let expect = 500.0 * (4f64.powi(5) - 1.0) / 3.0;
-        assert!((m.communication_bound() - expect).abs() < 1e-6);
     }
 }

@@ -161,12 +161,6 @@ impl EngineConfig {
         self.order_policy = p;
         self
     }
-
-    /// Builder-style trie memory fraction (`validate` checks it).
-    pub fn with_trie_fraction(mut self, f: f64) -> Self {
-        self.trie_fraction = f;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -194,12 +188,10 @@ mod tests {
             .with_chunk_size(64)
             .with_intersect(IntersectStrategy::PIntersection)
             .with_signature_prefilter(false)
-            .with_randomize_placement(false)
-            .with_trie_fraction(0.5);
+            .with_randomize_placement(false);
         assert_eq!(c.chunk_size, 64);
         assert_eq!(c.intersect, IntersectStrategy::PIntersection);
         assert!(!c.signature_prefilter);
         assert!(!c.randomize_placement);
-        assert!((c.trie_fraction - 0.5).abs() < 1e-12);
     }
 }

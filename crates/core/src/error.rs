@@ -17,9 +17,7 @@ pub enum EngineError {
     Device(DeviceError),
     /// The query has no vertices.
     EmptyQuery,
-    /// The query is not (weakly) connected; split into components first
-    /// (§4 gives the composition rule, implemented by
-    /// [`crate::ExecSession::run_disconnected`]).
+    /// The query is not (weakly) connected.
     DisconnectedQuery,
     /// Even a single partial path's expansion cannot fit in the remaining
     /// trie space: the instance is genuinely too large for this device.

@@ -7,12 +7,11 @@
 //! * [`Job`], [`JobId`] and [`JobOutcome`]: one unit of work, its
 //!   handle, and what happened to it.
 //! * **Per-job trie sizing.** A job's trie capacity is its §5 space
-//!   estimate ([`QueryPlan::space_estimate`], the paper's
-//!   `budget_check`) rounded to a power of two and clamped to the
-//!   device-level budget. It depends only on the job and the device
-//!   model, never on rank count, lane count or arena history, so per-job
-//!   [`MatchResult`]s are identical at any ranks × lanes and through
-//!   `ServeTier::run_serial`.
+//!   estimate ([`QueryPlan::space_estimate`]) rounded to a power of two
+//!   and clamped to the device-level budget. It depends only on the job
+//!   and the device model, never on rank count, lane count or arena
+//!   history, so per-job [`MatchResult`]s are identical at any ranks ×
+//!   lanes and through `ServeTier::run_serial`.
 //! * **Dispatch score.** Static priority, plus waited time over the
 //!   aging constant (so starvation is bounded: any job's score
 //!   eventually dominates), plus an urgency boost as a deadline
@@ -42,8 +41,8 @@ const MIN_TRIE_ENTRIES: usize = 256;
 
 /// Checked f64 → entries conversion for the §5 admission estimate.
 ///
-/// `estimated_paths`/`estimated_cuts_space` are geometric in `ds^l` and
-/// overflow f64 range (→ `inf`) or usize range for deep queries on
+/// [`QueryPlan::space_estimate`] is geometric in `(δσ)^l` and
+/// overflows f64 range (→ `inf`) or usize range for deep queries on
 /// high-degree graphs. A bare `as usize` cast saturates to `usize::MAX`,
 /// and `next_power_of_two` on any value above `1 << 63` panics in debug
 /// builds / wraps to 0 in release — so the old code could request a

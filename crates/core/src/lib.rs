@@ -54,7 +54,7 @@ pub use fault::{CrashKind, FaultInjector, FaultPlan};
 pub use job::{ClassSlo, Job, JobId, JobOutcome, SloReport, StatsSink};
 pub use ledger::{AliveBoard, WorkId, WorkLedger};
 pub use order::{BackEdge, Dir, MatchOrder, OrderPolicy};
-pub use plan::{BudgetCheck, DeviceClass, LevelSchedule, PlanKey, QueryPlan};
+pub use plan::{DeviceClass, LevelSchedule, PlanKey, QueryPlan};
 pub use policy::{KernelPolicy, LevelDecision, LevelMethod};
 pub use result::MatchResult;
 pub use serve::{ServeConfig, ServeConfigBuilder, ServeReport, ServeStats, ServeTier};

@@ -137,19 +137,6 @@ pub struct LevelSchedule {
     pub strategy: IntersectStrategy,
 }
 
-/// Advisory memory-budget verdict computed at plan time (the hybrid
-/// BFS-DFS fallback remains the run-time safety net; this is the planner's
-/// early warning).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BudgetCheck {
-    /// Estimated peak trie entries (Equation 5's geometric sum).
-    pub estimated_entries: f64,
-    /// Entries the device class can hold under this configuration.
-    pub budget_entries: usize,
-    /// Whether the estimate fits without chunking.
-    pub fits: bool,
-}
-
 /// An immutable, device-independent execution plan for one query under one
 /// engine configuration on one device class.
 #[derive(Debug, Clone, PartialEq)]
@@ -271,24 +258,12 @@ impl QueryPlan {
         };
         (1..=self.len()).map(|l| m.paths_at_depth(l)).sum()
     }
-
-    /// Plan-time budget check for `data`: does the Equation-5 estimate fit
-    /// the class's trie budget without hybrid chunking? `sigma` defaults
-    /// are workload-dependent; 0.25 is a reasonable unlabelled-graph prior.
-    pub fn budget_check(&self, data: &Graph, sigma: f64) -> BudgetCheck {
-        let estimated_entries = self.space_estimate(data, sigma);
-        BudgetCheck {
-            estimated_entries,
-            budget_entries: self.trie_entries_budget,
-            fits: estimated_entries <= self.trie_entries_budget as f64,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuts_graph::generators::{chain, clique, mesh2d};
+    use cuts_graph::generators::{chain, clique};
 
     fn class() -> DeviceClass {
         DeviceClass::of(&DeviceConfig::test_small())
@@ -344,20 +319,6 @@ mod tests {
             PlanKey::new(&plain, &cfg, &c),
             PlanKey::new(&labeled, &cfg, &c)
         );
-    }
-
-    #[test]
-    fn budget_check_flags_tight_class() {
-        let q = clique(3);
-        let cfg = EngineConfig::default();
-        let data = mesh2d(8, 8);
-        let roomy = QueryPlan::build(&q, &cfg, &class()).unwrap();
-        assert!(roomy.budget_check(&data, 0.25).fits);
-        let tight = DeviceClass::of(&DeviceConfig::test_small().with_global_mem_words(64));
-        let p = QueryPlan::build(&q, &cfg, &tight).unwrap();
-        let b = p.budget_check(&data, 0.25);
-        assert!(!b.fits, "64-word class cannot hold the mesh estimate");
-        assert!(b.estimated_entries > b.budget_entries as f64);
     }
 
     #[test]

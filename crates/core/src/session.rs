@@ -28,13 +28,10 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use cuts_gpu_sim::{
-    Arena, ArenaStats, ClassSpec, CostModel, CounterSink, Counters, Device, DeviceError,
-};
-use cuts_graph::components::{extract_component, weakly_connected_components};
+use cuts_gpu_sim::{Arena, ArenaStats, ClassSpec, CostModel, CounterSink, Device, DeviceError};
 use cuts_graph::Graph;
 use cuts_obs::flight;
-use cuts_obs::{Arg, EventKind, Json, ToJson};
+use cuts_obs::{Arg, EventKind, Json, Span, ToJson};
 use cuts_trie::{PairTable, Trie};
 
 use crate::cache::{PlanCache, PlanCacheStats};
@@ -380,8 +377,7 @@ impl<'d> ExecSession<'d> {
     }
 
     /// Counts all embeddings of `query` in `data`. The query must be
-    /// (weakly) connected — see [`ExecSession::run_disconnected`]
-    /// otherwise.
+    /// (weakly) connected.
     pub fn run(&self, data: &Graph, query: &Graph) -> Result<MatchResult, EngineError> {
         let plan = self.plan_over(data, query)?;
         self.run_full(&plan, data, None, None)
@@ -441,55 +437,6 @@ impl<'d> ExecSession<'d> {
         sink: MatchSink<'_>,
     ) -> Result<MatchResult, EngineError> {
         self.run_full(plan, data, Some(sink), Some(seed))
-    }
-
-    /// §4 composition for disconnected query graphs: match each weakly
-    /// connected component independently and multiply the counts (the
-    /// paper's "cross product of individual solutions" — components may
-    /// map to overlapping data vertices).
-    ///
-    /// The returned [`MatchResult`] aggregates the per-component runs:
-    /// `num_matches` is the saturating product; `level_counts` and `order`
-    /// are the component runs' vectors concatenated in component order
-    /// (so `level_counts.len() == |V_Q|`), with `order` remapped to
-    /// original query-vertex ids; counters and simulated times sum.
-    pub fn run_disconnected(
-        &self,
-        data: &Graph,
-        query: &Graph,
-    ) -> Result<MatchResult, EngineError> {
-        if query.num_vertices() == 0 {
-            return Err(EngineError::EmptyQuery);
-        }
-        let comps = weakly_connected_components(query);
-        let mut num_matches: u64 = 1;
-        let mut level_counts = Vec::with_capacity(query.num_vertices());
-        let mut order = Vec::with_capacity(query.num_vertices());
-        let mut counters = Counters::default();
-        let mut sim_millis = 0.0;
-        let mut wall_millis = 0.0;
-        let mut used_chunking = false;
-        for c in 0..comps.num_components() as u32 {
-            let (sub, members) = extract_component(query, &comps, c);
-            let r = self.run(data, &sub)?;
-            num_matches = num_matches.saturating_mul(r.num_matches);
-            // Remap the component-local order back to original vertex ids.
-            order.extend(r.order.iter().map(|&q| members[q as usize]));
-            level_counts.extend(r.level_counts);
-            counters += r.counters;
-            sim_millis += r.sim_millis;
-            wall_millis += r.wall_millis;
-            used_chunking |= r.used_chunking;
-        }
-        Ok(MatchResult {
-            num_matches,
-            level_counts,
-            counters,
-            sim_millis,
-            wall_millis,
-            used_chunking,
-            order,
-        })
     }
 
     /// Expands seeded partial paths by exactly one level and returns the
@@ -740,14 +687,7 @@ impl<'d> ExecSession<'d> {
 
         let trace = self.device.trace();
         while pos < n && !frontier.is_empty() {
-            let mut lspan = if trace.is_enabled() {
-                let mut s = trace.span(EventKind::Level, &format!("level {pos}"));
-                s.arg("pos", Arg::U64(pos as u64));
-                s.arg("frontier", Arg::U64(frontier.len() as u64));
-                Some(s)
-            } else {
-                None
-            };
+            let lspan = self.level_span(pos, frontier.len());
             let pre_len = trie.table().len();
             let placement = self.placement(&mut rng, &frontier);
             let params = ctx.params(pos, placement.as_deref());
@@ -755,15 +695,13 @@ impl<'d> ExecSession<'d> {
                 Ok(()) => {
                     let lvl = trie.seal_level();
                     level_counts[pos] += lvl.len() as u64;
-                    if let Some(s) = &mut lspan {
-                        s.arg("paths", Arg::U64(lvl.len() as u64));
-                    }
+                    close_level(lspan, Some(lvl.len()));
                     frontier = lvl;
                     pos += 1;
                 }
                 Err(DeviceError::BufferOverflow { .. }) => {
                     trie.table().truncate(pre_len);
-                    drop(lspan.take());
+                    close_level(lspan, None);
                     // The chain grows in place first while its limit
                     // allows — appending slabs is cheaper than spilling
                     // to the hybrid walk, and the expansion resumes exactly
@@ -955,12 +893,14 @@ impl<'d> ExecSession<'d> {
         }
         let mut total = 0u64;
         for chunk in cuts_trie::Chunks::new(frontier, chunk_size) {
+            let lspan = self.level_span(pos, chunk.len());
             let pre_len = trie.table().len();
             let params = ctx.params(pos, None);
             match self.expand_level(trie, chunk.clone(), &params, sink.is_some()) {
                 Ok(()) => {
                     let lvl = trie.seal_level();
                     level_counts[pos] += lvl.len() as u64;
+                    close_level(lspan, Some(lvl.len()));
                     total += self.process_chunks(
                         ctx,
                         trie,
@@ -974,6 +914,7 @@ impl<'d> ExecSession<'d> {
                 }
                 Err(DeviceError::BufferOverflow { .. }) => {
                     trie.table().truncate(pre_len);
+                    close_level(lspan, None);
                     if chunk.len() == 1 {
                         return Err(EngineError::CapacityExhausted { depth: pos });
                     }
@@ -1000,6 +941,18 @@ impl<'d> ExecSession<'d> {
             }
         }
         Ok(total)
+    }
+
+    /// A level span for expanding `frontier` entries at `pos`; `None` when
+    /// the trace is off, so untraced runs format no span name.
+    fn level_span(&self, pos: usize, frontier: usize) -> Option<Span> {
+        let trace = self.device.trace();
+        trace.is_enabled().then(|| {
+            let mut s = trace.span(EventKind::Level, &format!("level {pos}"));
+            s.arg("pos", Arg::U64(pos as u64));
+            s.arg("frontier", Arg::U64(frontier as u64));
+            s
+        })
     }
 
     /// Expands `frontier` by the level at `params.pos`. The deepest level
@@ -1037,6 +990,17 @@ impl<'d> ExecSession<'d> {
                 m[order.order[l] as usize] = v;
             }
             sink(&m);
+        }
+    }
+}
+
+/// Ends a level span: a finished step records the `paths` it produced,
+/// an attempt that overflowed and was rolled back records `rolled_back`.
+fn close_level(span: Option<Span>, paths: Option<usize>) {
+    if let Some(mut s) = span {
+        match paths {
+            Some(p) => s.arg("paths", Arg::U64(p as u64)),
+            None => s.arg("rolled_back", Arg::U64(1)),
         }
     }
 }
@@ -1118,16 +1082,74 @@ mod tests {
         assert!(!expect.used_chunking);
 
         let small = Device::new(DeviceConfig::test_small().with_global_mem_words(2048));
-        let session = ExecSession::new(
-            &small,
-            EngineConfig::default()
-                .with_chunk_size(8)
-                .with_trie_fraction(0.9),
-        );
+        let session = ExecSession::new(&small, EngineConfig::default().with_chunk_size(8));
         let got = session.run(&data, &query).unwrap();
         assert!(got.used_chunking, "expected hybrid fallback");
         assert_eq!(got.num_matches, expect.num_matches);
         assert_eq!(got.level_counts, expect.level_counts);
+    }
+
+    #[test]
+    fn spilled_runs_expand_only_inside_level_spans() {
+        use cuts_obs::{Event, JournalSummary, Trace};
+        let data = erdos_renyi(50, 250, 5);
+        let query = chain(4);
+        let mut small = Device::new(DeviceConfig::test_small().with_global_mem_words(2048));
+        let trace = Trace::enabled();
+        small.set_trace(trace.clone());
+        let session = ExecSession::new(&small, EngineConfig::default().with_chunk_size(8));
+        let r = session.run(&data, &query).unwrap();
+        assert!(r.used_chunking, "expected hybrid fallback");
+        let mut events = trace.journal().unwrap().drain_sorted();
+        // Spans are recorded as they end: an expansion launch belongs to
+        // the first level span recorded after it that began before it.
+        events.sort_by_key(|e| e.seq);
+        let pos = |e: &Event| match e.arg("pos") {
+            Some(Arg::U64(p)) => *p as usize,
+            other => panic!("level span without a position: {other:?}"),
+        };
+        let mut pending: Vec<&Event> = Vec::new();
+        let mut paths = vec![0u64; query.num_vertices()];
+        let mut rolled_back = 0;
+        for e in &events {
+            match e.kind {
+                EventKind::Kernel if e.name.starts_with("expand") => pending.push(e),
+                EventKind::Level => {
+                    let inside = pending.len();
+                    pending.retain(|k| k.ts_us < e.ts_us);
+                    assert!(pending.len() < inside, "{} ran no expansion", e.name);
+                    assert_eq!(e.name, format!("level {}", pos(e)));
+                    match (e.arg("paths"), e.arg("rolled_back")) {
+                        (Some(Arg::U64(p)), None) => paths[pos(e)] += p,
+                        (None, Some(_)) => rolled_back += 1,
+                        other => panic!("level span neither finished nor rolled back: {other:?}"),
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            pending.is_empty(),
+            "{} expansion(s) outside a level span",
+            pending.len()
+        );
+        assert!(rolled_back > 0, "the spill rolled an attempt back");
+        // Finished steps account for every path, position by position;
+        // a rolled-back attempt has a row of its own.
+        assert_eq!(paths[1..], r.level_counts[1..]);
+        let summary = JournalSummary::from_events(&events);
+        for (name, row) in &summary.levels {
+            match name.strip_suffix(" rolled back") {
+                Some(level) => {
+                    assert!(summary.levels.contains_key(level));
+                    assert_eq!(row.paths, 0);
+                }
+                None => {
+                    let at: usize = name.strip_prefix("level ").unwrap().parse().unwrap();
+                    assert_eq!(row.paths, paths[at]);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1404,28 +1426,6 @@ mod tests {
         // identical runs report identical counters.
         assert_eq!(a.counters, b.counters);
         assert!(a.counters.kernel_launches > 0);
-    }
-
-    #[test]
-    fn disconnected_returns_full_result() {
-        let device = Device::new(DeviceConfig::test_small());
-        let session = ExecSession::new(&device, EngineConfig::default());
-        let data = clique(4);
-        // Two disjoint edges: each has 12 embeddings in K4, and the
-        // paper's cross product gives 144.
-        let q = Graph::undirected(4, &[(0, 1), (2, 3)]);
-        let r = session.run_disconnected(&data, &q).unwrap();
-        assert_eq!(r.num_matches, 144);
-        assert_eq!(r.level_counts.len(), 4, "one entry per query vertex");
-        assert_eq!(r.level_counts, vec![4, 12, 4, 12]);
-        // Order covers every original query vertex exactly once.
-        let mut o = r.order.clone();
-        o.sort_unstable();
-        assert_eq!(o, vec![0, 1, 2, 3]);
-        // Connected query passes straight through.
-        let c = session.run_disconnected(&data, &clique(3)).unwrap();
-        assert_eq!(c.num_matches, 24);
-        assert_eq!(c.level_counts, vec![4, 12, 24]);
     }
 
     #[test]

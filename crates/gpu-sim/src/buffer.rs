@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::error::DeviceError;
+use crate::ordered::{RunTarget, StagedRuns};
 
 /// A fixed-capacity array of `u32` words living in (accounted) device
 /// memory, supporting concurrent append via reserved ranges.
@@ -129,11 +130,6 @@ impl GlobalBuffer {
         unsafe { *self.data[idx].get() }
     }
 
-    /// Copies a committed range out.
-    pub fn read_range(&self, range: std::ops::Range<usize>) -> Vec<u32> {
-        range.map(|i| self.get(i)).collect()
-    }
-
     /// Truncates the committed length (host-side; used when a chunk's
     /// scratch levels are discarded during hybrid BFS-DFS).
     pub fn truncate(&self, len: usize) {
@@ -153,6 +149,27 @@ impl Drop for GlobalBuffer {
         if let Some(ledger) = &self.ledger {
             ledger.fetch_sub(self.capacity(), Ordering::AcqRel);
         }
+    }
+}
+
+/// A flat level as an ordered launch's target: each run is its children
+/// words, appended contiguously; the parent is not stored. A grid that
+/// writes at offsets it reserved before the launch passes its buffer as
+/// a target it never appends to.
+impl RunTarget for GlobalBuffer {
+    fn append(&self, _parent: u32, children: &[u32]) -> Result<(), DeviceError> {
+        self.reserve(children.len())?.write_slice(children);
+        Ok(())
+    }
+
+    fn append_all(&self, runs: &StagedRuns) -> bool {
+        let Ok(r) = self.reserve(runs.len()) else {
+            return false;
+        };
+        for (at, &c) in runs.iter().flat_map(|(_, kids)| kids).enumerate() {
+            r.write(at, c);
+        }
+        true
     }
 }
 
@@ -219,7 +236,7 @@ mod tests {
         let r = b.reserve(3).unwrap();
         r.write_slice(&[1, 2, 3]);
         assert_eq!(b.len(), 3);
-        assert_eq!(b.read_range(0..3), vec![1, 2, 3]);
+        assert_eq!([b.get(0), b.get(1), b.get(2)], [1, 2, 3]);
     }
 
     #[test]
@@ -267,7 +284,7 @@ mod tests {
             }
         });
         assert_eq!(b.len(), 8 * 100 * 5);
-        let total: u64 = b.read_range(0..b.len()).iter().map(|&x| x as u64).sum();
+        let total: u64 = (0..b.len()).map(|i| b.get(i) as u64).sum();
         assert_eq!(total, sum.load(Ordering::Relaxed));
     }
 

@@ -11,10 +11,6 @@ pub struct DeviceConfig {
     pub name: &'static str,
     /// Streaming multiprocessors (paper: V100 = 84, A100 = 108).
     pub num_sms: usize,
-    /// Threads per warp (32 on every NVIDIA part).
-    pub warp_size: usize,
-    /// Maximum resident threads per SM (2048 on V100/A100).
-    pub max_threads_per_sm: usize,
     /// Shared memory per thread block, in words.
     pub shared_mem_words_per_block: usize,
     /// Global memory capacity, in words.
@@ -34,8 +30,6 @@ impl DeviceConfig {
         DeviceConfig {
             name: "sim-V100",
             num_sms: 84,
-            warp_size: 32,
-            max_threads_per_sm: 2048,
             shared_mem_words_per_block: 96 * 1024 / 4,
             global_mem_words: 32 << 20,
             dram_words_per_cycle: 160.0, // ~900 GB/s at 1.38 GHz
@@ -48,8 +42,6 @@ impl DeviceConfig {
         DeviceConfig {
             name: "sim-A100",
             num_sms: 108,
-            warp_size: 32,
-            max_threads_per_sm: 2048,
             shared_mem_words_per_block: 160 * 1024 / 4,
             global_mem_words: 40 << 20,
             dram_words_per_cycle: 320.0, // ~1.9 TB/s at 1.41 GHz
@@ -63,8 +55,6 @@ impl DeviceConfig {
         DeviceConfig {
             name: "sim-test",
             num_sms: 4,
-            warp_size: 32,
-            max_threads_per_sm: 256,
             shared_mem_words_per_block: 4096,
             global_mem_words: 1 << 20,
             dram_words_per_cycle: 16.0,
@@ -77,11 +67,6 @@ impl DeviceConfig {
     pub fn with_global_mem_words(mut self, words: usize) -> Self {
         self.global_mem_words = words;
         self
-    }
-
-    /// Maximum resident warps on the whole device.
-    pub fn max_warps(&self) -> usize {
-        self.num_sms * self.max_threads_per_sm / self.warp_size
     }
 }
 
@@ -106,11 +91,5 @@ mod tests {
     fn with_global_mem() {
         let c = DeviceConfig::test_small().with_global_mem_words(1234);
         assert_eq!(c.global_mem_words, 1234);
-    }
-
-    #[test]
-    fn max_warps() {
-        let c = DeviceConfig::test_small();
-        assert_eq!(c.max_warps(), 4 * 256 / 32);
     }
 }

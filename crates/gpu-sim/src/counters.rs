@@ -227,18 +227,6 @@ impl AtomicCounters {
             kernel_launches: self.kernel_launches.load(Ordering::Relaxed),
         }
     }
-
-    /// Resets everything to zero.
-    pub fn reset(&self) {
-        self.dram_reads.store(0, Ordering::Relaxed);
-        self.dram_writes.store(0, Ordering::Relaxed);
-        self.shmem_reads.store(0, Ordering::Relaxed);
-        self.shmem_writes.store(0, Ordering::Relaxed);
-        self.atomics.store(0, Ordering::Relaxed);
-        self.instructions.store(0, Ordering::Relaxed);
-        self.divergent_branches.store(0, Ordering::Relaxed);
-        self.kernel_launches.store(0, Ordering::Relaxed);
-    }
 }
 
 thread_local! {
@@ -322,8 +310,6 @@ mod tests {
         agg.merge(&b.c);
         let s = agg.snapshot();
         assert_eq!(s.dram_reads, 10);
-        agg.reset();
-        assert_eq!(agg.snapshot(), Counters::default());
     }
 
     #[test]

@@ -179,39 +179,6 @@ impl Device {
         Ok(GlobalBuffer::with_ledger(words, self.allocated.clone()))
     }
 
-    /// Launches a kernel: `num_blocks` thread blocks, each running `f` once
-    /// with its own [`BlockCtx`]. Blocks run in block-id order on the
-    /// calling thread; their counters merge into the device aggregate when
-    /// the grid retires. A block may fail (e.g. a buffer overflow); the
-    /// first failure is returned after all blocks finish, matching the
-    /// "kernel completes, error checked after" CUDA model.
-    pub fn launch<F>(&self, num_blocks: usize, f: F) -> Result<(), DeviceError>
-    where
-        F: Fn(&mut BlockCtx) -> Result<(), DeviceError>,
-    {
-        self.launch_named("kernel", num_blocks, f)
-    }
-
-    /// [`Device::launch`] with a kernel name for the trace. When a trace is
-    /// attached the launch is recorded as one [`EventKind::Kernel`] span
-    /// carrying the grid size, the host threads that ran it and the
-    /// launch's counter delta; with `per_block` tracing each block
-    /// additionally gets its own span on an `SM n` lane (blocks scheduled
-    /// round-robin over the configured SMs).
-    pub fn launch_named<F>(&self, name: &str, num_blocks: usize, f: F) -> Result<(), DeviceError>
-    where
-        F: Fn(&mut BlockCtx) -> Result<(), DeviceError>,
-    {
-        let tap = self.open_launch(name, num_blocks);
-        let mut total = Counters::default();
-        let mut result = Ok(());
-        for block_id in 0..num_blocks {
-            result = result.and(self.run_block(name, &tap, block_id, num_blocks, &mut total, &f));
-        }
-        self.close_launch(name, num_blocks, tap, total, 1);
-        result
-    }
-
     /// A launch whose blocks append `(parent, children)` runs to `target`
     /// through their [`RunOut`], spread over the host cores the device's
     /// ledger has free (see [`HostCores`]).
@@ -227,10 +194,12 @@ impl Device {
     /// [`crate::ordered`]). A helper leaves before its next claim once
     /// the ledger is over capacity, and when the last has left the
     /// caller goes on alone on the direct path. Table layout, the
-    /// returned error and every counter are those of
-    /// [`Device::launch_named`] running the same blocks in order,
-    /// however many helpers join or leave. With `per_block` tracing the
-    /// whole grid stays on the calling thread.
+    /// returned error and every counter are those of running the same
+    /// blocks in block-id order on the calling thread, however many
+    /// helpers join or leave. A block may fail (e.g. a buffer overflow):
+    /// the later blocks still run, and the first failure is returned, as
+    /// in CUDA's "kernel completes, error checked after". With
+    /// `per_block` tracing the whole grid stays on the calling thread.
     pub fn launch_ordered<T, F>(
         &self,
         name: &str,
@@ -290,17 +259,10 @@ impl Device {
         result
     }
 
-    /// Runs a single implicit block on the calling thread (for tiny kernels
-    /// like the initial candidate filter where launch overhead dominates).
-    pub fn run_single_block<F, T>(&self, f: F) -> T
-    where
-        F: FnOnce(&mut BlockCtx) -> T,
-    {
-        self.run_single_block_named("single_block", f)
-    }
-
-    /// [`Device::run_single_block`] with a kernel name for the trace.
-    pub fn run_single_block_named<F, T>(&self, name: &str, f: F) -> T
+    /// Runs a single implicit block named `name` on the calling thread
+    /// (for tiny kernels like the initial candidate filter where launch
+    /// overhead dominates).
+    pub fn run_single_block<F, T>(&self, name: &str, f: F) -> T
     where
         F: FnOnce(&mut BlockCtx) -> T,
     {
@@ -317,8 +279,6 @@ impl Device {
             block_id,
             num_blocks,
             counters: BlockCounters::default(),
-            shared_capacity: self.config.shared_mem_words_per_block,
-            shared_used: 0,
         }
     }
 
@@ -411,14 +371,9 @@ impl Device {
         }
     }
 
-    /// Aggregate hardware counters since the last reset.
+    /// Aggregate hardware counters of every launch so far.
     pub fn counters(&self) -> Counters {
         self.counters.snapshot()
-    }
-
-    /// Zeroes the hardware counters.
-    pub fn reset_counters(&self) {
-        self.counters.reset();
     }
 }
 
@@ -439,25 +394,6 @@ pub struct BlockCtx {
     pub num_blocks: usize,
     /// Metric counters (merged into the device when the block retires).
     pub counters: BlockCounters,
-    shared_capacity: usize,
-    shared_used: usize,
-}
-
-impl BlockCtx {
-    /// Claims `words` of shared memory for the block's lifetime, returning
-    /// a zeroed scratch vector (host-side stand-in for `__shared__`).
-    /// Exceeding the per-block capacity is a launch-configuration bug, so
-    /// it fails loudly.
-    pub fn alloc_shared(&mut self, words: usize) -> Result<Vec<u32>, DeviceError> {
-        if self.shared_used + words > self.shared_capacity {
-            return Err(DeviceError::OutOfMemory {
-                requested: words,
-                available: self.shared_capacity - self.shared_used,
-            });
-        }
-        self.shared_used += words;
-        Ok(vec![0u32; words])
-    }
 }
 
 #[cfg(test)]
@@ -501,7 +437,7 @@ mod tests {
     #[test]
     fn launch_merges_counters() {
         let d = Device::new(DeviceConfig::test_small());
-        d.launch(8, |ctx| {
+        d.launch_ordered("expand", 8, &GlobalBuffer::new(0), |ctx, _| {
             ctx.counters.dram_read_coalesced(10);
             Ok(())
         })
@@ -509,31 +445,21 @@ mod tests {
         let c = d.counters();
         assert_eq!(c.dram_reads, 80);
         assert_eq!(c.kernel_launches, 1);
-        d.reset_counters();
-        assert_eq!(d.counters().dram_reads, 0);
     }
 
     #[test]
     fn launch_propagates_block_errors() {
         let d = Device::new(DeviceConfig::test_small());
         let buf = d.alloc_buffer(4).unwrap();
-        let err = d.launch(4, |_| {
-            buf.reserve(2)?;
-            Ok(())
+        let err = d.launch_ordered("expand", 4, &buf, |ctx, out| {
+            out.append(0, &[ctx.block_id as u32; 2])
         });
         assert!(matches!(err, Err(DeviceError::BufferOverflow { .. })));
         // Two blocks succeeded before the buffer filled.
-        assert_eq!(buf.len(), 4);
-    }
-
-    #[test]
-    fn shared_memory_capacity_enforced() {
-        let d = Device::new(DeviceConfig::test_small());
-        d.run_single_block(|ctx| {
-            let a = ctx.alloc_shared(4000).unwrap();
-            assert_eq!(a.len(), 4000);
-            assert!(ctx.alloc_shared(200).is_err());
-        });
+        assert_eq!(
+            [buf.len(), buf.get(1) as usize, buf.get(2) as usize],
+            [4, 0, 1]
+        );
     }
 
     #[test]
@@ -541,7 +467,7 @@ mod tests {
         let mut d = Device::new(DeviceConfig::test_small());
         let trace = Trace::enabled();
         d.set_trace(trace.clone());
-        d.launch_named("expand", 4, |ctx| {
+        d.launch_ordered("expand", 4, &GlobalBuffer::new(0), |ctx, _| {
             ctx.counters.dram_read_coalesced(3);
             Ok(())
         })
@@ -562,7 +488,8 @@ mod tests {
         let mut d = Device::new(DeviceConfig::test_small());
         let trace = Trace::with_config(cuts_obs::TraceConfig { per_block: true });
         d.set_trace(trace.clone());
-        d.launch_named("expand", 8, |_| Ok(())).unwrap();
+        d.launch_ordered("expand", 8, &GlobalBuffer::new(0), |_, _| Ok(()))
+            .unwrap();
         let events = trace.journal().unwrap().drain_sorted();
         // 1 launch span + 8 block spans.
         assert_eq!(events.len(), 9);
@@ -579,19 +506,20 @@ mod tests {
     fn sink_captures_only_this_threads_launches() {
         use crate::counters::CounterSink;
         let d = Device::new(DeviceConfig::test_small());
+        let none = GlobalBuffer::new(0);
         // Unrelated work already on the device aggregate.
-        d.launch(2, |ctx| {
+        d.launch_ordered("other", 2, &none, |ctx, _| {
             ctx.counters.alu(100);
             Ok(())
         })
         .unwrap();
         let sink = CounterSink::install();
-        d.launch(4, |ctx| {
+        d.launch_ordered("expand", 4, &none, |ctx, _| {
             ctx.counters.dram_read_coalesced(3);
             Ok(())
         })
         .unwrap();
-        d.run_single_block(|ctx| ctx.counters.alu(7));
+        d.run_single_block("filter", |ctx| ctx.counters.alu(7));
         let seen = sink.snapshot();
         // Exactly this thread's two launches — no bleed from earlier work.
         assert_eq!(seen.dram_reads, 12);
@@ -607,9 +535,10 @@ mod tests {
         let mut d = Device::new(DeviceConfig::test_small());
         let reg = Registry::enabled();
         d.set_registry(reg.clone());
-        d.launch_named("expand", 4, |_| Ok(())).unwrap();
-        d.launch_named("expand", 4, |_| Ok(())).unwrap();
-        d.run_single_block_named("filter", |_| ());
+        let none = GlobalBuffer::new(0);
+        d.launch_ordered("expand", 4, &none, |_, _| Ok(())).unwrap();
+        d.launch_ordered("expand", 4, &none, |_, _| Ok(())).unwrap();
+        d.run_single_block("filter", |_| ());
         let h = |kernel: &str| {
             reg.histogram("cuts_kernel_wall_us", &[("kernel", kernel)], "")
                 .count()
@@ -619,13 +548,14 @@ mod tests {
         // A disabled registry records nothing (the default path).
         let d2 = Device::new(DeviceConfig::test_small());
         assert!(!d2.registry().is_enabled());
-        d2.launch_named("expand", 2, |_| Ok(())).unwrap();
+        d2.launch_ordered("expand", 2, &none, |_, _| Ok(()))
+            .unwrap();
     }
 
     #[test]
     fn single_block_counts_launch() {
         let d = Device::new(DeviceConfig::test_small());
-        let out = d.run_single_block(|ctx| {
+        let out = d.run_single_block("filter", |ctx| {
             ctx.counters.alu(5);
             42
         });

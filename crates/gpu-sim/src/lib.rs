@@ -5,20 +5,23 @@
 //! The paper's engine is a set of CUDA kernels; this crate provides the
 //! execution model those kernels assume, in plain Rust:
 //!
-//! * [`DeviceConfig`] — SM count, warp width, shared-memory size, global
-//!   memory capacity. Presets mirror the paper's two test machines
-//!   ([`DeviceConfig::v100_like`], [`DeviceConfig::a100_like`]) with memory
-//!   budgets scaled down proportionally (32 GB : 40 GB ratio preserved), so
-//!   out-of-memory behaviour reproduces in shape.
+//! * [`DeviceConfig`] — SM count, shared-memory size, global memory
+//!   capacity, DRAM bandwidth and clock. Presets mirror the paper's two
+//!   test machines ([`DeviceConfig::v100_like`],
+//!   [`DeviceConfig::a100_like`]) with memory budgets scaled down
+//!   proportionally (32 GB : 40 GB ratio preserved), so out-of-memory
+//!   behaviour reproduces in shape.
 //! * [`Device`] — owns capacity accounting and aggregated counters; its
-//!   [`Device::launch`] runs a grid of thread blocks, one closure
-//!   activation per block, in block-id order on the calling thread.
-//!   [`Device::launch_ordered`] runs the blocks of a grid that appends
-//!   `(parent, children)` runs to a table (the search kernel's trie
-//!   writes) on the host cores the process-wide [`HostCores`] ledger has
-//!   free: blocks stage their runs and commit them in block-id order, so
-//!   the table layout and every counter equal the in-order launch's
-//!   however many helper threads join or leave.
+//!   one grid launch, [`Device::launch_ordered`], runs a grid of thread
+//!   blocks, one closure activation per block, whose blocks may append
+//!   runs to a table (the search kernel's trie writes, a baseline's flat
+//!   level). Blocks run in block-id order on the calling thread until a
+//!   launch has run long enough to spread over the host cores the
+//!   process-wide [`HostCores`] ledger has free; blocks then stage their
+//!   runs and commit them in block-id order, so the table layout and
+//!   every counter equal the in-order run's however many helper threads
+//!   join or leave. [`Device::run_single_block`] runs a one-block kernel
+//!   on the calling thread.
 //! * [`Counters`] — Nsight-Compute-style hardware metrics: DRAM reads and
 //!   writes, shared-memory traffic, atomics, executed instructions, warp
 //!   divergence. §6 of the paper argues its speedup *through* these

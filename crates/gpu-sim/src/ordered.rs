@@ -12,10 +12,12 @@
 //! ever staged. The first claim that does not commit (its runs do not
 //! fit, or a block failed) stops the grid; the launch then replays its
 //! first block and every later one in order on the direct path, which
-//! reproduces the sequential launch's partial writes, error and counters
-//! exactly. The same ordered commit is how GSI-style engines make
-//! parallel writes land in a deterministic layout (there: a count pass,
-//! then a write pass).
+//! reproduces the partial writes, error and counters of running every
+//! block in order exactly. GSI-style engines get a deterministic layout
+//! for parallel writes from a count pass and then a write pass at the
+//! counted offsets; the ordered commit gives every launch that layout,
+//! so the baselines' grids run through it too (a flat
+//! [`crate::GlobalBuffer`] is a target).
 //!
 //! Helpers come and go with the [`HostCores`] ledger: the calling thread
 //! adds one at a claim whenever a core is free and the blocks left are
@@ -454,6 +456,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::GlobalBuffer;
     use crate::config::DeviceConfig;
     use cuts_obs::{Arg, EventKind, Registry, Trace};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
@@ -647,6 +650,61 @@ mod tests {
         assert_eq!(format!("{result4:?}"), format!("{result1:?}"));
         assert_eq!(rows4, rows1);
         assert_eq!(rows4.len(), capacity, "the replay filled the gap");
+        assert_eq!(counters4, counters1);
+    }
+
+    #[test]
+    fn a_flat_buffer_overflows_at_the_same_block_at_any_core_count() {
+        // Block b appends b % 3 + 1 words. Block 8's run does not fit in
+        // what blocks 0..8 leave; the later runs that fit the rest land
+        // as they would in order.
+        let size = |b: usize| b % 3 + 1;
+        let k = 8;
+        let capacity = (0..k).map(size).sum::<usize>() + size(k) - 1;
+        let words = |b: usize| (0..size(b)).map(move |c| (100 * b + c) as u32);
+        let run = |threads| {
+            let (d, trace) = device(threads);
+            let buf = GlobalBuffer::new(capacity);
+            let finishes = Finishes::default();
+            let result = d.launch_ordered("expand", 20, &buf, |ctx, out| {
+                outlast_direct_phase(ctx.block_id);
+                ctx.counters.atomic();
+                let kids: Vec<u32> = words(ctx.block_id).collect();
+                let appended = out.append(ctx.block_id as u32, &kids);
+                finishes.finish(ctx.block_id, threads > 1);
+                appended
+            });
+            let held: Vec<u32> = (0..buf.len()).map(|i| buf.get(i)).collect();
+            (
+                format!("{result:?}"),
+                held,
+                d.counters(),
+                launch_threads(&trace),
+            )
+        };
+        let (result1, held1, counters1, _) = run(1);
+        let (result4, held4, counters4, threads4) = run(4);
+        assert!(
+            threads4[0] > 1,
+            "the overflow happened on the parallel path"
+        );
+        // The in-order run: every block whose run fits what is left.
+        let mut in_order = Vec::new();
+        for b in 0..20 {
+            if in_order.len() + size(b) <= capacity {
+                in_order.extend(words(b));
+            }
+        }
+        assert_eq!(held1, in_order);
+        assert_eq!(held4, in_order);
+        assert_eq!(
+            result1,
+            format!(
+                "{:?}",
+                Err::<(), _>(DeviceError::BufferOverflow { capacity })
+            )
+        );
+        assert_eq!(result4, result1);
         assert_eq!(counters4, counters1);
     }
 

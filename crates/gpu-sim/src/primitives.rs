@@ -2,10 +2,9 @@
 //!
 //! Two-pass engines lean on these: GSI's join counts per-path results,
 //! runs an **exclusive scan** over the counts to get write offsets, and
-//! scatters. The primitives here model the standard work-efficient
-//! implementations (Blelloch scan: ~2n ops over shared memory plus one
-//! global read and write per element) so that engines built on them incur
-//! honest traffic.
+//! scatters. The scan models the standard work-efficient implementation
+//! (Blelloch scan: ~2n ops over shared memory plus one global read and
+//! write per element) so that engines built on it incur honest traffic.
 
 use crate::counters::BlockCounters;
 
@@ -29,37 +28,6 @@ pub fn exclusive_scan(ctr: &mut BlockCounters, input: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Sum reduction. Charges one global read per element and the log-tree
-/// ALU work.
-pub fn reduce_sum(ctr: &mut BlockCounters, input: &[u32]) -> u64 {
-    let n = input.len();
-    ctr.dram_read_coalesced(n);
-    ctr.alu(n + n.next_power_of_two().trailing_zeros() as usize);
-    input.iter().map(|&x| x as u64).sum()
-}
-
-/// Stream compaction: keeps elements satisfying `pred`, preserving order.
-/// Models the scan-then-scatter implementation: a flag pass, a scan, and
-/// a scattered write of survivors.
-pub fn compact<F>(ctr: &mut BlockCounters, input: &[u32], mut pred: F) -> Vec<u32>
-where
-    F: FnMut(u32) -> bool,
-{
-    let n = input.len();
-    ctr.dram_read_coalesced(n);
-    ctr.alu(n); // predicate evaluation
-    let flags: Vec<u32> = input.iter().map(|&x| pred(x) as u32).collect();
-    let offsets = exclusive_scan(ctr, &flags);
-    let kept = offsets[n] as usize;
-    ctr.dram_write(kept);
-    input
-        .iter()
-        .zip(flags.iter())
-        .filter(|(_, &f)| f == 1)
-        .map(|(&x, _)| x)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,23 +46,5 @@ mod tests {
     fn scan_empty() {
         let mut ctr = BlockCounters::default();
         assert_eq!(exclusive_scan(&mut ctr, &[]), vec![0]);
-    }
-
-    #[test]
-    fn reduce() {
-        let mut ctr = BlockCounters::default();
-        assert_eq!(reduce_sum(&mut ctr, &[1, 2, 3, 4]), 10);
-        assert_eq!(reduce_sum(&mut ctr, &[]), 0);
-        // Overflow-safe: sums into u64.
-        assert_eq!(reduce_sum(&mut ctr, &[u32::MAX, 1]), u32::MAX as u64 + 1);
-    }
-
-    #[test]
-    fn compaction_preserves_order() {
-        let mut ctr = BlockCounters::default();
-        let out = compact(&mut ctr, &[5, 2, 9, 4, 7], |x| x > 4);
-        assert_eq!(out, vec![5, 9, 7]);
-        let none = compact(&mut ctr, &[1, 2], |_| false);
-        assert!(none.is_empty());
     }
 }

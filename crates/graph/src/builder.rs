@@ -11,8 +11,6 @@ use crate::graph::{Graph, VertexId};
 pub struct GraphBuilder {
     edges: Vec<(VertexId, VertexId)>,
     relabel: HashMap<u64, VertexId>,
-    /// External id for each dense id, for mapping results back.
-    external: Vec<u64>,
 }
 
 impl GraphBuilder {
@@ -22,13 +20,8 @@ impl GraphBuilder {
     }
 
     fn intern(&mut self, ext: u64) -> VertexId {
-        if let Some(&v) = self.relabel.get(&ext) {
-            return v;
-        }
-        let v = self.external.len() as VertexId;
-        self.relabel.insert(ext, v);
-        self.external.push(ext);
-        v
+        let next = self.relabel.len() as VertexId;
+        *self.relabel.entry(ext).or_insert(next)
     }
 
     /// Adds an edge between external ids.
@@ -38,15 +31,9 @@ impl GraphBuilder {
         self
     }
 
-    /// Ensures a vertex exists even if isolated.
-    pub fn add_vertex(&mut self, u: u64) -> &mut Self {
-        self.intern(u);
-        self
-    }
-
     /// Number of distinct vertices seen so far.
     pub fn num_vertices(&self) -> usize {
-        self.external.len()
+        self.relabel.len()
     }
 
     /// Number of edges added so far (before dedup).
@@ -54,19 +41,14 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// External id corresponding to a dense id.
-    pub fn external_id(&self, v: VertexId) -> u64 {
-        self.external[v as usize]
-    }
-
     /// Finishes into a directed graph.
     pub fn build_directed(&self) -> Graph {
-        Graph::directed(self.external.len(), &self.edges)
+        Graph::directed(self.relabel.len(), &self.edges)
     }
 
     /// Finishes into an undirected (symmetrised) graph.
     pub fn build_undirected(&self) -> Graph {
-        Graph::undirected(self.external.len(), &self.edges)
+        Graph::undirected(self.relabel.len(), &self.edges)
     }
 }
 
@@ -82,18 +64,8 @@ mod tests {
         let g = b.build_directed();
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 2);
-        assert_eq!(b.external_id(0), 1000);
-        assert_eq!(b.external_id(1), 7);
-        assert_eq!(b.external_id(2), 999_999);
-    }
-
-    #[test]
-    fn isolated_vertices_survive() {
-        let mut b = GraphBuilder::new();
-        b.add_vertex(5).add_edge(1, 2);
-        let g = b.build_undirected();
-        assert_eq!(g.num_vertices(), 3);
-        assert_eq!(g.out_degree(0), 0);
+        // Dense ids follow first appearance: 1000 -> 0, 7 -> 1, 999999 -> 2.
+        assert!(g.has_edge(0, 1) && g.has_edge(1, 2));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Weakly connected components and the §4 splitting rules.
+//! Weakly connected components.
 //!
-//! The paper: if the query graph is disconnected, match each component and
-//! take the cross product of the solutions; if the data graph is
-//! disconnected, match against each component and take the union.
+//! The engines match connected queries only (a disconnected one is
+//! refused with `EngineError::DisconnectedQuery`); the labelling here
+//! checks the generated query sets and data graphs for connectivity.
 
 use crate::graph::{Graph, VertexId};
 
@@ -19,25 +19,6 @@ impl Components {
     /// Number of components.
     pub fn num_components(&self) -> usize {
         self.count as usize
-    }
-
-    /// Vertices of component `c`.
-    pub fn members(&self, c: u32) -> Vec<VertexId> {
-        self.label
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l == c)
-            .map(|(v, _)| v as VertexId)
-            .collect()
-    }
-
-    /// Sizes of all components.
-    pub fn sizes(&self) -> Vec<usize> {
-        let mut s = vec![0usize; self.count as usize];
-        for &l in &self.label {
-            s[l as usize] += 1;
-        }
-        s
     }
 }
 
@@ -66,35 +47,6 @@ pub fn weakly_connected_components(g: &Graph) -> Components {
     Components { label, count }
 }
 
-/// Extracts component `c` as a standalone graph plus the dense→original
-/// vertex mapping. Edge directions are preserved.
-pub fn extract_component(g: &Graph, comps: &Components, c: u32) -> (Graph, Vec<VertexId>) {
-    let members = comps.members(c);
-    let mut dense = vec![u32::MAX; g.num_vertices()];
-    for (i, &v) in members.iter().enumerate() {
-        dense[v as usize] = i as u32;
-    }
-    let mut edges = Vec::new();
-    for &v in &members {
-        for &w in g.out_neighbors(v) {
-            if comps.label[w as usize] == c {
-                edges.push((dense[v as usize], dense[w as usize]));
-            }
-        }
-    }
-    // Arcs of a symmetric graph come in both directions already, so a
-    // directed build preserves them exactly. Labels follow their vertices.
-    let mut sub = Graph::directed(members.len(), &edges);
-    if g.is_labeled() {
-        let labels = members
-            .iter()
-            .map(|&v| g.label(v).expect("labeled graph"))
-            .collect();
-        sub = sub.with_labels(labels);
-    }
-    (sub, members)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,7 +66,8 @@ mod tests {
         assert_eq!(c.label[0], c.label[1]);
         assert_eq!(c.label[2], c.label[3]);
         assert_ne!(c.label[0], c.label[2]);
-        assert_eq!(c.sizes().iter().sum::<usize>(), 5);
+        assert_ne!(c.label[4], c.label[0]);
+        assert_ne!(c.label[4], c.label[2]);
     }
 
     #[test]
@@ -122,28 +75,5 @@ mod tests {
         let g = Graph::directed(3, &[(0, 1), (2, 1)]);
         let c = weakly_connected_components(&g);
         assert_eq!(c.num_components(), 1);
-    }
-
-    #[test]
-    fn extract_preserves_labels() {
-        let g = Graph::directed(5, &[(0, 1), (3, 4)]).with_labels(vec![9, 8, 7, 6, 5]);
-        let c = weakly_connected_components(&g);
-        let comp = c.label[3];
-        let (sub, map) = extract_component(&g, &c, comp);
-        assert_eq!(map, vec![3, 4]);
-        assert_eq!(sub.label(0), Some(6));
-        assert_eq!(sub.label(1), Some(5));
-    }
-
-    #[test]
-    fn extract_preserves_edges() {
-        let g = Graph::directed(6, &[(0, 1), (1, 2), (3, 4)]);
-        let c = weakly_connected_components(&g);
-        let comp_of_3 = c.label[3];
-        let (sub, map) = extract_component(&g, &c, comp_of_3);
-        assert_eq!(sub.num_vertices(), 2);
-        assert_eq!(sub.num_edges(), 1);
-        assert_eq!(map, vec![3, 4]);
-        assert!(sub.has_edge(0, 1));
     }
 }

@@ -12,21 +12,6 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds a CSR from a per-vertex adjacency list. Each list is sorted
-    /// and deduplicated.
-    pub fn from_adjacency(mut adj: Vec<Vec<VertexId>>) -> Self {
-        let mut offsets = Vec::with_capacity(adj.len() + 1);
-        let mut targets = Vec::new();
-        offsets.push(0u64);
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-            targets.extend_from_slice(list);
-            offsets.push(targets.len() as u64);
-        }
-        Csr { offsets, targets }
-    }
-
     /// Builds a CSR for `n` vertices from an edge list, in `O(|E| log |E|)`.
     /// Parallel edges are collapsed.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
@@ -196,13 +181,6 @@ mod tests {
         assert_eq!(csr.neighbors(2), &[3]);
         assert_eq!(csr.neighbors(3), &[0]);
         assert_eq!(csr.num_edges(), 4);
-    }
-
-    #[test]
-    fn from_adjacency_matches_from_edges() {
-        let a = Csr::from_adjacency(vec![vec![2, 1, 2], vec![], vec![3], vec![0]]);
-        let b = Csr::from_edges(4, &[(0, 2), (0, 1), (0, 2), (2, 3), (3, 0)]);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -440,7 +440,7 @@ mod tests {
         // An asymmetric adjacency must not pass as symmetric, and a
         // self-loop is never canonical.
         assert!(Graph::from_out_csr(dir.out_csr().clone(), true).is_err());
-        let loopy = Csr::from_adjacency(vec![vec![0, 1], vec![0]]);
+        let loopy = Csr::from_edges(2, &[(0, 0), (0, 1), (1, 0)]);
         assert!(Graph::from_out_csr(loopy.clone(), false).is_err());
         assert!(Graph::from_out_csr(loopy, true).is_err());
     }

@@ -20,8 +20,8 @@
 //!   stand-ins for the six SNAP datasets of Table 2 (see [`datasets`]).
 //! * [`query_gen`] — exact enumeration of the paper's query sets: all
 //!   non-isomorphic connected graphs on 5/6/7 vertices, top-11 by edge count.
-//! * [`components`] — weakly-connected-component splitting used by §4 for
-//!   disconnected query or data graphs.
+//! * [`components`] — weakly-connected-component labelling, the
+//!   connectivity check for generated queries and data graphs.
 //! * [`canonical`] — brute-force canonical forms for small graphs (exact for
 //!   the ≤7-vertex query graphs), used for dedup and testing.
 

@@ -138,16 +138,6 @@ pub fn query_set(n: usize, k: usize) -> Vec<QueryGraph> {
         .collect()
 }
 
-/// The full 33-query evaluation set of the paper: top-11 for 5, 6 and 7
-/// vertices.
-pub fn paper_query_suite() -> Vec<QueryGraph> {
-    let mut all = Vec::with_capacity(33);
-    for n in [5usize, 6, 7] {
-        all.extend(query_set(n, 11));
-    }
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,16 +193,6 @@ mod tests {
         assert_eq!(at(10), 1);
         assert_eq!(at(9), 1);
         assert_eq!(at(8), 2);
-    }
-
-    #[test]
-    fn paper_suite_has_33() {
-        let suite = paper_query_suite();
-        assert_eq!(suite.len(), 33);
-        assert_eq!(
-            suite.iter().filter(|q| q.graph.num_vertices() == 7).count(),
-            11
-        );
     }
 
     #[test]

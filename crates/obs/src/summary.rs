@@ -38,7 +38,8 @@ pub struct JournalSummary {
     pub census: BTreeMap<&'static str, u64>,
     /// Per-kernel totals over launch spans only.
     pub kernels: BTreeMap<String, SpanTotals>,
-    /// Per-level totals.
+    /// Per-level totals, keyed by level name; the attempts of a level
+    /// that were rolled back are keyed `"<name> rolled back"`.
     pub levels: BTreeMap<String, SpanTotals>,
     /// Plan-cache hits and misses (plans built).
     pub plans: (u64, u64),
@@ -94,6 +95,13 @@ impl JournalSummary {
             s.ranks.extend(e.rank);
             let name = e.name.as_str();
             match e.kind {
+                // An attempt that overflowed and was rolled back finished
+                // no step of its level: it gets a row of its own.
+                EventKind::Level if e.arg("rolled_back").is_some() => s
+                    .levels
+                    .entry(format!("{name} rolled back"))
+                    .or_default()
+                    .add(e),
                 EventKind::Level => s.levels.entry(e.name.clone()).or_default().add(e),
                 // Per-block kernel spans carry no `blocks` argument.
                 EventKind::Kernel if e.arg("blocks").is_some() => {
@@ -190,7 +198,7 @@ impl fmt::Display for JournalSummary {
             let (steps, paths) = (l.spans, l.paths);
             writeln!(
                 f,
-                "    {name:<16} {steps:>6} step(s)    {ms:>9.3} ms  {paths:>10} paths"
+                "    {name:<19} {steps:>6} step(s) {ms:>9.3} ms  {paths:>10} paths"
             )?;
         }
         let (hits, built) = self.plans;

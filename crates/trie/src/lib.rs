@@ -17,8 +17,7 @@
 //! * [`HostTrie`] — a heap-side copy (seeded runs, verification, tests).
 //! * [`csf`] — the Compressed Sparse Fibre representation of the same
 //!   path set (the two-pass alternative of Figure 3(B)).
-//! * [`space`] — word-exact storage accounting (Table 1, Figure 2(C)) and
-//!   the closed-form model of Equations 1–5.
+//! * [`space`] — word-exact storage accounting (Table 1, Figure 2(C)).
 
 pub mod chunk;
 pub mod csf;

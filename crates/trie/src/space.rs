@@ -9,7 +9,8 @@
 //!
 //! e.g. depth 1: naive = |P_1| = 16514, cuts = 2·|P_1| = 33028, ratio 0.5 —
 //! exactly the first Table 1 row. [`LevelCounts`] implements both, plus the
-//! CSF cost and the theoretical growth model of Equations 1–5.
+//! CSF cost. The growth model of Equation 2 that estimates `|P_l|` before
+//! a run is `cuts_core::complexity`.
 
 /// Per-level partial-path counts `|P_1| … |P_L|`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,34 +78,6 @@ impl LevelCounts {
             })
             .collect()
     }
-}
-
-/// Equation 2: estimated paths at depth `l` given `|P_1|` and the per-level
-/// growth factor `ds = δ × σ`.
-pub fn estimated_paths(p1: f64, ds: f64, l: usize) -> f64 {
-    p1 * ds.powi(l as i32 - 1)
-}
-
-/// Equation 3: traditional (frontier) space at depth `l`.
-pub fn estimated_trad_space(p1: f64, ds: f64, l: usize) -> f64 {
-    estimated_paths(p1, ds, l) * l as f64
-}
-
-/// Equation 4 with the geometric series summed exactly:
-/// `S_cuts(l) = |P_1| · (ds^l − 1) / (ds − 1)` for `ds ≠ 1`.
-/// (The paper's printed form drops one term of the series; the exact sum is
-/// used here and noted in EXPERIMENTS.md.)
-pub fn estimated_cuts_space(p1: f64, ds: f64, l: usize) -> f64 {
-    if (ds - 1.0).abs() < 1e-12 {
-        p1 * l as f64
-    } else {
-        p1 * (ds.powi(l as i32) - 1.0) / (ds - 1.0)
-    }
-}
-
-/// The paper's Equation 5 claim: a reduction factor of `l × (ds − 1)`.
-pub fn paper_reduction_factor(ds: f64, l: usize) -> f64 {
-    l as f64 * (ds - 1.0)
 }
 
 #[cfg(test)]
@@ -179,30 +152,5 @@ mod tests {
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[2].depth, 3);
         assert_eq!(rows[2].naive_words, 13_485_244);
-    }
-
-    #[test]
-    fn model_monotonic_growth() {
-        let p = |l| estimated_paths(100.0, 4.0, l);
-        assert!((p(1) - 100.0).abs() < 1e-9);
-        assert!((p(3) - 1600.0).abs() < 1e-9);
-        // Exact geometric sum: 100 * (4^3 - 1) / 3 = 2100.
-        assert!((estimated_cuts_space(100.0, 4.0, 3) - 2100.0).abs() < 1e-9);
-        assert!((estimated_trad_space(100.0, 4.0, 3) - 4800.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cuts_model_beats_trad_at_depth() {
-        // For ds > 1 and l >= 3 the trie wins and the advantage grows.
-        let r3 = estimated_trad_space(1e3, 8.0, 3) / estimated_cuts_space(1e3, 8.0, 3);
-        let r6 = estimated_trad_space(1e3, 8.0, 6) / estimated_cuts_space(1e3, 8.0, 6);
-        assert!(r3 > 1.0);
-        assert!(r6 > r3);
-        assert!(paper_reduction_factor(8.0, 6) > paper_reduction_factor(8.0, 3));
-    }
-
-    #[test]
-    fn ds_one_degenerate() {
-        assert!((estimated_cuts_space(10.0, 1.0, 4) - 40.0).abs() < 1e-9);
     }
 }
