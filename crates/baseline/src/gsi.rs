@@ -242,11 +242,11 @@ fn expand_one(
     ctr: &mut cuts_gpu_sim::BlockCounters,
 ) -> Vec<VertexId> {
     let back = &plan.back_edges[pos];
-    let mut lists: Vec<&[VertexId]> = Vec::with_capacity(back.len());
+    let mut lists = Vec::with_capacity(back.len());
     for be in back {
         lists.push(constraint_list(data, path[be.pos], be.dir));
     }
-    lists.sort_unstable_by_key(|l| l.len());
+    lists.sort_unstable_by_key(|l| l.ids.len());
     let mut scratch = Vec::new();
     // Full 32-wide warp: the thread-idling configuration.
     c_intersection(&lists, 32, ctr, &mut scratch);

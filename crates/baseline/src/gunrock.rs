@@ -108,11 +108,11 @@ impl<'d> GunrockEngine<'d> {
                         ctx.counters.alu(2 * depth);
 
                         let back = &plan.back_edges[pos];
-                        let mut lists: Vec<&[VertexId]> = Vec::with_capacity(back.len());
+                        let mut lists = Vec::with_capacity(back.len());
                         for be in back {
                             lists.push(constraint_list(data, path[be.pos], be.dir));
                         }
-                        lists.sort_unstable_by_key(|l| l.len());
+                        lists.sort_unstable_by_key(|l| l.ids.len());
                         c_intersection(&lists, 32, &mut ctx.counters, &mut cands);
 
                         // The kept paths' codes, low word first.

@@ -1259,13 +1259,23 @@ mod tests {
             })
             .collect();
         assert!(!dumps.is_empty(), "job failure wrote a post-mortem dump");
-        let text = std::fs::read_to_string(&dumps[0]).unwrap();
-        let (reason, events) = flight::parse_dump(&text).unwrap();
+        // Tests running alongside may drop their own post-mortems (a dead
+        // rank's) here while the variable is set: take this run's by its
+        // reason.
+        let (dump, reason, events) = dumps
+            .iter()
+            .filter_map(|p| {
+                let text = std::fs::read_to_string(p).ok()?;
+                let (reason, events) = flight::parse_dump(&text).ok()?;
+                Some((p, reason, events))
+            })
+            .find(|(_, reason, _)| reason == "job_failure")
+            .expect("a job_failure post-mortem among the dumps");
         assert_eq!(reason, "job_failure");
         assert!(events.iter().any(|e| {
             (e.kind, e.name.as_str(), e.arg("ok")) == (EventKind::Job, "complete", Some(0))
         }));
-        run_flight(&dumps[0].to_string_lossy()).unwrap();
+        run_flight(&dump.to_string_lossy()).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -26,26 +26,79 @@
 //! masked-lane idle slots implied by the virtual-warp width, which is how
 //! the thread-idling claims of §4.1.2 become measurable.
 //!
-//! The host computes every arm the same way: one progressive sorted merge
-//! (`merge_passes`) that narrows the first list by each later one, by a
-//! linear merge when sizes are close and by galloping when one side is
-//! at least `GALLOP_RATIO` (8) times the other. What distinguishes the arms
-//! is their counters, and those are each arm's cost model, charged from
-//! the running-set sizes of each pass — the probes, buffers and bitmaps
-//! the device would use never exist on the host.
+//! The host computes every arm the same way (`merge_passes`): the
+//! running set starts as the first list and each later one narrows it in
+//! place. A later list that is a hub's ([`Adj::row`], see
+//! [`cuts_graph::hubs`]) narrows it by one branch-free bit probe per
+//! running element; any other list by a linear merge when sizes are
+//! close, or by galloping when one side is at least `GALLOP_RATIO` (8)
+//! times the other. What distinguishes the arms is their counters, and
+//! those are each arm's cost model, charged from each pass's list length
+//! and running-set sizes alone — so a hub row changes no counter, and
+//! the probes, buffers and bitmaps the device would use never exist on
+//! the host.
 
 use cuts_gpu_sim::BlockCounters;
-use cuts_graph::{Graph, VertexId};
+use cuts_graph::{Graph, HubRow, VertexId};
 
 use crate::order::Dir;
+
+/// A list as the arms read it: its ids and, when it has one, a bit row
+/// that answers membership in O(1).
+pub trait AdjList {
+    /// The list, sorted and duplicate-free.
+    fn ids(&self) -> &[VertexId];
+
+    /// The list's membership test by bit probe, if it has a bit row; a
+    /// pass narrows by it instead of merging through [`AdjList::ids`].
+    fn row(&self) -> Option<impl Fn(VertexId) -> bool + '_> {
+        None::<fn(VertexId) -> bool>
+    }
+}
+
+/// Any borrowed id list, without a row.
+impl<T: AsRef<[VertexId]> + ?Sized> AdjList for &T {
+    #[inline]
+    fn ids(&self) -> &[VertexId] {
+        (**self).as_ref()
+    }
+}
+
+/// A data vertex's adjacency in one direction, with its hub row if it
+/// has one.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Adj<'a> {
+    /// The sorted neighbour ids.
+    pub ids: &'a [VertexId],
+    /// The same set as bits, for a hub.
+    pub row: Option<HubRow<'a>>,
+}
+
+impl AdjList for Adj<'_> {
+    #[inline]
+    fn ids(&self) -> &[VertexId] {
+        self.ids
+    }
+
+    #[inline]
+    fn row(&self) -> Option<impl Fn(VertexId) -> bool + '_> {
+        self.row.map(|r| move |v| r.contains(v))
+    }
+}
 
 /// Adjacency list that constrains the next candidate: neighbours of the
 /// already-matched data vertex in the direction the query edge demands.
 #[inline]
-pub fn constraint_list(g: &Graph, matched: VertexId, dir: Dir) -> &[VertexId] {
+pub fn constraint_list(g: &Graph, matched: VertexId, dir: Dir) -> Adj<'_> {
     match dir {
-        Dir::In => g.in_neighbors(matched),
-        Dir::Out => g.out_neighbors(matched),
+        Dir::In => Adj {
+            ids: g.in_neighbors(matched),
+            row: g.in_row(matched),
+        },
+        Dir::Out => Adj {
+            ids: g.out_neighbors(matched),
+            row: g.out_row(matched),
+        },
     }
 }
 
@@ -122,13 +175,27 @@ fn retain_common(run: &mut Vec<VertexId>, list: &[VertexId]) {
     run.truncate(w);
 }
 
+/// Narrows `run`, in place, to the values `has` accepts: one probe per
+/// element, and the write cursor advances by the probe's bit, with no
+/// branch.
+fn retain_probed(run: &mut Vec<VertexId>, has: impl Fn(VertexId) -> bool) {
+    let mut w = 0;
+    for i in 0..run.len() {
+        let v = run[i];
+        run[w] = v;
+        w += has(v) as usize;
+    }
+    run.truncate(w);
+}
+
 /// The host computation behind every arm: `out` starts as the first list
-/// and each later list narrows it, in order, until it runs empty (later
-/// lists are then never visited). `pass(list, before, after)` sees each
-/// visited list with the running-set sizes around it — all an arm's cost
-/// model charges from.
-fn merge_passes(
-    lists: &[&[VertexId]],
+/// and each later list narrows it, in order, by its bit row when it has
+/// one and by a merge otherwise, until it runs empty (later lists are
+/// then never visited). `pass(list, before, after)` sees each visited
+/// list with the running-set sizes around it — all an arm's cost model
+/// charges from.
+fn merge_passes<L: AdjList>(
+    lists: &[L],
     out: &mut Vec<VertexId>,
     mut pass: impl FnMut(&[VertexId], usize, usize),
 ) {
@@ -136,27 +203,30 @@ fn merge_passes(
     let Some((first, rest)) = lists.split_first() else {
         return;
     };
-    out.extend_from_slice(first);
+    out.extend_from_slice(first.ids());
     for list in rest {
         if out.is_empty() {
             return;
         }
         let before = out.len();
-        retain_common(out, list);
-        pass(list, before, out.len());
+        match list.row() {
+            Some(has) => retain_probed(out, has),
+            None => retain_common(out, list.ids()),
+        }
+        pass(list.ids(), before, out.len());
     }
 }
 
 /// c-intersection (Algorithm 2, lines 19-31). `lists` must be sorted;
 /// the result in `out` is sorted. Empty `lists` yields an empty result.
-pub fn c_intersection(
-    lists: &[&[VertexId]],
+pub fn c_intersection<L: AdjList>(
+    lists: &[L],
     vwarp: usize,
     ctr: &mut BlockCounters,
     out: &mut Vec<VertexId>,
 ) {
     if let Some(first) = lists.first() {
-        c_load(first, vwarp, ctr);
+        c_load(first.ids(), vwarp, ctr);
     }
     merge_passes(lists, out, |list, before, after| {
         // Lanes load this constraint's children to registers, coalesced,
@@ -171,8 +241,8 @@ pub fn c_intersection(
 
 /// p-intersection (Algorithm 2, lines 33-42). `lists` must be sorted; the
 /// result is sorted (subsequence of the first list).
-pub fn p_intersection(
-    lists: &[&[VertexId]],
+pub fn p_intersection<L: AdjList>(
+    lists: &[L],
     vwarp: usize,
     ctr: &mut BlockCounters,
     out: &mut Vec<VertexId>,
@@ -181,7 +251,7 @@ pub fn p_intersection(
         out.clear();
         return;
     };
-    p_load(first, vwarp, ctr);
+    p_load(first.ids(), vwarp, ctr);
     merge_passes(lists, out, |list, before, _| {
         // Every candidate still standing binary-probes the constraint's
         // adjacency in global memory: uncoalesced, log(len) words each.
@@ -202,15 +272,15 @@ pub fn p_intersection(
 /// both); the result in `out` is sorted. When the double-buffered bitmap
 /// would not fit `shared_words`, the kernel degrades to
 /// [`c_intersection`] — identical results, honestly charged.
-pub fn b_intersection(
-    lists: &[&[VertexId]],
+pub fn b_intersection<L: AdjList>(
+    lists: &[L],
     vwarp: usize,
     shared_words: usize,
     ctr: &mut BlockCounters,
     out: &mut Vec<VertexId>,
 ) {
     out.clear();
-    let Some(first) = lists.first() else {
+    let Some(first) = lists.first().map(L::ids) else {
         return;
     };
     let (Some(&lo), Some(&hi)) = (first.first(), first.last()) else {
@@ -382,15 +452,15 @@ pub(crate) fn pick_method(
 /// enables higher performance"), constrained by the block's shared-
 /// memory budget — an arm whose resident buffer cannot fit
 /// `shared_words` is never picked.
-pub fn choose(lists: &[&[VertexId]], shared_words: usize) -> Method {
+pub fn choose<L: AdjList>(lists: &[L], shared_words: usize) -> Method {
     let Some((first, rest)) = lists.split_first() else {
         return Method::C;
     };
-    let stream: usize = rest.iter().map(|l| l.len()).sum();
-    let probe_words: usize = rest.iter().map(|l| probe_cost(l.len())).sum();
+    let stream: usize = rest.iter().map(|l| l.ids().len()).sum();
+    let probe_words: usize = rest.iter().map(|l| probe_cost(l.ids().len())).sum();
     pick_method(
-        first.len(),
-        bitmap_words(list_span(first)),
+        first.ids().len(),
+        bitmap_words(list_span(first.ids())),
         stream,
         probe_words,
         shared_words,
@@ -631,9 +701,17 @@ mod tests {
     #[test]
     fn constraint_list_direction() {
         let g = Graph::directed(3, &[(0, 1), (2, 1)]);
-        assert_eq!(constraint_list(&g, 0, Dir::Out), &[1]);
-        assert_eq!(constraint_list(&g, 1, Dir::In), &[0, 2]);
-        assert_eq!(constraint_list(&g, 1, Dir::Out), &[] as &[u32]);
+        assert_eq!(constraint_list(&g, 0, Dir::Out).ids, &[1]);
+        assert_eq!(constraint_list(&g, 1, Dir::In).ids, &[0, 2]);
+        assert_eq!(constraint_list(&g, 1, Dir::Out).ids, &[] as &[u32]);
+        // A hub's list carries its row, in its own direction only.
+        let spokes: Vec<_> = (1..=20).map(|v| (0, v)).collect();
+        let g = Graph::directed(21, &spokes);
+        let hub = constraint_list(&g, 0, Dir::Out);
+        let row = hub.row.expect("degree 20 gets a row");
+        assert!((0..21).all(|v| row.contains(v) == hub.ids.contains(&v)));
+        assert!(constraint_list(&g, 0, Dir::In).row.is_none());
+        assert!(constraint_list(&g, 5, Dir::In).row.is_none());
     }
 
     /// The arms as they were before the host path became one sorted
@@ -781,6 +859,23 @@ mod tests {
         }
     }
 
+    /// A drawn list, with a hash set standing in for a hub's bit row when
+    /// `row` is set (any O(1) membership test narrows alike).
+    struct Rowed<'a> {
+        ids: &'a [u32],
+        row: Option<&'a std::collections::HashSet<u32>>,
+    }
+
+    impl AdjList for Rowed<'_> {
+        fn ids(&self) -> &[VertexId] {
+            self.ids
+        }
+
+        fn row(&self) -> Option<impl Fn(VertexId) -> bool + '_> {
+            self.row.map(|set| move |v| set.contains(&v))
+        }
+    }
+
     /// Draws a sorted, duplicate-free list: `len` values from `pool` when
     /// `shared`, otherwise from a private value range (disjoint lists).
     fn draw_list(rng: &mut SmallRng, pool: &[u32], len: usize, shared: bool) -> Vec<u32> {
@@ -802,8 +897,12 @@ mod tests {
     #[test]
     fn merge_arms_match_the_oracle_counters() {
         let mut rng = SmallRng::seed_from_u64(0x1D_E77);
+        // Rows come from their own stream, so the lists drawn stay the
+        // same with or without them.
+        let mut row_rng = SmallRng::seed_from_u64(0x0B_175);
         let (mut gallops, mut fallbacks, mut early_exits) = (0, 0, 0);
         let (mut one_lists, mut one_list_fallbacks) = (0, 0);
+        let (mut row_passes, mut row_gallops, mut row_exits) = (0, 0, 0);
         for case in 0..3000 {
             // A shared value pool over a narrow, medium or wide span: wide
             // spans make the bitmap infeasible at either budget.
@@ -826,6 +925,24 @@ mod tests {
                 })
                 .collect();
             let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
+            // About half the lists carry a row (the first list's is never
+            // read): the merge must narrow by rows to the same sets.
+            let sets: Vec<Option<std::collections::HashSet<u32>>> = lists
+                .iter()
+                .map(|l| {
+                    row_rng
+                        .random_bool(0.5)
+                        .then(|| l.iter().copied().collect())
+                })
+                .collect();
+            let rowed: Vec<Rowed> = refs
+                .iter()
+                .zip(&sets)
+                .map(|(&ids, row)| Rowed {
+                    ids,
+                    row: row.as_ref(),
+                })
+                .collect();
             let lens: Vec<usize> = refs.iter().map(|l| l.len()).collect();
             if lens
                 .iter()
@@ -835,8 +952,9 @@ mod tests {
             }
             for vwarp in [1usize, 4, 32] {
                 for budget in [64usize, 4096] {
-                    type Arm = fn(&[&[u32]], usize, usize, &mut BlockCounters, &mut Vec<u32>);
-                    let arms: [(Method, Arm, Arm); 3] = [
+                    type Arm<L> = fn(&[L], usize, usize, &mut BlockCounters, &mut Vec<u32>);
+                    type Pair<'a> = (Method, Arm<Rowed<'a>>, Arm<&'a [u32]>);
+                    let arms: [Pair; 3] = [
                         (
                             Method::C,
                             |l, w, _, c, o| c_intersection(l, w, c, o),
@@ -847,13 +965,17 @@ mod tests {
                             |l, w, _, c, o| p_intersection(l, w, c, o),
                             |l, w, _, c, o| oracle::p_intersection(l, w, c, o),
                         ),
-                        (Method::B, b_intersection, oracle::b_intersection),
+                        (
+                            Method::B,
+                            |l, w, s, c, o| b_intersection(l, w, s, c, o),
+                            oracle::b_intersection,
+                        ),
                     ];
                     for (method, new, old) in arms {
                         let name = method.name();
                         let (mut cn, mut co) = (BlockCounters::default(), BlockCounters::default());
                         let (mut on, mut oo) = (vec![7], vec![7]);
-                        new(&refs, vwarp, budget, &mut cn, &mut on);
+                        new(&rowed, vwarp, budget, &mut cn, &mut on);
                         old(&refs, vwarp, budget, &mut co, &mut oo);
                         assert_eq!(on, oo, "{name} result, {lists:?}");
                         assert_eq!(
@@ -877,10 +999,19 @@ mod tests {
             }
             one_lists += (refs.len() == 1 && first > 0) as usize;
             let mut out = Vec::new();
-            let mut seen = 0;
-            merge_passes(&refs, &mut out, |_, _, _| seen += 1);
-            if seen + 1 < refs.len() {
+            let mut passes = Vec::new();
+            merge_passes(&rowed, &mut out, |list, before, after| {
+                passes.push((list.len(), before, after))
+            });
+            if passes.len() + 1 < refs.len() {
                 early_exits += 1;
+            }
+            for (i, &(len, before, after)) in passes.iter().enumerate() {
+                if sets[i + 1].is_some() {
+                    row_passes += 1;
+                    row_gallops += (len.min(before) * GALLOP_RATIO <= len.max(before)) as usize;
+                    row_exits += (after == 0 && i + 2 < refs.len()) as usize;
+                }
             }
         }
         // The draw must actually reach every branch it is meant to cover.
@@ -891,6 +1022,10 @@ mod tests {
         assert!(
             one_lists > 100 && one_list_fallbacks > 20,
             "one list {one_lists}, of which fall back {one_list_fallbacks}"
+        );
+        assert!(
+            row_passes > 100 && row_gallops > 100 && row_exits > 100,
+            "row passes {row_passes}, gallop-sized {row_gallops}, emptying {row_exits}"
         );
     }
 

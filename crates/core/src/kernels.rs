@@ -9,7 +9,7 @@ use cuts_graph::{Graph, VertexId};
 use cuts_trie::{Trie, NO_PARENT};
 
 use crate::intersect::{
-    b_intersection, c_intersection, charge_one_list, choose, constraint_list, p_intersection,
+    b_intersection, c_intersection, charge_one_list, choose, constraint_list, p_intersection, Adj,
     Method,
 };
 use crate::order::{label_ok, MatchOrder};
@@ -178,12 +178,12 @@ pub(crate) fn expand_into<T: RunTarget + ?Sized>(
     device.launch_ordered(p.method.kernel_name(), blocks, out, |ctx, out| {
         // Constraint lists live on the stack unless the query vertex has
         // an unusually large number of back edges.
-        let mut stack_lists = [&[][..]; STACK_LISTS];
+        let mut stack_lists = [Adj::default(); STACK_LISTS];
         let mut heap_lists = Vec::new();
         let lists = match stack_lists.get_mut(..back.len()) {
             Some(l) => l,
             None => {
-                heap_lists.resize(back.len(), &[][..]);
+                heap_lists.resize(back.len(), Adj::default());
                 &mut heap_lists[..]
             }
         };
@@ -228,13 +228,13 @@ pub(crate) fn expand_into<T: RunTarget + ?Sized>(
                     ctx.counters.dram_read_random_n(p.pos, 2);
                     ctx.counters.shmem_write(p.pos);
 
-                    // Resolve constraint adjacency lists; smallest first
-                    // keeps the running buffer minimal for either
-                    // micro-kernel.
+                    // Resolve constraint adjacency lists, each with its
+                    // hub row if it has one; smallest first keeps the
+                    // running buffer minimal for either micro-kernel.
                     for (l, be) in lists.iter_mut().zip(back) {
                         *l = constraint_list(p.data, path[be.pos], be.dir);
                     }
-                    lists.sort_unstable_by_key(|l| l.len());
+                    lists.sort_unstable_by_key(|l| l.ids.len());
                     ctx.counters.alu(back.len());
 
                     let method = match p.method {
@@ -246,8 +246,8 @@ pub(crate) fn expand_into<T: RunTarget + ?Sized>(
                     let ctr = &mut ctx.counters;
                     let set: &[VertexId] = match lists {
                         [only] => {
-                            charge_one_list(method, only, p.vwarp, p.shared_words, ctr);
-                            only
+                            charge_one_list(method, only.ids, p.vwarp, p.shared_words, ctr);
+                            only.ids
                         }
                         _ => {
                             match method {

@@ -241,7 +241,9 @@ impl Graph {
     /// ([`crate::profile::DataProfile::patched`]): the new profile equals
     /// a fresh build but recomputes only the signatures of touched
     /// vertices and their neighbours, and does not count as a build. An
-    /// uncached profile stays uncached.
+    /// uncached profile stays uncached. Built hub rows
+    /// ([`crate::hubs`]) are patched the same way: touched vertices'
+    /// rows are re-filled, and no row is added.
     pub fn apply_batch(&mut self, batch: &EdgeBatch) -> Result<GraphDelta, BatchError> {
         let n = self.num_vertices();
         // Canonical key per logical edge: sorted pair when symmetric
@@ -332,6 +334,10 @@ impl Graph {
         self.version += 1;
         if let Some(profile) = self.profile.take() {
             let _ = self.profile.set(Arc::new(profile.patched(self, &touched)));
+        }
+        if let Some(mut hubs) = self.hubs.take() {
+            Arc::make_mut(&mut hubs).patch(self, &touched);
+            let _ = self.hubs.set(hubs);
         }
         self.fingerprint = OnceLock::new();
         Ok(GraphDelta {

@@ -3,6 +3,7 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::csr::Csr;
+use crate::hubs::HubRows;
 use crate::profile::DataProfile;
 
 /// Vertex identifier. 32 bits suffices for every dataset in the paper
@@ -15,6 +16,11 @@ pub type VertexId = u32;
 ///
 /// Undirected inputs are symmetrised per Definition 1 of the paper: every
 /// undirected edge `{u, v}` is stored as both `(u, v)` and `(v, u)`.
+///
+/// Two derived caches are built on first use and shared by clones: the
+/// [`DataProfile`] and the host-only hub rows ([`crate::hubs`]).
+/// [`Graph::apply_batch`] patches both rather than dropping them. Hub
+/// rows are never written to a snapshot.
 #[derive(Clone, Debug)]
 pub struct Graph {
     pub(crate) out: Csr,
@@ -29,6 +35,9 @@ pub struct Graph {
     /// Lazily computed statistics/signature profile (see
     /// [`crate::profile`]); shared by clones until the graph changes.
     pub(crate) profile: OnceLock<Arc<DataProfile>>,
+    /// Lazily built hub rows (see [`crate::hubs`]); shared by clones,
+    /// patched by [`Graph::apply_batch`].
+    pub(crate) hubs: OnceLock<Arc<HubRows>>,
     /// Monotone mutation counter: 0 for a freshly constructed graph,
     /// bumped by every [`Graph::apply_batch`]. Part of the
     /// [`Graph::fingerprint`], so artifacts captured against an earlier
@@ -47,12 +56,19 @@ impl Graph {
         let filtered: Vec<_> = edges.iter().copied().filter(|&(u, v)| u != v).collect();
         let out = Csr::from_edges(n, &filtered);
         let inn = out.transpose();
+        Graph::assemble(out, inn, false)
+    }
+
+    /// A fresh graph (version 0, unlabelled, nothing cached) over two
+    /// CSRs.
+    fn assemble(out: Csr, inn: Csr, symmetric: bool) -> Graph {
         Graph {
             out,
             inn,
-            symmetric: false,
+            symmetric,
             labels: None,
             profile: OnceLock::new(),
+            hubs: OnceLock::new(),
             version: 0,
             fingerprint: OnceLock::new(),
         }
@@ -69,15 +85,7 @@ impl Graph {
         }
         let out = Csr::from_edges(n, &sym);
         let inn = out.clone();
-        Graph {
-            out,
-            inn,
-            symmetric: true,
-            labels: None,
-            profile: OnceLock::new(),
-            version: 0,
-            fingerprint: OnceLock::new(),
-        }
+        Graph::assemble(out, inn, true)
     }
 
     /// Builds a graph directly from its out-adjacency CSR, the zero-copy
@@ -119,15 +127,7 @@ impl Graph {
             }
             out.transpose()
         };
-        Ok(Graph {
-            out,
-            inn,
-            symmetric,
-            labels: None,
-            profile: OnceLock::new(),
-            version: 0,
-            fingerprint: OnceLock::new(),
-        })
+        Ok(Graph::assemble(out, inn, symmetric))
     }
 
     /// The same arcs and labels, flagged directed: a symmetric graph's
@@ -135,13 +135,8 @@ impl Graph {
     /// a matcher must constrain independently.
     pub fn to_directed(&self) -> Graph {
         Graph {
-            out: self.out.clone(),
-            inn: self.inn.clone(),
-            symmetric: false,
             labels: self.labels.clone(),
-            profile: OnceLock::new(),
-            version: 0,
-            fingerprint: OnceLock::new(),
+            ..Graph::assemble(self.out.clone(), self.inn.clone(), false)
         }
     }
 

@@ -15,6 +15,9 @@
 //!   ([`EdgeBatch`]) applied in place with profile/fingerprint
 //!   invalidation, returning the [`GraphDelta`] the incremental matcher
 //!   consumes.
+//! * [`hubs`] — bit-per-vertex rows of the highest-degree adjacency
+//!   lists, the host intersection's probe index (never billed, never
+//!   snapshotted).
 //! * [`edgelist`] — the SNAP text format the paper's datasets ship in.
 //! * [`generators`] — synthetic graph families, including degree-skewed
 //!   stand-ins for the six SNAP datasets of Table 2 (see [`datasets`]).
@@ -34,6 +37,7 @@ pub mod datasets;
 pub mod edgelist;
 pub mod generators;
 pub mod graph;
+pub mod hubs;
 pub mod labels;
 pub mod profile;
 pub mod query_gen;
@@ -44,5 +48,6 @@ pub use builder::GraphBuilder;
 pub use csr::Csr;
 pub use datasets::{Dataset, Scale};
 pub use graph::{Graph, VertexId};
+pub use hubs::HubRow;
 pub use profile::DataProfile;
 pub use query_gen::{query_set, QueryGraph};
