@@ -100,6 +100,13 @@ pub trait RunTarget: Sync {
     fn stores_children(&self) -> bool {
         true
     }
+
+    /// Appends `n` entries with one reservation, as appending any `n`
+    /// children does on a target that stores none. Only such a target
+    /// implements it.
+    fn append_len(&self, n: usize) -> Result<(), DeviceError> {
+        unreachable!("appending {n} bare entries to a target that stores children")
+    }
 }
 
 /// One claim's runs, held back until the blocks below it have committed.
@@ -189,6 +196,21 @@ impl<'a, T: RunTarget + ?Sized> RunOut<'a, T> {
             Out::Direct(t) => t.append(parent, children),
             Out::Staged(s) => {
                 s.push(parent, children);
+                Ok(())
+            }
+        }
+    }
+
+    /// Appends `n` entries under no parent to a target that stores no
+    /// children (see [`RunTarget::append_len`]): one reservation for
+    /// many runs whose lengths are all it keeps.
+    #[inline]
+    pub fn append_len(&mut self, n: usize) -> Result<(), DeviceError> {
+        match &mut self.0 {
+            Out::Direct(t) => t.append_len(n),
+            Out::Staged(s) => {
+                debug_assert!(s.lengths_only, "a stored stage keeps every run");
+                s.entries += n;
                 Ok(())
             }
         }

@@ -38,6 +38,9 @@ pub struct JournalSummary {
     pub census: BTreeMap<&'static str, u64>,
     /// Per-kernel totals over launch spans only.
     pub kernels: BTreeMap<String, SpanTotals>,
+    /// Launches per `"<kernel> <mode>"`, over launch spans that carry a
+    /// `mode` (how a search kernel visited its paths).
+    pub modes: BTreeMap<String, u64>,
     /// Per-level totals, keyed by level name; the attempts of a level
     /// that were rolled back are keyed `"<name> rolled back"`.
     pub levels: BTreeMap<String, SpanTotals>,
@@ -105,7 +108,10 @@ impl JournalSummary {
                 EventKind::Level => s.levels.entry(e.name.clone()).or_default().add(e),
                 // Per-block kernel spans carry no `blocks` argument.
                 EventKind::Kernel if e.arg("blocks").is_some() => {
-                    s.kernels.entry(e.name.clone()).or_default().add(e)
+                    s.kernels.entry(e.name.clone()).or_default().add(e);
+                    if let Some(Arg::Str(mode)) = e.arg("mode") {
+                        *s.modes.entry(format!("{name} {mode}")).or_default() += 1;
+                    }
                 }
                 EventKind::Plan if name == "hit" => s.plans.0 += 1,
                 EventKind::Plan if name == "miss" => s.plans.1 += 1,
@@ -200,6 +206,12 @@ impl fmt::Display for JournalSummary {
                 f,
                 "    {name:<19} {steps:>6} step(s) {ms:>9.3} ms  {paths:>10} paths"
             )?;
+        }
+        if !self.modes.is_empty() {
+            writeln!(f, "  search kernel modes:")?;
+            for (mode, n) in &self.modes {
+                writeln!(f, "    {mode:<19} {n:>6} launch(es)")?;
+            }
         }
         let (hits, built) = self.plans;
         if hits + built > 0 {

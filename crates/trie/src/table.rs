@@ -415,6 +415,10 @@ impl RunTarget for Counted<'_> {
         self.claim(runs.len()).is_ok()
     }
 
+    fn append_len(&self, n: usize) -> Result<(), DeviceError> {
+        self.claim(n)
+    }
+
     fn stores_children(&self) -> bool {
         false
     }
@@ -596,6 +600,15 @@ mod tests {
     /// appending `sizes[b]` children, on four host threads: blocks that
     /// helpers run are staged and committed through `append_all`.
     fn launch<T: RunTarget + ?Sized>(target: &T, sizes: &[usize]) -> Result<(), DeviceError> {
+        launch_with(target, sizes, false)
+    }
+
+    /// [`launch`], each block appending a bare length when `bare`.
+    fn launch_with<T: RunTarget + ?Sized>(
+        target: &T,
+        sizes: &[usize],
+        bare: bool,
+    ) -> Result<(), DeviceError> {
         let mut d = Device::new(DeviceConfig::test_small());
         d.set_host_threads(4);
         d.launch_ordered("expand", sizes.len(), target, |ctx, out| {
@@ -603,7 +616,11 @@ mod tests {
                 // Outlast the launch's direct phase so helpers join.
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
-            out.append(ctx.block_id as u32, &vec![7; sizes[ctx.block_id]])
+            let n = sizes[ctx.block_id];
+            match bare {
+                true => out.append_len(n),
+                false => out.append(ctx.block_id as u32, &vec![7; n]),
+            }
         })
     }
 
@@ -644,6 +661,29 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_bare_length_reserves_like_a_run_of_that_length() {
+        let (by_run, by_len) = (PairTable::on_host(10), PairTable::on_host(10));
+        // The fourth overflows both (9 + 2 > 10); the last still fits.
+        for (p, n) in [3, 2, 4, 2, 1].into_iter().enumerate() {
+            let r = outcome(by_run.counted().append(p as u32, &vec![7; n]));
+            assert_eq!(outcome(by_len.counted().append_len(n)), r);
+            assert_eq!(by_len.len(), by_run.len(), "after run {p}");
+        }
+        // Staged blocks commit alike, in a launch that fits and in one
+        // where block 8 overflows.
+        let sizes: Vec<usize> = (0..20).map(|b| b % 3 + 1).collect();
+        let overflows = sizes[..8].iter().sum::<usize>() + sizes[8] - 1;
+        for capacity in [sizes.iter().sum(), overflows] {
+            let (by_run, by_len) = (PairTable::on_host(capacity), PairTable::on_host(capacity));
+            let r = outcome(launch(&by_run.counted(), &sizes));
+            let spy = StageSpy::new(by_len.counted());
+            assert_eq!(outcome(launch_with(&spy, &sizes, true)), r);
+            assert_eq!(by_len.len(), by_run.len());
+            assert!(spy.seen().0 > 0, "helpers staged blocks");
+        }
+    }
+
     /// A [`RunTarget`] that passes appends through to `T` and remembers
     /// how many staged entries and children words reached it.
     struct StageSpy<T> {
@@ -675,6 +715,10 @@ mod tests {
             seen.0 += runs.len();
             seen.1 += runs.held_children();
             self.target.append_all(runs)
+        }
+
+        fn append_len(&self, n: usize) -> Result<(), DeviceError> {
+            self.target.append_len(n)
         }
 
         fn stores_children(&self) -> bool {
