@@ -11,7 +11,7 @@
 
 use std::ops::Range;
 
-use cuts_core::kernels::{expand_range, init_candidates, ExpandParams};
+use cuts_core::kernels::{expand_range, init_candidates, ExpandParams, Order};
 use cuts_core::prelude::*;
 use cuts_core::{LevelMethod, MatchOrder};
 use cuts_gpu_sim::{Arena, ClassSpec, Counters, Device, DeviceConfig, DeviceError};
@@ -108,7 +108,7 @@ fn params<'a>(
         vwarp: 4,
         method: LevelMethod::PerPath,
         shared_words: 4096,
-        placement,
+        order: Order::PerPath(placement),
         max_blocks: 256,
     }
 }

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use cuts_core::job::Job;
-use cuts_core::kernels::{expand_range, init_candidates, ExpandParams};
+use cuts_core::kernels::{expand_range, init_candidates, ExpandParams, Order};
 use cuts_core::prelude::*;
 use cuts_core::{IntersectStrategy, LevelMethod, MatchOrder};
 use cuts_gpu_sim::{Counters, Device, DeviceConfig};
@@ -221,7 +221,7 @@ fn kernel_level_trie_layout() {
             vwarp: [1, 4, 32][pos % 3],
             method: LevelMethod::PerPath,
             shared_words: [4096, 64, 4096][pos % 3],
-            placement: Some(&perm),
+            order: Order::PerPath(Some(&perm)),
             max_blocks: 64,
         };
         expand_range(&device, &trie, frontier, &params).unwrap();
@@ -260,7 +260,7 @@ fn kernel_level_trie_layout() {
         vwarp: 4,
         method: LevelMethod::PerPath,
         shared_words: 4096,
-        placement: None,
+        order: Order::PerPath(None),
         max_blocks: 64,
     };
     assert!(expand_range(&device, &trie, lvl0, &params).is_err());
